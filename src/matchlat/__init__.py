@@ -52,7 +52,6 @@ from .plane_graph import (
     load_graph_file,
     load_graph_json,
     oriented_dual,
-    trace_faces,
 )
 from .ztransform import (
     ExtremalMatchings,

@@ -43,6 +43,14 @@ def _caps_from_args(args) -> SizeCaps:
     )
 
 
+def _cap(text: str) -> int:
+    """A size cap from the command line: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -167,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
             "structure, and run the exhaustive verification suites."
         ),
     )
-    parser.add_argument("--cap-vertices", type=int, default=DEFAULT_CAPS.max_vertices)
+    parser.add_argument("--cap-vertices", type=_cap, default=DEFAULT_CAPS.max_vertices)
     parser.add_argument(
-        "--cap-inner-faces", type=int, default=DEFAULT_CAPS.max_inner_faces
+        "--cap-inner-faces", type=_cap, default=DEFAULT_CAPS.max_inner_faces
     )
     parser.add_argument(
-        "--cap-matchings", type=int, default=DEFAULT_CAPS.max_matchings
+        "--cap-matchings", type=_cap, default=DEFAULT_CAPS.max_matchings
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

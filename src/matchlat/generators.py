@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
+from .derive import component_labels
 from .errors import (
     ColorClash,
     EmbeddingConflict,
@@ -47,11 +48,10 @@ from .matching import (
 from .plane_graph import (
     BLACK,
     WHITE,
-    COLOR_NAMES,
     PlaneBipartiteGraph,
     _trace_rotation,
+    build_graph,
     faces_inside_cycle,
-    load_graph,
     oriented_dual,
 )
 
@@ -199,17 +199,7 @@ def truncated_parallelogram(
     outer_candidates = [k for k, a in enumerate(areas) if a > 0]
     if len(outer_candidates) != 1:
         raise EmbeddingConflict("hexagon layout produced no unique outer face")
-    outer = outer_candidates[0]
-
-    description = {
-        "vertices": [
-            {"id": v, "color": COLOR_NAMES[c]} for v, c in enumerate(colors)
-        ],
-        "edges": [[u, v] for u, v in edges],
-        "rotation": {str(v): list(r) for v, r in enumerate(rotation)},
-        "outer_face": outer,
-    }
-    G = load_graph(description, caps)
+    G = build_graph(colors, edges, rotation, outer_candidates[0], caps)
 
     face_hexagon: dict[int, tuple[int, int]] = {}
     by_vertices = {verts: hx for hx, verts in hex_vertices.items()}
@@ -298,13 +288,7 @@ def _validate_hexagon_convention() -> None:
     walks = _trace_rotation(edges, rotation)
     areas = [_signed_area(w, coords) for w in walks]
     outer = max(range(len(walks)), key=lambda k: areas[k])
-    description = {
-        "vertices": [{"id": v, "color": COLOR_NAMES[c]} for v, c in enumerate(colors)],
-        "edges": [[u, v] for u, v in edges],
-        "rotation": {str(v): list(r) for v, r in enumerate(rotation)},
-        "outer_face": outer,
-    }
-    G = load_graph(description)
+    G = build_graph(colors, edges, rotation, outer)
     eindex = {pair: k for k, pair in enumerate(edges)}
     root = Matching(
         tuple(
@@ -561,7 +545,6 @@ class OrientedTree:
         if len(self.arcs) != len(nodes) - 1:
             raise NotATree("a tree on n nodes has n - 1 arcs")
         seen_pairs = set()
-        adj: dict[int, list[int]] = {v: [] for v in nodes}
         for u, v in self.arcs:
             if u == v or u not in nodes or v not in nodes:
                 raise NotATree(f"bad arc ({u}, {v})")
@@ -569,18 +552,9 @@ class OrientedTree:
             if key in seen_pairs:
                 raise NotATree(f"repeated tree edge {key}")
             seen_pairs.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        root = self.nodes[0]
-        reached = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if reached != nodes:
+        index = {v: i for i, v in enumerate(self.nodes)}
+        arcs = ((index[u], index[v]) for u, v in self.arcs)
+        if any(component_labels(len(index), arcs)):
             raise NotATree("underlying graph is not connected")
 
     def degree(self, v: int) -> int:
@@ -766,16 +740,7 @@ def _graph_from_inner_walks(
             outer = fid
     if outer is None or len(traced_ids) != len(walks):
         raise EmbeddingConflict("tracing did not recover the declared faces")
-
-    description = {
-        "vertices": [
-            {"id": v, "color": COLOR_NAMES[c]} for v, c in enumerate(colors)
-        ],
-        "edges": [[u, v] for u, v in edges],
-        "rotation": {str(v): list(r) for v, r in enumerate(rotation)},
-        "outer_face": outer,
-    }
-    return load_graph(description, caps), traced_ids
+    return build_graph(colors, edges, rotation, outer, caps), traced_ids
 
 
 # --- linking components -------------------------------------------------------
@@ -867,12 +832,10 @@ def _link_pair(
         raise ColorClash("no opposite-color pair on the outer boundaries")
     a, b = pair
 
-    colors = list(cur.colors) + list(nxt.colors)
-    edges = [list(e) for e in cur.edges] + [
-        [u + offset, v + offset] for u, v in nxt.edges
-    ]
+    colors = cur.colors + nxt.colors
+    edges = list(cur.edges) + [(u + offset, v + offset) for u, v in nxt.edges]
     new_eid = len(edges)
-    edges.append([a, b + offset])
+    edges.append((a, b + offset))
 
     rotation = [list(r) for r in cur.rotation] + [
         [e + e_offset for e in r] for r in nxt.rotation
@@ -885,7 +848,7 @@ def _link_pair(
         new_eid if e == -1 else e + e_offset for e in nxt_rot_local[b]
     ]
 
-    walks = _trace_rotation([tuple(e) for e in edges], rotation)
+    walks = _trace_rotation(edges, rotation)
     outer = None
     for fid, steps in enumerate(walks):
         if any(eid == new_eid for eid, _, _ in steps):
@@ -893,16 +856,7 @@ def _link_pair(
             break
     if outer is None:
         raise EmbeddingConflict("merged outer face lost the connecting edge")
-
-    description = {
-        "vertices": [
-            {"id": v, "color": COLOR_NAMES[c]} for v, c in enumerate(colors)
-        ],
-        "edges": edges,
-        "rotation": {str(v): list(r) for v, r in enumerate(rotation)},
-        "outer_face": outer,
-    }
-    return load_graph(description, caps), new_eid
+    return build_graph(colors, edges, rotation, outer, caps), new_eid
 
 
 # --- spec strings -------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
+from .derive import component_labels, per_object
 from .errors import (
     ChainNotSaturated,
     DuplicateComplement,
@@ -127,27 +128,10 @@ class FinitePoset:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the comparability (Hasse) graph."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for lo, hi in self.covers:
-            adj[lo].append(hi)
-            adj[hi].append(lo)
-        seen = [False] * self.n
-        comps: list[tuple[int, ...]] = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            members = [root]
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        members.append(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(members)))
-        return tuple(comps)
+        members: dict[int, list[int]] = {}
+        for x, label in enumerate(component_labels(self.n, self.covers)):
+            members.setdefault(label, []).append(x)
+        return tuple(tuple(c) for c in members.values())
 
     def subposet(self, indices: Sequence[int]) -> "FinitePoset":
         """Induced subposet; the cover relation is recomputed by reduction."""
@@ -394,10 +378,6 @@ def complements(L: FiniteLattice) -> dict[int, Optional[int]]:
     return out
 
 
-def complemented_elements(L: FiniteLattice) -> tuple[int, ...]:
-    return tuple(x for x, y in sorted(complements(L).items()) if y is not None)
-
-
 @dataclass(frozen=True, eq=False)
 class GridSublattice:
     """Certified grid sublattice spanned by two complementary chains."""
@@ -538,9 +518,13 @@ class Decomposition:
     factor_irreducibles: tuple[tuple[Hashable, ...], ...]
 
 
+@per_object
 def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
     """Factor L as the product of J(P_c) over components P_c of its
-    join-irreducible subposet; certified against L elementwise."""
+    join-irreducible subposet; certified against L elementwise.
+
+    Computed once per lattice object; :func:`central_elements` reuses it.
+    """
     P, idx = join_irreducibles(L)
     comps = P.components
     if L.n == 1:

@@ -8,14 +8,14 @@ shortcuts (transfer matrices, Pfaffians) are deliberately out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .derive import per_object
 from .errors import NoPerfectMatching, NotAMatching, SizeCapExceeded
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
-    cycle_clockwise_steps,
+    _clockwise_steps,
     faces_inside_cycle,
 )
 
@@ -101,7 +101,7 @@ def _enumerate_on_edges(
     return results
 
 
-@lru_cache(maxsize=None)
+@per_object
 def enumerate_perfect_matchings(G: PlaneBipartiteGraph) -> tuple[Matching, ...]:
     """Complete, canonically ordered tuple of perfect matchings of G."""
     G.caps.check_vertices(G.n_vertices)
@@ -111,7 +111,7 @@ def enumerate_perfect_matchings(G: PlaneBipartiteGraph) -> tuple[Matching, ...]:
     return tuple(Matching(t) for t in raw)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def matching_index(G: PlaneBipartiteGraph) -> dict[Matching, int]:
     return {M: i for i, M in enumerate(enumerate_perfect_matchings(G))}
 
@@ -209,22 +209,48 @@ def _cycles_of_edge_set(
 def classify_cycle(
     G: PlaneBipartiteGraph, M: Matching, cycle_edges: Iterable[int]
 ) -> AlternatingCycleReport:
-    """Classify one M-alternating cycle as proper/improper w.r.t. M."""
+    """Classify one M-alternating cycle as proper/improper w.r.t. M.
+
+    The cycle is checked and its interior found once; its canonical edge
+    sequence is read off the clockwise steps.
+    """
     cyc = frozenset(cycle_edges)
-    steps = cycle_clockwise_steps(G, cyc)
+    inside = faces_inside_cycle(G, cyc)
+    steps = _clockwise_steps(G, cyc, inside)
     matched = sorted(cyc & M.edge_set)
     assert matched, "cycle has no matching edge"
     classes = {
         PROPER if G.colors[steps[eid][0]] == WHITE else IMPROPER for eid in matched
     }
     assert len(classes) == 1, "matched edges disagree on orientation class"
-    order = _cycles_of_edge_set(G, cyc)
-    assert len(order) == 1
     return AlternatingCycleReport(
-        cycle=order[0],
+        cycle=_cyclic_order(steps),
         orientation_class=classes.pop(),
-        enclosed_faces=faces_inside_cycle(G, cyc),
+        enclosed_faces=inside,
     )
+
+
+def _cyclic_order(steps: dict[int, tuple[int, int]]) -> tuple[int, ...]:
+    """The canonical edge sequence of one cycle given its (tail, head) steps.
+
+    Same as :func:`_cycles_of_edge_set`: start at the smallest edge and
+    continue toward its smaller-id neighbor edge.
+    """
+    leaving = {tail: eid for eid, (tail, _) in steps.items()}
+    arriving = {head: eid for eid, (_, head) in steps.items()}
+
+    def forward(eid: int) -> int:
+        return leaving[steps[eid][1]]
+
+    def backward(eid: int) -> int:
+        return arriving[steps[eid][0]]
+
+    start = min(steps)
+    step = forward if forward(start) < backward(start) else backward
+    seq = [start]
+    while (nxt := step(seq[-1])) != start:
+        seq.append(nxt)
+    return tuple(seq)
 
 
 def symmetric_difference_cycles(

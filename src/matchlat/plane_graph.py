@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
+from .derive import component_labels
 from .errors import (
     Disconnected,
     DuplicateEdge,
@@ -84,7 +85,7 @@ class FaceWalk:
 class PlaneBipartiteGraph:
     """Immutable plane bipartite graph with derived faces.
 
-    Instances are only created through :func:`load_graph`, which validates
+    Instances are only created through :func:`build_graph`, which validates
     the 2-coloring, connectivity, simplicity, and Euler's formula for the
     rotation system.  All operations in this package are pure functions of
     such validated graphs.
@@ -216,96 +217,134 @@ def _trace_rotation(
 def load_graph(
     description: Mapping, caps: SizeCaps = DEFAULT_CAPS
 ) -> PlaneBipartiteGraph:
-    """Validate a structured graph description and derive its faces.
+    """Parse a structured graph description, then build it with :func:`build_graph`.
 
     The description uses the JSON schema
     ``{"vertices": [{"id", "color"}], "edges": [[u, v], ...],
     "rotation": {vid: [edge ids clockwise]}, "outer_face": optional}``.
+    Ids must be integers: ``1.7``, ``"1"`` or ``true`` is a ParseError,
+    never coerced.
     """
     try:
         vertex_items = list(description["vertices"])
         edge_items = list(description["edges"])
         rotation_map = dict(description["rotation"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
-
-    n = len(vertex_items)
-    if n == 0:
-        raise ParseError("graph must have at least one vertex")
-    caps.check_vertices(n)
 
     colors_by_id: dict[int, int] = {}
     for item in vertex_items:
         try:
-            vid = int(item["id"])
-            color = str(item["color"])
-        except (KeyError, TypeError, ValueError) as exc:
+            vid, color = _int(item["id"], "vertex id"), item["color"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed vertex entry {item!r}") from exc
         if color not in COLOR_NAMES:
             raise ParseError(f"unknown color {color!r} for vertex {vid}")
         if vid in colors_by_id:
             raise ParseError(f"duplicate vertex id {vid}")
         colors_by_id[vid] = COLOR_NAMES.index(color)
+    n = len(colors_by_id)
     if sorted(colors_by_id) != list(range(n)):
         raise ParseError("vertex ids must be exactly 0..n-1")
-    colors = tuple(colors_by_id[v] for v in range(n))
 
     edges: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
     for item in edge_items:
         try:
-            u, v = (int(x) for x in item)
+            u, v = item
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed edge entry {item!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge {item!r} references unknown vertex")
-        if u == v:
-            raise NotBipartite(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            raise DuplicateEdge(f"edge {key} listed twice")
-        seen_pairs.add(key)
-        edges.append(key)
-    if not edges:
-        raise ParseError("graph must have at least one edge")
-
-    _check_bipartite(n, edges)
-    for u, v in edges:
-        if colors[u] == colors[v]:
-            raise ImproperColoring(
-                f"edge ({u},{v}) joins two {COLOR_NAMES[colors[u]]} vertices"
-            )
-    _check_connected(n, edges)
-
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(edges):
-        incident[u].append(eid)
-        incident[v].append(eid)
+        edges.append((_int(u, "edge end"), _int(v, "edge end")))
 
     rotation: list[tuple[int, ...]] = []
     for v in range(n):
         raw = rotation_map.get(str(v), rotation_map.get(v))
         if raw is None:
             raise ParseError(f"rotation missing for vertex {v}")
-        rot = tuple(int(e) for e in raw)
-        if sorted(rot) != sorted(incident[v]):
-            raise ParseError(
-                f"rotation at vertex {v} is not a permutation of its incident edges"
-            )
-        rotation.append(rot)
-
-    walks = _trace_rotation(edges, rotation)
-    n_faces = len(walks)
-    if n - len(edges) + n_faces != 2:
-        raise EulerViolation(
-            f"V - E + F = {n} - {len(edges)} + {n_faces} != 2; rotation is not planar"
-        )
+        try:
+            rotation.append(tuple(_int(e, f"rotation entry at vertex {v}") for e in raw))
+        except TypeError as exc:
+            raise ParseError(f"rotation at vertex {v} is not a list") from exc
 
     outer = description.get("outer_face")
     if outer is not None:
-        outer = int(outer)
-        if not (0 <= outer < n_faces):
-            raise ParseError(f"outer_face {outer} out of range (F = {n_faces})")
+        outer = _int(outer, "outer_face")
+    return build_graph(
+        tuple(colors_by_id[v] for v in range(n)), edges, rotation, outer, caps
+    )
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def build_graph(
+    colors: Sequence[int],
+    edges: Sequence[tuple[int, int]],
+    rotation: Sequence[Sequence[int]],
+    outer_face: Optional[int] = None,
+    caps: SizeCaps = DEFAULT_CAPS,
+) -> PlaneBipartiteGraph:
+    """Validate a typed graph and derive its faces.
+
+    ``colors[v]`` is WHITE or BLACK, ``edges`` are vertex pairs and
+    ``rotation[v]`` lists v's incident edge ids clockwise.  Checks the
+    caps, the edge list, the 2-coloring, connectivity, that every rotation
+    permutes its vertex's incident edges, and Euler's formula for the
+    traced faces.  Without ``outer_face`` the unique longest face is outer.
+    """
+    n = len(colors)
+    if n == 0:
+        raise ParseError("graph must have at least one vertex")
+    caps.check_vertices(n)
+
+    pairs: list[tuple[int, int]] = []
+    seen_pairs: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge ({u}, {v}) references unknown vertex")
+        if u == v:
+            raise NotBipartite(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen_pairs:
+            raise DuplicateEdge(f"edge {key} listed twice")
+        seen_pairs.add(key)
+        pairs.append(key)
+    if not pairs:
+        raise ParseError("graph must have at least one edge")
+
+    _check_bipartite(n, pairs)
+    for u, v in pairs:
+        if colors[u] == colors[v]:
+            raise ImproperColoring(
+                f"edge ({u},{v}) joins two {COLOR_NAMES[colors[u]]} vertices"
+            )
+    unreachable = sum(1 for label in component_labels(n, pairs) if label)
+    if unreachable:
+        raise Disconnected(f"graph has {unreachable} unreachable vertices")
+
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(pairs):
+        incident[u].append(eid)
+        incident[v].append(eid)
+    rotation = tuple(tuple(rot) for rot in rotation)
+    for v, rot in enumerate(rotation):
+        if sorted(rot) != incident[v]:
+            raise ParseError(
+                f"rotation at vertex {v} is not a permutation of its incident edges"
+            )
+
+    walks = _trace_rotation(pairs, rotation)
+    n_faces = len(walks)
+    if n - len(pairs) + n_faces != 2:
+        raise EulerViolation(
+            f"V - E + F = {n} - {len(pairs)} + {n_faces} != 2; rotation is not planar"
+        )
+
+    if outer_face is not None:
+        if not (0 <= outer_face < n_faces):
+            raise ParseError(f"outer_face {outer_face} out of range (F = {n_faces})")
     else:
         lengths = [len(w) for w in walks]
         longest = max(lengths)
@@ -315,20 +354,20 @@ def load_graph(
                 "outer face is ambiguous (multiple faces of maximum length); "
                 "supply outer_face explicitly"
             )
-        outer = candidates[0]
+        outer_face = candidates[0]
 
     caps.check_inner_faces(n_faces - 1)
 
     faces = tuple(
-        FaceWalk(face_id=i, steps=tuple(w), is_outer=(i == outer))
+        FaceWalk(face_id=i, steps=tuple(w), is_outer=(i == outer_face))
         for i, w in enumerate(walks)
     )
     return PlaneBipartiteGraph(
-        colors=colors,
-        edges=tuple(edges),
-        rotation=tuple(rotation),
+        colors=tuple(colors),
+        edges=tuple(pairs),
+        rotation=rotation,
         faces=faces,
-        outer_face=outer,
+        outer_face=outer_face,
         caps=caps,
     )
 
@@ -342,8 +381,12 @@ def load_graph_json(text: str, caps: SizeCaps = DEFAULT_CAPS) -> PlaneBipartiteG
 
 
 def load_graph_file(path, caps: SizeCaps = DEFAULT_CAPS) -> PlaneBipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph_json(fh.read(), caps)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read graph file: {exc}") from exc
+    return load_graph_json(text, caps)
 
 
 def _check_bipartite(n: int, edges: Sequence[tuple[int, int]]) -> None:
@@ -365,31 +408,6 @@ def _check_bipartite(n: int, edges: Sequence[tuple[int, int]]) -> None:
                     stack.append(y)
                 elif side[y] == side[x]:
                     raise NotBipartite("graph contains an odd cycle")
-
-
-def _check_connected(n: int, edges: Sequence[tuple[int, int]]) -> None:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    if count != n:
-        raise Disconnected(f"graph has {n - count} unreachable vertices")
-
-
-def trace_faces(G: PlaneBipartiteGraph) -> tuple[FaceWalk, ...]:
-    """Face walks of the embedding (derived once at load time)."""
-    return G.faces
 
 
 # --- oriented dual ----------------------------------------------------------
@@ -414,13 +432,6 @@ class DualDigraph:
     nodes: tuple[int, ...]
     arcs: tuple[DualArc, ...]
     includes_outer: bool
-
-    @cached_property
-    def out_adj(self) -> dict[int, tuple[DualArc, ...]]:
-        adj: dict[int, list[DualArc]] = {f: [] for f in self.nodes}
-        for a in self.arcs:
-            adj[a.src].append(a)
-        return {f: tuple(v) for f, v in adj.items()}
 
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
@@ -461,22 +472,8 @@ def check_cycle(G: PlaneBipartiteGraph, cycle_edges: Iterable[int]) -> frozenset
         deg[v] = deg.get(v, 0) + 1
     if any(d != 2 for d in deg.values()):
         raise NotACycle("edge set is not 2-regular")
-    # connectivity of the cycle subgraph
-    verts = list(deg)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for eid in cyc:
-        u, v = G.edges[eid]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        x = stack.pop()
-        for y, _ in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(verts):
+    labels = component_labels(G.n_vertices, (G.edges[eid] for eid in cyc))
+    if len({labels[v] for v in deg}) != 1:
         raise NotACycle("edge set is a union of several cycles")
     return cyc
 
@@ -490,22 +487,12 @@ def faces_inside_cycle(
     component not containing the outer face.
     """
     cyc = check_cycle(G, cycle_edges)
-    adj: dict[int, set[int]] = {f.face_id: set() for f in G.faces}
-    for eid in range(G.n_edges):
-        if eid in cyc:
-            continue
-        f1, f2 = G.edge_faces(eid)
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    reached = {G.outer_face}
-    stack = [G.outer_face]
-    while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if g not in reached:
-                reached.add(g)
-                stack.append(g)
-    return frozenset(f.face_id for f in G.faces if f.face_id not in reached)
+    labels = component_labels(
+        len(G.faces),
+        (G.edge_faces(eid) for eid in range(G.n_edges) if eid not in cyc),
+    )
+    outside = labels[G.outer_face]
+    return frozenset(f for f, label in enumerate(labels) if label != outside)
 
 
 def cycle_clockwise_steps(
@@ -517,8 +504,14 @@ def cycle_clockwise_steps(
     faces use: every cycle edge is traversed by exactly one face inside
     the cycle, and those traversals are coherent.
     """
-    cyc = check_cycle(G, cycle_edges)
-    inside = faces_inside_cycle(G, cyc)
+    cyc = frozenset(cycle_edges)
+    return _clockwise_steps(G, cyc, faces_inside_cycle(G, cyc))
+
+
+def _clockwise_steps(
+    G: PlaneBipartiteGraph, cyc: frozenset[int], inside: frozenset[int]
+) -> dict[int, tuple[int, int]]:
+    """Clockwise steps of a checked cycle whose interior faces are given."""
     steps: dict[int, tuple[int, int]] = {}
     for eid in cyc:
         trav = [t for t in G.edge_traversals[eid] if t[0] in inside]
@@ -567,28 +560,12 @@ def elementary_structure(
     forbidden = frozenset(range(G.n_edges)) - frozenset(allowed)
 
     # components of G minus forbidden edges
-    adj: list[list[int]] = [[] for _ in range(G.n_vertices)]
-    for eid in sorted(allowed):
-        u, v = G.edges[eid]
-        adj[u].append(v)
-        adj[v].append(u)
-    comp_of = [-1] * G.n_vertices
-    comps: list[tuple[int, ...]] = []
-    for root in range(G.n_vertices):
-        if comp_of[root] >= 0:
-            continue
-        members = [root]
-        comp_of[root] = len(comps)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if comp_of[y] < 0:
-                    comp_of[y] = len(comps)
-                    members.append(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(members)))
-    elementary_components = tuple(c for c in comps if len(c) > 2)
+    members: dict[int, list[int]] = {}
+    for v, label in enumerate(
+        component_labels(G.n_vertices, (G.edges[eid] for eid in allowed))
+    ):
+        members.setdefault(label, []).append(v)
+    elementary_components = tuple(tuple(c) for c in members.values() if len(c) > 2)
 
     is_elementary = not forbidden
 
@@ -725,26 +702,10 @@ def _build_e_cut(
     G: PlaneBipartiteGraph, faces: list[int], edge_ids: list[int]
 ) -> ECut:
     T = frozenset(edge_ids)
-    adj: list[list[int]] = [[] for _ in range(G.n_vertices)]
-    for eid, (u, v) in enumerate(G.edges):
-        if eid in T:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    comp = [-1] * G.n_vertices
-    n_comp = 0
-    for root in range(G.n_vertices):
-        if comp[root] >= 0:
-            continue
-        comp[root] = n_comp
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if comp[y] < 0:
-                    comp[y] = n_comp
-                    stack.append(y)
-        n_comp += 1
+    comp = component_labels(
+        G.n_vertices, (e for eid, e in enumerate(G.edges) if eid not in T)
+    )
+    n_comp = max(comp) + 1
     if n_comp != 2:
         raise AssertionError(
             f"dual cycle produced a cut with {n_comp} components (bug)"

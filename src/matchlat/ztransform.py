@@ -12,9 +12,10 @@ face poset carried by the oriented inner dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
+from .derive import per_object
 from .errors import (
     CycleDetected,
     DirectedCycleInInnerDual,
@@ -26,6 +27,7 @@ from .errors import (
     NotAPath,
     NotComparable,
     NotOuterplane,
+    ParseError,
 )
 from .lattice import (
     FiniteLattice,
@@ -69,7 +71,7 @@ class ZDigraph:
         return tuple(tuple(lst) for lst in adj)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
     """Build the flip digraph and certify it acyclic."""
     matchings = enumerate_perfect_matchings(G)
@@ -134,7 +136,7 @@ class MatchingPoset:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
     """Order matchings by reachability; certify covers equal the arc set."""
     Z = build_z_digraph(G)
@@ -171,7 +173,7 @@ class ExtremalMatchings:
     root_index: int
 
 
-@lru_cache(maxsize=None)
+@per_object
 def extremal_matchings(G: PlaneBipartiteGraph) -> ExtremalMatchings:
     """Unique source and sink of the flip digraph, exhaustively verified.
 
@@ -281,7 +283,7 @@ def directed_paths(
 # --- face poset and the ideal isomorphism for outerplane graphs -------------
 
 
-@lru_cache(maxsize=None)
+@per_object
 def face_poset_outerplane(G: PlaneBipartiteGraph) -> FinitePoset:
     """Order the inner faces by reachability in the oriented inner dual.
 
@@ -292,41 +294,15 @@ def face_poset_outerplane(G: PlaneBipartiteGraph) -> FinitePoset:
     if not is_outerplane_2connected(G):
         raise NotOuterplane("graph is not 2-connected outerplane")
     dual = oriented_dual(G, include_outer=False)
-    faces = list(dual.nodes)
-    pos = {f: i for i, f in enumerate(faces)}
-    # detect directed cycles before closing the relation
-    adj = {f: [a.dst for a in dual.out_adj[f]] for f in faces}
-    state = {f: 0 for f in faces}
-
-    def dfs(f: int) -> None:
-        state[f] = 1
-        for g in adj[f]:
-            if state[g] == 1:
-                raise DirectedCycleInInnerDual(
-                    "oriented inner dual has a directed cycle"
-                )
-            if state[g] == 0:
-                dfs(g)
-        state[f] = 2
-
-    for f in faces:
-        if state[f] == 0:
-            dfs(f)
-
-    pairs: set[tuple[int, int]] = set()
-    for f in faces:
-        seen = {f}
-        stack = [f]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        for g in seen:
-            if g != f:
-                pairs.add((pos[g], pos[f]))  # g reachable from f: g below f
-    return poset_from_relation(tuple(faces), sorted(pairs))
+    pos = {f: i for i, f in enumerate(dual.nodes)}
+    # each arc points from a face down to a face below it
+    below = [(pos[a.dst], pos[a.src]) for a in dual.arcs]
+    try:
+        return poset_from_relation(dual.nodes, below)
+    except ParseError as exc:  # the relation's closure found a cycle
+        raise DirectedCycleInInnerDual(
+            "oriented inner dual has a directed cycle"
+        ) from exc
 
 
 def sigma(G: PlaneBipartiteGraph, M: Matching) -> frozenset[int]:

@@ -122,6 +122,24 @@ class TestAnalyze:
         )
         assert code == 3
 
+    def test_missing_graph_file_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["analyze", str(tmp_path / "absent.json"), "matchings"], capsys
+        )
+        assert code == 2
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--cap-matchings", "-1"), ("--cap-vertices", "0"),
+         ("--cap-inner-faces", "-3")],
+    )
+    def test_cap_below_one_is_usage_error(self, flag, value, hexagon_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, value, "analyze", hexagon_file, "matchings"])
+        assert exc.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
     def test_graph_dot(self, hexagon_file, capsys):
         code, stdout, _ = run_cli(
             ["analyze", hexagon_file, "graph", "--format", "dot"], capsys

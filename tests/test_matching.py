@@ -12,7 +12,7 @@ from matchlat import (
 )
 from matchlat.errors import NotAMatching
 from matchlat.generators import TruncatedParallelogramSpec
-from matchlat.matching import IMPROPER, PROPER
+from matchlat.matching import IMPROPER, PROPER, _cycles_of_edge_set, classify_cycle
 from matchlat.oracles import alternating_cycles_dfs, count_matchings_bruteforce
 from matchlat.ztransform import extremal_matchings
 
@@ -121,6 +121,15 @@ class TestSymmetricDifference:
             for M2 in ms:
                 for rep in symmetric_difference_cycles(G, M1, M2):
                     assert M1.flip(rep.edge_set).flip(rep.edge_set) == M1
+
+    def test_cycle_is_canonical_sequence(self, t2, pyrene):
+        for G in (t2.graph, pyrene.graph):
+            ms = enumerate_perfect_matchings(G)
+            for M1 in ms:
+                for M2 in ms:
+                    for rep in symmetric_difference_cycles(G, M1, M2):
+                        assert [rep.cycle] == _cycles_of_edge_set(G, rep.edge_set)
+                        assert classify_cycle(G, M1, reversed(rep.cycle)) == rep
 
 
 class TestForcingEdges:

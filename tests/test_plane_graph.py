@@ -8,7 +8,6 @@ from matchlat import (
     link_components,
     load_graph,
     oriented_dual,
-    trace_faces,
     truncated_parallelogram,
 )
 from matchlat.caps import SizeCaps
@@ -126,6 +125,27 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(c6_description(outer_face=7))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rotation", {**c6_description()["rotation"], "0": ["x"]}),
+            ("rotation", [[0, 1, 2]]),
+            ("outer_face", "a"),
+            (
+                "vertices",
+                [{"id": 1.7 if v == 1 else v, "color": "white" if v % 2 == 0
+                  else "black"} for v in range(6)],
+            ),
+        ],
+        ids=["rotation-entry-not-int", "rotation-not-a-map", "outer-face-not-int",
+             "float-vertex-id"],
+    )
+    def test_malformed_field_is_parse_error(self, field, value):
+        desc = c6_description()
+        desc[field] = value
+        with pytest.raises(ParseError):
+            load_graph(desc)
+
     def test_json_round_trip(self, c6):
         assert load_graph(c6.to_json()).to_json() == c6.to_json()
 
@@ -134,7 +154,7 @@ class TestTraceFaces:
     def test_every_edge_traversed_twice_opposite(self, c6, ladder, pyrene):
         for G in (c6, ladder, pyrene.graph):
             seen = {}
-            for f in trace_faces(G):
+            for f in G.faces:
                 for eid, tail, head in f.steps:
                     seen.setdefault(eid, []).append((tail, head))
             for eid, dirs in seen.items():

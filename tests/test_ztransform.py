@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from matchlat import (
@@ -7,6 +10,7 @@ from matchlat import (
     extremal_matchings,
     face_poset_outerplane,
     link_components,
+    load_graph,
     matching_lattice,
     matching_poset,
     path_face_multiplicity,
@@ -15,6 +19,7 @@ from matchlat import (
     verify_iso_matchings_ideals,
 )
 from matchlat.errors import (
+    DirectedCycleInInnerDual,
     MultipleSinks,
     MultipleSources,
     NotAPath,
@@ -28,12 +33,20 @@ from matchlat.generators import (
 )
 from matchlat.lattice import (
     grid_poset,
+    irreducible_decomposition,
     lattice_isomorphic,
     order_ideal_lattice,
     poset_isomorphic,
 )
-from matchlat.matching import IMPROPER, PROPER, classify_alternating_faces
+from matchlat.matching import (
+    IMPROPER,
+    PROPER,
+    classify_alternating_faces,
+    matching_index,
+)
 from matchlat.ztransform import directed_paths
+
+from conftest import c6_description
 
 
 class TestZDigraph:
@@ -208,6 +221,21 @@ class TestDeltaAndPaths:
 
 
 class TestFacePoset:
+    def test_directed_cycle_is_reported(self, monkeypatch):
+        from matchlat import ztransform
+        from matchlat.plane_graph import DualArc, DualDigraph
+
+        G = tree_to_outerplane(OrientedTree((1, 2), ((1, 2),))).graph
+        f, g = G.inner_face_ids
+        cyclic = DualDigraph(
+            nodes=(f, g),
+            arcs=(DualArc(f, g, 0), DualArc(g, f, 1)),
+            includes_outer=False,
+        )
+        monkeypatch.setattr(ztransform, "oriented_dual", lambda G, include_outer: cyclic)
+        with pytest.raises(DirectedCycleInInnerDual):
+            face_poset_outerplane(G)
+
     def test_naphthalene_two_chain(self, naphthalene):
         F = face_poset_outerplane(naphthalene.graph)
         assert F.n == 2
@@ -357,3 +385,16 @@ class TestLinkedLattice:
         dec = irreducible_decomposition(L)
         assert sorted(F.n for F in dec.factors) == [2, 2, 3]
         assert len(central_elements(L)) == 3
+
+
+def test_derived_data_dies_with_its_graph():
+    G = load_graph(c6_description())
+    for derive in (enumerate_perfect_matchings, matching_index, build_z_digraph,
+                   matching_poset, extremal_matchings, face_poset_outerplane):
+        assert derive(G) is derive(G)
+    L = matching_lattice(G)
+    assert irreducible_decomposition(L) is irreducible_decomposition(L)
+    refs = [weakref.ref(G), weakref.ref(L)]
+    del G, L
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
