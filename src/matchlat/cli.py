@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .errors import MatchlatError, SizeCapExceeded
+from .errors import MatchlatError, ParseError, SizeCapExceeded
 from .export import (
     dual_to_dot,
     graph_to_dot,
@@ -55,8 +55,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output file: {exc}") from exc
 
 
 def _dump_json(obj) -> str:

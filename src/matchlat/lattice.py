@@ -2,17 +2,19 @@
 
 Elements are indexed 0..n-1 with opaque labels; the order is stored as an
 irredundant cover relation.  Lattices add dense meet/join tables (numpy)
-on top of a poset.  Everything here is exhaustive and exact: triple-loop
-distributivity, explicit complement search, order-ideal enumeration with
-bitmask encoding, and factorization through connected components of the
-join-irreducible subposet.
+on top of a poset, and every such table comes from
+:func:`lattice_from_poset`, which looks each meet and join up by its
+down-set and up-set mask.  Everything here is exhaustive and exact:
+triple-loop distributivity, explicit complement search, order-ideal
+enumeration with bitmask encoding, and factorization through connected
+components of the join-irreducible subposet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -155,6 +157,14 @@ class FinitePoset:
         }
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bit positions of mask, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
 def poset_from_relation(
     labels: Sequence[Hashable], strict_pairs: Iterable[tuple[int, int]]
 ) -> FinitePoset:
@@ -170,11 +180,8 @@ def poset_from_relation(
         for x in range(n):
             m = lt[x]
             acc = m
-            y = m
-            while y:
-                b = y & -y
-                acc |= lt[b.bit_length() - 1]
-                y ^= b
+            for y in _bits(m):
+                acc |= lt[y]
             if acc != m:
                 lt[x] = acc
                 changed = True
@@ -183,20 +190,12 @@ def poset_from_relation(
             raise ParseError("relation contains a cycle")
     covers: list[tuple[int, int]] = []
     for x in range(n):
-        m = lt[x]
-        y = m
-        while y:
-            b = y & -y
-            t = b.bit_length() - 1
-            y ^= b
-            # t covers x iff no z sits strictly between: x < z < t
-            between = False
-            for z in range(n):
-                if z != t and lt[x] >> z & 1 and lt[z] >> t & 1:
-                    between = True
-                    break
-            if not between:
-                covers.append((x, t))
+        # t covers x iff x < t and no z sits strictly between: x < z < t
+        beyond = 0
+        for z in _bits(lt[x]):
+            beyond |= lt[z]
+        for t in _bits(lt[x] & ~beyond):
+            covers.append((x, t))
     return FinitePoset(tuple(labels), tuple(sorted(covers)))
 
 
@@ -260,14 +259,17 @@ class FiniteLattice:
 
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
-    """Fill meet/join tables; raise NotALattice with a witness pair."""
+    """Fill meet/join tables; raise NotALattice with a witness pair.
+
+    The common lower bounds of x and y form the down-set of some z exactly
+    when z = x ^ y, so each meet is one lookup of ``down[x] & down[y]`` in
+    the table of principal down-sets; joins likewise with up-sets.
+    """
     n = P.n
     down = P.down_masks
     up = P.up_masks
-    # positions in topo order, for picking extremal candidates
-    topo_pos = [0] * n
-    for i, x in enumerate(P.topo_order):
-        topo_pos[x] = i
+    by_down = {m: z for z, m in enumerate(down)}
+    by_up = {m: w for w, m in enumerate(up)}
 
     meet = np.zeros((n, n), dtype=np.int32)
     join = np.zeros((n, n), dtype=np.int32)
@@ -276,8 +278,8 @@ def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
             lower = down[x] & down[y]
             if not lower:
                 raise NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no meet")
-            z = _max_by(lower, topo_pos)
-            if lower & ~down[z]:
+            z = by_down.get(lower)
+            if z is None:
                 raise NotALattice(
                     f"elements {P.labels[x]!r}, {P.labels[y]!r} have no unique meet"
                 )
@@ -285,41 +287,19 @@ def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
             upper = up[x] & up[y]
             if not upper:
                 raise NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no join")
-            w = _min_by(upper, topo_pos)
-            if upper & ~up[w]:
+            w = by_up.get(upper)
+            if w is None:
                 raise NotALattice(
                     f"elements {P.labels[x]!r}, {P.labels[y]!r} have no unique join"
                 )
             join[x, y] = join[y, x] = w
-    bottom = P.topo_order[0]
-    top = P.topo_order[-1]
     if len(P.minimal_elements) != 1 or len(P.maximal_elements) != 1:
         raise NotALattice("lattice must have unique minimal and maximal elements")
     meet.flags.writeable = False
     join.flags.writeable = False
-    return FiniteLattice(poset=P, meet=meet, join=join, bottom=bottom, top=top)
-
-
-def _max_by(mask: int, topo_pos: list[int]) -> int:
-    best = -1
-    while mask:
-        b = mask & -mask
-        x = b.bit_length() - 1
-        mask ^= b
-        if best < 0 or topo_pos[x] > topo_pos[best]:
-            best = x
-    return best
-
-
-def _min_by(mask: int, topo_pos: list[int]) -> int:
-    best = -1
-    while mask:
-        b = mask & -mask
-        x = b.bit_length() - 1
-        mask ^= b
-        if best < 0 or topo_pos[x] < topo_pos[best]:
-            best = x
-    return best
+    return FiniteLattice(
+        poset=P, meet=meet, join=join, bottom=P.topo_order[0], top=P.topo_order[-1]
+    )
 
 
 def is_distributive(L: FiniteLattice) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -468,23 +448,7 @@ def order_ideal_lattice(
             if m >> x & 1 and not (m & P._strict_up_masks[x]):
                 covers.append((index[m & ~(1 << x)], k))
     poset = FinitePoset(tuple(masks), tuple(sorted(set(covers))))
-    n = len(masks)
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(a, n):
-            meet[a, b] = meet[b, a] = index[masks[a] & masks[b]]
-            join[a, b] = join[b, a] = index[masks[a] | masks[b]]
-    meet.flags.writeable = False
-    join.flags.writeable = False
-    L = FiniteLattice(
-        poset=poset,
-        meet=meet,
-        join=join,
-        bottom=index[0],
-        top=index[(1 << P.n) - 1],
-    )
-    return L, masks
+    return lattice_from_poset(poset), masks
 
 
 def _enumerate_ideals(P: FinitePoset, cap: int) -> tuple[int, ...]:
@@ -626,24 +590,7 @@ def direct_product(
                 covers.append((k, a2 * L2.n + b))
             for b2 in L2.poset.up_covers[b]:
                 covers.append((k, a * L2.n + b2))
-    poset = FinitePoset(labels, tuple(sorted(covers)))
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    for x in range(n):
-        a1, b1 = divmod(x, L2.n)
-        for y in range(x, n):
-            a2, b2 = divmod(y, L2.n)
-            meet[x, y] = meet[y, x] = L1.meet[a1, a2] * L2.n + L2.meet[b1, b2]
-            join[x, y] = join[y, x] = L1.join[a1, a2] * L2.n + L2.join[b1, b2]
-    meet.flags.writeable = False
-    join.flags.writeable = False
-    return FiniteLattice(
-        poset=poset,
-        meet=meet,
-        join=join,
-        bottom=L1.bottom * L2.n + L2.bottom,
-        top=L1.top * L2.n + L2.top,
-    )
+    return lattice_from_poset(FinitePoset(labels, tuple(sorted(covers))))
 
 
 # --- isomorphism ------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matchlat
 from matchlat.cli import main
 
 
@@ -11,6 +14,18 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(args):
+    """Run ``python -m matchlat`` with this test run's copy of the package."""
+    src = str(Path(matchlat.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "matchlat", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestGenerate:
@@ -129,6 +144,14 @@ class TestAnalyze:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("argv", [["gen", "P(1,1)"], ["analyze", None, "graph"]])
+    def test_unwritable_out_exit_2(self, argv, hexagon_file, tmp_path):
+        argv = [hexagon_file if a is None else a for a in argv]
+        proc = run_module(argv + ["--out", str(tmp_path / "absent" / "x.json")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--cap-matchings", "-1"), ("--cap-vertices", "0"),
@@ -165,10 +188,6 @@ class TestVerify:
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "matchlat", "gen", "T(1)"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["gen", "T(1)"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outer_face"] is not None

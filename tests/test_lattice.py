@@ -51,8 +51,27 @@ class TestLatticeFromPoset:
 
     def test_two_incomparable_tops_not_a_lattice(self):
         P = FinitePoset(("a", "b", "c"), ((0, 1), (0, 2)))
-        with pytest.raises(NotALattice):
+        with pytest.raises(NotALattice, match="'b', 'c' have no join"):
             lattice_from_poset(P)
+
+    @pytest.mark.parametrize(
+        "labels, covers, message",
+        [
+            # two minimal elements under one top
+            ("abc", ((0, 2), (1, 2)), "'a', 'b' have no meet"),
+            # a bowtie between bottom and top: c, d share two maximal lower bounds
+            ("cdab01", ((4, 2), (4, 3), (2, 0), (2, 1), (3, 0), (3, 1), (0, 5), (1, 5)),
+             "'c', 'd' have no unique meet"),
+            # a bowtie between bottom and top: a, b share two minimal upper bounds
+            ("ab0cd1", ((2, 0), (2, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 5), (4, 5)),
+             "'a', 'b' have no unique join"),
+            ("", (), "unique minimal and maximal"),
+        ],
+        ids=["no meet", "no unique meet", "no unique join", "empty"],
+    )
+    def test_witness_message(self, labels, covers, message):
+        with pytest.raises(NotALattice, match=message):
+            lattice_from_poset(FinitePoset(tuple(labels), covers))
 
 
 class TestDistributivity:
@@ -290,8 +309,8 @@ class TestDirectProduct:
 
 
 @st.composite
-def small_posets(draw):
-    n = draw(st.integers(min_value=0, max_value=6))
+def small_posets(draw, max_n=6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -315,3 +334,61 @@ class TestPosetProperties:
         Irr, _ = join_irreducibles(J)
         # the join-irreducible ideals are the principal ones, so Irr = P
         assert poset_isomorphic(Irr, P) is not None
+
+    @given(small_posets())
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_tables_are_the_brute_force_bounds(self, P):
+        # most draws are not lattices; P with a new bottom and top often is
+        n = P.n
+        bounded = poset_from_relation(
+            ("0",) + P.labels + ("1",),
+            [(0, x + 1) for x in range(n + 1)]
+            + [(x + 1, n + 1) for x in range(n)]
+            + [(x + 1, y + 1) for x in range(n) for y in range(n) if x != y and P.leq(x, y)],
+        )
+        for Q in (P, bounded):
+            glb = {(x, y): _extremal_bound(Q, x, y, Q.leq) for x in range(Q.n) for y in range(Q.n)}
+            lub = {(x, y): _extremal_bound(Q, x, y, lambda a, b: Q.leq(b, a)) for x, y in glb}
+            # the empty poset has no bottom, so it is no lattice either
+            if Q.n == 0 or None in glb.values() or None in lub.values():
+                with pytest.raises(NotALattice):
+                    lattice_from_poset(Q)
+                continue
+            L = lattice_from_poset(Q)
+            for (x, y), z in glb.items():
+                assert L.meet[x, y] == z
+                assert L.join[x, y] == lub[x, y]
+            assert all(Q.leq(L.bottom, z) and Q.leq(z, L.top) for z in range(Q.n))
+
+    @given(small_posets())
+    @settings(max_examples=40, deadline=None)
+    def test_ideal_lattice_tables_are_intersection_and_union(self, P):
+        J, masks = order_ideal_lattice(P)
+        index = {m: k for k, m in enumerate(masks)}
+        for a in range(J.n):
+            for b in range(J.n):
+                assert J.meet[a, b] == index[masks[a] & masks[b]]
+                assert J.join[a, b] == index[masks[a] | masks[b]]
+        assert (J.bottom, J.top) == (index[0], index[(1 << P.n) - 1])
+
+    @given(small_posets(max_n=3), small_posets(max_n=3))
+    @settings(max_examples=40, deadline=None)
+    def test_product_tables_are_componentwise(self, P1, P2):
+        L1, _ = order_ideal_lattice(P1)
+        L2, _ = order_ideal_lattice(P2)
+        L = direct_product(L1, L2)
+        for x in range(L.n):
+            a1, b1 = divmod(x, L2.n)
+            for y in range(L.n):
+                a2, b2 = divmod(y, L2.n)
+                assert L.meet[x, y] == L1.meet[a1, a2] * L2.n + L2.meet[b1, b2]
+                assert L.join[x, y] == L1.join[a1, a2] * L2.n + L2.join[b1, b2]
+        assert L.bottom == L1.bottom * L2.n + L2.bottom
+        assert L.top == L1.top * L2.n + L2.top
+
+
+def _extremal_bound(P, x, y, le):
+    """The le-greatest z with le(z, x) and le(z, y), or None."""
+    common = [z for z in range(P.n) if le(z, x) and le(z, y)]
+    best = [z for z in common if all(le(w, z) for w in common)]
+    return best[0] if best else None
