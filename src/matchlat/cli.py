@@ -1,7 +1,8 @@
 """Command-line front end: generate, analyze, verify, export.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 size cap
-exceeded.  All output is deterministic; repeated runs produce identical
+exceeded, 4 internal error (any other exception; its traceback goes to
+stderr).  All output is deterministic; repeated runs produce identical
 bytes.
 """
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _caps_from_args(args) -> SizeCaps:
@@ -227,6 +229,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MatchlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        import traceback  # kept off start-up: only this path needs it
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

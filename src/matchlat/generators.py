@@ -34,8 +34,6 @@ from .lattice import (
     FinitePoset,
     IsoResult,
     lattice_isomorphic,
-    order_ideal_lattice,
-    poset_from_relation,
 )
 from .matching import (
     PROPER,
@@ -147,6 +145,7 @@ def truncated_parallelogram(
     no proper alternating face (which pins down the clockwise convention)
     and that the graph is elementary.
     """
+    caps.check_inner_faces(spec.n_hexagons)
     _validate_hexagon_convention()
     rows = spec.rows
     m = len(rows)
@@ -312,7 +311,8 @@ def _validate_hexagon_convention() -> None:
 def hexagon_poset(spec: TruncatedParallelogramSpec) -> FinitePoset:
     """Hexagons ordered componentwise: (i,j) <= (k,l) iff i <= k and j <= l.
 
-    Always an order ideal of the full grid on m rows by r_1 columns.
+    Always an order ideal of the full grid on m rows by r_1 columns, so
+    its covers are the grid's unit steps that stay inside it.
     """
     labels = [
         (i, j)
@@ -320,13 +320,13 @@ def hexagon_poset(spec: TruncatedParallelogramSpec) -> FinitePoset:
         for j in range(1, spec.rows[i - 1] + 1)
     ]
     pos = {lab: k for k, lab in enumerate(labels)}
-    pairs = [
-        (pos[a], pos[b])
-        for a in labels
-        for b in labels
-        if a != b and a[0] <= b[0] and a[1] <= b[1]
+    covers = [
+        (pos[(i, j)], pos[up])
+        for i, j in labels
+        for up in ((i + 1, j), (i, j + 1))
+        if up in pos
     ]
-    return poset_from_relation(tuple(labels), pairs)
+    return FinitePoset(tuple(labels), tuple(sorted(covers)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,11 +346,11 @@ def matching_geometry(
     """Compute and certify the matching's cycle/hexagon-set/path structure.
 
     Checks, exhaustively for this matching: the cycle passes through the
-    forcing edge, the hexagon set is an ideal of the hexagon order, the
-    path is M-alternating with both end edges in M, every edge of M off
-    the path is a falling slant, and every M-alternating hexagon shares
-    exactly three consecutive edges with the path and is proper exactly
-    when it lies in the hexagon set.
+    forcing edge, the path is M-alternating with both end edges in M,
+    every edge of M off the path is a falling slant, and every
+    M-alternating hexagon shares exactly three consecutive edges with the
+    path and is proper exactly when it lies in the hexagon set (an ideal,
+    as :func:`verify_iso_parallelogram` certifies).
     """
     G = H.graph
     check_matching(G, M)
@@ -373,7 +373,6 @@ def matching_geometry(
         hexes = frozenset(H.face_hexagon[f] for f in inside)
         path = frozenset(lb ^ cycle)
 
-    _check_ideal_of_hexagons(H, hexes)
     _check_alternating_path(H, M, path)
     for eid in M.edge_set - path:
         if H.edge_kind[eid] != FALLING:
@@ -384,15 +383,6 @@ def matching_geometry(
     return SubparallelogramView(
         host=H, matching=M, cycle_edges=cycle, hexagons=hexes, path_edges=path
     )
-
-
-def _check_ideal_of_hexagons(H: TruncatedParallelogram, hexes: frozenset) -> None:
-    for (i, j) in hexes:
-        for (k, l) in H.hexagon_face:
-            if k <= i and l <= j and (k, l) not in hexes:
-                raise IsoFailure(
-                    f"hexagon set is not an ideal: missing {(k, l)} below {(i, j)}"
-                )
 
 
 def _check_alternating_path(
@@ -467,50 +457,27 @@ class ParallelogramIso:
 def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
     """Certify the matching lattice against the hexagon ideal lattice.
 
-    Verifies the explicit map (matching to its bounded hexagon set) is a
-    bijection onto the ideals and preserves order both ways, and
-    cross-checks with the generic join-irreducible isomorphism test.
+    Certifies the explicit map (matching to its bounded hexagon set) as
+    an isomorphism onto the ideals, and cross-checks with the generic
+    join-irreducible isomorphism test.
     """
-    from .ztransform import matching_lattice, matching_poset
+    from .ztransform import certify_ideal_map, matching_lattice, matching_poset
 
     G = H.graph
     mp = matching_poset(G)
-    views = [matching_geometry(H, M) for M in mp.matchings]
-    images = [v.hexagons for v in views]
-    if len(set(images)) != len(images):
-        raise IsoFailure("hexagon-set map is not injective")
-
+    images = tuple(matching_geometry(H, M).hexagons for M in mp.matchings)
     P = hexagon_poset(H.spec)
-    JL, masks = order_ideal_lattice(P, caps=G.caps)
-    ideals = {
-        frozenset(P.labels[i] for i in range(P.n) if mask >> i & 1)
-        for mask in masks
-    }
-    if set(images) != ideals:
-        raise IsoFailure(
-            f"{len(set(images))} hexagon sets vs {len(ideals)} ideals"
-        )
-    n = len(images)
-    for a in range(n):
-        for b in range(n):
-            if mp.leq(a, b) != (images[a] <= images[b]):
-                raise IsoFailure(
-                    f"order disagrees between matchings {a} and {b}"
-                )
+    JL = certify_ideal_map(mp, images, P, G.caps)
 
     # join-irreducible matchings carry a unique maximal hexagon, which is
     # also their unique proper alternating face
     pos = {lab: k for k, lab in enumerate(P.labels)}
-    for i in range(n):
-        lowers = [a for a, b in mp.poset.covers if b == i]
-        if len(lowers) != 1:
+    for i, image in enumerate(images):
+        if len(mp.poset.down_covers[i]) != 1:
             continue
         maxima = [
-            hx
-            for hx in images[i]
-            if not any(
-                hx != other and P.leq(pos[hx], pos[other]) for other in images[i]
-            )
+            hx for hx in image
+            if not any(P.labels[u] in image for u in P.up_covers[pos[hx]])
         ]
         proper = [
             H.face_hexagon[fid]
@@ -525,7 +492,7 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
     generic = lattice_isomorphic(matching_lattice(G), JL)
     if not generic.isomorphic:
         raise IsoFailure(f"generic isomorphism test refused: {generic.refusal}")
-    return ParallelogramIso(hexagon_order=P, ideal_of=tuple(images), generic=generic)
+    return ParallelogramIso(hexagon_order=P, ideal_of=images, generic=generic)
 
 
 # --- outerplane realizations of oriented trees -------------------------------
@@ -590,6 +557,7 @@ def tree_to_outerplane(
     one edge whose traversal direction encodes the arc; the resulting
     inner dual is certified to equal the tree arc for arc.
     """
+    caps.check_inner_faces(len(tree.nodes))
     max_deg = max((tree.degree(v) for v in tree.nodes), default=0)
 
     def half_len(v: int) -> int:

@@ -4,7 +4,9 @@ Elements are indexed 0..n-1 with opaque labels; the order is stored as an
 irredundant cover relation.  Lattices add dense meet/join tables (numpy)
 on top of a poset, and every such table comes from
 :func:`lattice_from_poset`, which looks each meet and join up by its
-down-set and up-set mask.  Everything here is exhaustive and exact:
+down-set and up-set mask.  Every order map (a product decomposition, a
+lifted isomorphism) is certified by its covers alone, through
+:func:`order_iso_refusal`.  Everything here is exhaustive and exact:
 triple-loop distributivity, explicit complement search, order-ideal
 enumeration with bitmask encoding, and factorization through connected
 components of the join-irreducible subposet.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -382,12 +384,11 @@ def grid_sublattice(
     """
     if L.meet[x, y] != L.bottom or L.join[x, y] != L.top:
         raise NotComplementary(f"{L.labels[x]!r} and {L.labels[y]!r}")
-    cover_set = set(L.poset.covers)
     for chain, end in ((chain_x, x), (chain_y, y)):
         if not chain or chain[0] != L.bottom or chain[-1] != end:
             raise ChainNotSaturated("chain must run from the bottom to its element")
         for a, b in zip(chain, chain[1:]):
-            if (a, b) not in cover_set:
+            if b not in L.poset.up_covers[a]:
                 raise ChainNotSaturated(
                     f"{L.labels[a]!r} < {L.labels[b]!r} is not a cover"
                 )
@@ -485,7 +486,7 @@ class Decomposition:
 @per_object
 def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
     """Factor L as the product of J(P_c) over components P_c of its
-    join-irreducible subposet; certified against L elementwise.
+    join-irreducible subposet; certified against L cover by cover.
 
     Computed once per lattice object; :func:`central_elements` reuses it.
     """
@@ -529,15 +530,18 @@ def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
         raise ProductMismatch(
             f"product of factor sizes {expected} != lattice size {L.n}"
         )
-    for x in range(L.n):
-        for y in range(L.n):
-            comp_le = all(
-                factors[c].leq(iso[x][c], iso[y][c]) for c in range(len(factors))
-            )
-            if comp_le != L.leq(x, y):
-                raise ProductMismatch(
-                    f"order disagrees at {L.labels[x]!r}, {L.labels[y]!r}"
-                )
+
+    def product_cover(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
+        # t covers s when it moves one coordinate, by a cover of its factor
+        moved = [c for c in range(len(factors)) if s[c] != t[c]]
+        return len(moved) == 1 and all(
+            t[c] in factors[c].poset.up_covers[s[c]] for c in moved
+        )
+
+    n_covers = sum(len(F.poset.covers) * (L.n // F.n) for F in factors)
+    refusal = order_iso_refusal(L.poset, iso, product_cover, n_covers)
+    if refusal is not None:
+        raise ProductMismatch(refusal)
 
     # canonical factor order: by the smallest lattice index of a member
     order = sorted(
@@ -594,6 +598,25 @@ def direct_product(
 
 
 # --- isomorphism ------------------------------------------------------------
+
+
+def order_iso_refusal(
+    P: FinitePoset, f: Sequence, is_cover: Callable, n_covers: int
+) -> Optional[str]:
+    """Why the bijection f from P onto an order Q with n_covers covers, where
+    ``is_cover(a, b)`` says b covers a, is not an isomorphism; None if it is.
+
+    An order is the transitive closure of its covers, so f preserves order
+    once it sends each cover of P to a cover of Q.  f is injective, so those
+    images are len(P.covers) distinct covers of Q; when Q has no others,
+    f^-1 sends covers to covers too.  The caller checks f is a bijection.
+    """
+    for lo, hi in P.covers:
+        if not is_cover(f[lo], f[hi]):
+            return f"cover {P.labels[lo]!r} < {P.labels[hi]!r} does not map to a cover"
+    if len(P.covers) != n_covers:
+        return f"{len(P.covers)} covers map into an order with {n_covers}"
+    return None
 
 
 def digraph_isomorphic(
@@ -717,7 +740,7 @@ def lattice_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> IsoResult:
 
     By Birkhoff duality it suffices to match the join-irreducible
     subposets; the element map is lifted by joining irreducible images
-    and verified as an order isomorphism.
+    and verified, cover by cover, as an order isomorphism.
     """
     if L1.n != L2.n:
         return IsoResult(False, refusal=f"sizes differ: {L1.n} vs {L2.n}")
@@ -741,10 +764,11 @@ def lattice_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> IsoResult:
         mapping.append(img)
     if len(set(mapping)) != L1.n:
         return IsoResult(False, refusal="lifted map is not a bijection")
-    for x in range(L1.n):
-        for y in range(L1.n):
-            if L1.leq(x, y) != L2.leq(mapping[x], mapping[y]):
-                return IsoResult(False, refusal="lifted map does not preserve order")
+    Q = L2.poset
+    if order_iso_refusal(
+        L1.poset, mapping, lambda a, b: b in Q.up_covers[a], len(Q.covers)
+    ) is not None:
+        return IsoResult(False, refusal="lifted map does not preserve order")
     return IsoResult(True, mapping=tuple(mapping))
 
 

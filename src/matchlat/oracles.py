@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .caps import SizeCaps
+from .errors import SizeCapExceeded
 from .lattice import FiniteLattice, FinitePoset, lattice_isomorphic, order_ideal_lattice
 from .matching import Matching
 from .plane_graph import PlaneBipartiteGraph
@@ -169,8 +171,8 @@ def distributive_by_birkhoff(L: FiniteLattice) -> bool:
 
     P, _ = join_irreducibles(L)
     try:
-        J, _ = order_ideal_lattice(P)
-    except Exception:
+        J, _ = order_ideal_lattice(P, caps=SizeCaps(max_matchings=L.n))
+    except SizeCapExceeded:  # more ideals than elements: L is not J(Irr L)
         return False
     if J.n != L.n:
         return False

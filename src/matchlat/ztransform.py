@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .caps import SizeCaps
 from .derive import per_object
 from .errors import (
     CycleDetected,
@@ -28,12 +29,14 @@ from .errors import (
     NotComparable,
     NotOuterplane,
     ParseError,
+    SizeCapExceeded,
 )
 from .lattice import (
     FiniteLattice,
     FinitePoset,
     lattice_from_poset,
     order_ideal_lattice,
+    order_iso_refusal,
     poset_from_relation,
 )
 from .matching import (
@@ -138,25 +141,13 @@ class MatchingPoset:
 
 @per_object
 def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
-    """Order matchings by reachability; certify covers equal the arc set."""
+    """Order matchings by reachability; FinitePoset certifies the arcs as covers."""
     Z = build_z_digraph(G)
-    order = _topological_order(Z)
-    # reach[i] = bitmask of nodes reachable from i (including itself)
-    reach = [1 << i for i in range(Z.n)]
-    for x in reversed(order):
-        for _, b, _ in Z.out_arcs(x):
-            reach[x] |= reach[b]
-
-    # covers: arc target is covered by arc source; certify irredundancy
-    for a, b, _ in Z.arcs:
-        for a2, mid, _ in Z.out_arcs(a):
-            if mid != b and reach[mid] >> b & 1:
-                raise HasseMismatch(
-                    f"arc {a}->{b} is implied through {mid} (bug or anomaly)"
-                )
-
     covers = tuple(sorted({(b, a) for a, b, _ in Z.arcs}))
-    poset = FinitePoset(tuple(Z.matchings), covers)
+    try:
+        poset = FinitePoset(tuple(Z.matchings), covers)
+    except ParseError as exc:
+        raise HasseMismatch(f"flip digraph is not a Hasse diagram: {exc}") from exc
     return MatchingPoset(digraph=Z, poset=poset, components=poset.components)
 
 
@@ -183,14 +174,9 @@ def extremal_matchings(G: PlaneBipartiteGraph) -> ExtremalMatchings:
     the per-component breakdown.
     """
     mp = matching_poset(G)
-    Z = mp.digraph
-    indeg = [0] * Z.n
-    outdeg = [0] * Z.n
-    for a, b, _ in Z.arcs:
-        outdeg[a] += 1
-        indeg[b] += 1
-    sources = [i for i in range(Z.n) if indeg[i] == 0]
-    sinks = [i for i in range(Z.n) if outdeg[i] == 0]
+    # arcs point down the order: sources are maximal, sinks minimal
+    sources = mp.poset.maximal_elements
+    sinks = mp.poset.minimal_elements
     if len(sources) > 1:
         raise MultipleSources(
             f"{len(sources)} sources across components {mp.components}"
@@ -198,15 +184,15 @@ def extremal_matchings(G: PlaneBipartiteGraph) -> ExtremalMatchings:
     if len(sinks) > 1:
         raise MultipleSinks(f"{len(sinks)} sinks across components {mp.components}")
     src, snk = sources[0], sinks[0]
-    for rep in all_alternating_cycles(G, Z.matchings[src]):
+    for rep in all_alternating_cycles(G, mp.matchings[src]):
         if rep.orientation_class == IMPROPER:
             raise AssertionError("source matching has an improper alternating cycle")
-    for rep in all_alternating_cycles(G, Z.matchings[snk]):
+    for rep in all_alternating_cycles(G, mp.matchings[snk]):
         if rep.orientation_class == PROPER:
             raise AssertionError("root matching has a proper alternating cycle")
     return ExtremalMatchings(
-        source=Z.matchings[src],
-        root=Z.matchings[snk],
+        source=mp.matchings[src],
+        root=mp.matchings[snk],
         source_index=src,
         root_index=snk,
     )
@@ -259,17 +245,16 @@ def path_face_multiplicity(
 def directed_paths(
     G: PlaneBipartiteGraph, start: int, end: int, cap: int = 10_000
 ) -> list[tuple[int, ...]]:
-    """All directed paths (as node index sequences) from start to end."""
+    """All directed paths from start to end; more than cap raise SizeCapExceeded."""
     Z = build_z_digraph(G)
     out: list[tuple[int, ...]] = []
     stack = [start]
 
     def rec(here: int) -> None:
         if here == end:
-            if len(out) < cap:
-                out.append(tuple(stack))
-            return
-        if len(out) >= cap:
+            if len(out) == cap:
+                raise SizeCapExceeded(f"more than {cap} directed paths")
+            out.append(tuple(stack))
             return
         for _, b, _ in Z.out_arcs(here):
             stack.append(b)
@@ -307,18 +292,11 @@ def face_poset_outerplane(G: PlaneBipartiteGraph) -> FinitePoset:
 
 def sigma(G: PlaneBipartiteGraph, M: Matching) -> frozenset[int]:
     """Faces enclosed by the cycles of M xor root: an ideal of the face poset."""
-    F = face_poset_outerplane(G)
+    face_poset_outerplane(G)  # raises NotOuterplane on any other host
     ext = extremal_matchings(G)
     enclosed: set[int] = set()
     for rep in symmetric_difference_cycles(G, M, ext.root):
         enclosed.update(rep.enclosed_faces)
-    pos = {f: i for i, f in enumerate(F.labels)}
-    for f in enclosed:
-        for g in F.labels:
-            if F.leq(pos[g], pos[f]) and g not in enclosed:
-                raise IsoFailure(
-                    f"sigma image is not an ideal: face {g} below enclosed {f}"
-                )
     return frozenset(enclosed)
 
 
@@ -330,30 +308,32 @@ class MatchingIdealIso:
     ideal_of: tuple[frozenset[int], ...]  # matching index -> face ideal
 
 
+def certify_ideal_map(
+    mp: MatchingPoset, images: Sequence[frozenset], F: FinitePoset, caps: SizeCaps
+) -> FiniteLattice:
+    """Certify matching i -> images[i] (a set of F's labels) as an isomorphism
+    onto J(F), and return J(F): ideal images, a bijection, covers to covers."""
+    J, masks = order_ideal_lattice(F, caps=caps)
+    index = {m: k for k, m in enumerate(masks)}
+    pos = {label: i for i, label in enumerate(F.labels)}
+    f = [index.get(sum(1 << pos[x] for x in image)) for image in images]
+    if None in f:
+        raise IsoFailure(f"image of matching {f.index(None)} is not an ideal")
+    if not len(set(f)) == len(f) == J.n:
+        raise IsoFailure(f"the images are no bijection onto the {J.n} ideals")
+    Q = J.poset
+    refusal = order_iso_refusal(
+        mp.poset, f, lambda a, b: b in Q.up_covers[a], len(Q.covers)
+    )
+    if refusal is not None:
+        raise IsoFailure(refusal)
+    return J
+
+
 def verify_iso_matchings_ideals(G: PlaneBipartiteGraph) -> MatchingIdealIso:
     """Check that sigma is an order isomorphism onto the ideals of F(G)."""
     F = face_poset_outerplane(G)
     mp = matching_poset(G)
-    matchings = mp.matchings
-    images = [sigma(G, M) for M in matchings]
-    if len(set(images)) != len(images):
-        raise IsoFailure("sigma is not injective")
-
-    pos = {f: i for i, f in enumerate(F.labels)}
-    ideals: set[frozenset[int]] = set()
-    _, masks = order_ideal_lattice(F, caps=G.caps)
-    for mask in masks:
-        ideals.add(
-            frozenset(F.labels[i] for i in range(F.n) if mask >> i & 1)
-        )
-    if set(images) != ideals:
-        raise IsoFailure(
-            f"sigma image has {len(set(images))} ideals, face poset has {len(ideals)}"
-        )
-    for i in range(len(matchings)):
-        for j in range(len(matchings)):
-            if mp.leq(i, j) != (images[i] <= images[j]):
-                raise IsoFailure(
-                    f"sigma does not preserve order between matchings {i} and {j}"
-                )
-    return MatchingIdealIso(face_poset=F, ideal_of=tuple(images))
+    images = tuple(sigma(G, M) for M in mp.matchings)
+    certify_ideal_map(mp, images, F, G.caps)
+    return MatchingIdealIso(face_poset=F, ideal_of=images)

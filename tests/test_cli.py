@@ -51,6 +51,15 @@ class TestGenerate:
         assert code == 2
         assert "error" in err
 
+    def test_leaked_exception_exit_4(self):
+        # the enumeration recursion overflows on a 500-hexagon chain
+        proc = run_module(
+            ["--cap-vertices", "5000", "--cap-inner-faces", "5000", "gen", "P(1,500)"]
+        )
+        assert proc.returncode == 4
+        assert "RecursionError" in proc.stderr
+        assert proc.stdout == ""
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(["gen", "L(3,2,1)"], capsys)
         _, out2, _ = run_cli(["gen", "L(3,2,1)"], capsys)

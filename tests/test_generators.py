@@ -17,7 +17,7 @@ from matchlat import (
     verify_iso_parallelogram,
 )
 from matchlat.caps import SizeCaps
-from matchlat.errors import InvalidRowLengths, NotATree, ParseError
+from matchlat.errors import InvalidRowLengths, NotATree, ParseError, SizeCapExceeded
 from matchlat.generators import (
     FALLING,
     RISING,
@@ -58,6 +58,15 @@ class TestTruncatedParallelogram:
             TruncatedParallelogramSpec((2, 0))
         with pytest.raises(InvalidRowLengths):
             TruncatedParallelogramSpec(())
+
+    def test_face_cap_checked_before_building(self, monkeypatch):
+        rotations = []
+        monkeypatch.setattr(
+            "matchlat.generators._clockwise_rotation", lambda *a: rotations.append(a)
+        )
+        with pytest.raises(SizeCapExceeded, match="900 inner faces exceeds cap 20"):
+            truncated_parallelogram(parallelogram_spec(30, 30))
+        assert rotations == []
 
     def test_edge_kinds_partition(self, pyrene):
         kinds = set(pyrene.edge_kind)
@@ -205,6 +214,16 @@ class TestTreeToOuterplane:
         tree2 = OrientedTree((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4)))
         real2 = tree_to_outerplane(tree2, optimize_face_degree=True)
         assert len(real2.graph.faces[real2.node_face[1]]) == 6
+
+    def test_face_cap_checked_before_building(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            "matchlat.generators._graph_from_inner_walks", lambda *a: built.append(a)
+        )
+        path = OrientedTree(tuple(range(21)), tuple((i, i + 1) for i in range(20)))
+        with pytest.raises(SizeCapExceeded, match="21 inner faces exceeds cap 20"):
+            tree_to_outerplane(path)
+        assert built == []
 
     def test_not_a_tree(self):
         with pytest.raises(NotATree):

@@ -23,6 +23,7 @@ from matchlat.lattice import (
     lattice_from_poset,
     lattice_isomorphic,
     order_ideal_lattice,
+    order_iso_refusal,
     poset_from_relation,
     poset_isomorphic,
     rank_check,
@@ -92,6 +93,22 @@ class TestDistributivity:
             ok, _ = is_distributive(J)
             assert ok
             assert distributive_by_birkhoff(J)
+
+    def test_birkhoff_oracle_refuses_m3_and_n5(self):
+        m3 = FinitePoset(
+            tuple("0abc1"), ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
+        )
+        n5 = FinitePoset(tuple("0abc1"), ((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)))
+        for P in (m3, n5):
+            assert not distributive_by_birkhoff(lattice_from_poset(P))
+
+    def test_birkhoff_oracle_propagates_other_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a cap overrun")
+
+        monkeypatch.setattr("matchlat.oracles.order_ideal_lattice", broken)
+        with pytest.raises(TypeError, match="not a cap overrun"):
+            distributive_by_birkhoff(chain(2))
 
 
 class TestRankAndComplements:
@@ -309,8 +326,8 @@ class TestDirectProduct:
 
 
 @st.composite
-def small_posets(draw, max_n=6):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def small_posets(draw, max_n=6, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -370,6 +387,25 @@ class TestPosetProperties:
                 assert J.meet[a, b] == index[masks[a] & masks[b]]
                 assert J.join[a, b] == index[masks[a] | masks[b]]
         assert (J.bottom, J.top) == (index[0], index[(1 << P.n) - 1])
+
+    @given(small_posets(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cover_criterion_is_pairwise_order_agreement(self, P, data):
+        n = P.n
+        g = data.draw(st.permutations(range(n)))
+        if data.draw(st.booleans()):
+            # Q is P carried along g, so g is an isomorphism onto Q
+            Q = poset_from_relation(range(n), [(g[x], g[y]) for x, y in P.covers])
+        else:
+            Q = data.draw(small_posets(max_n=n, min_n=n))
+        f = g if data.draw(st.booleans()) else data.draw(st.permutations(range(n)))
+        pairwise = all(
+            P.leq(x, y) == Q.leq(f[x], f[y]) for x in range(n) for y in range(n)
+        )
+        refusal = order_iso_refusal(
+            P, f, lambda a, b: b in Q.up_covers[a], len(Q.covers)
+        )
+        assert (refusal is None) == pairwise
 
     @given(small_posets(max_n=3), small_posets(max_n=3))
     @settings(max_examples=40, deadline=None)

@@ -20,11 +20,13 @@ from matchlat import (
 )
 from matchlat.errors import (
     DirectedCycleInInnerDual,
+    IsoFailure,
     MultipleSinks,
     MultipleSources,
     NotAPath,
     NotComparable,
     NotOuterplane,
+    SizeCapExceeded,
 )
 from matchlat.generators import (
     OrientedTree,
@@ -44,7 +46,7 @@ from matchlat.matching import (
     classify_alternating_faces,
     matching_index,
 )
-from matchlat.ztransform import directed_paths
+from matchlat.ztransform import certify_ideal_map, directed_paths
 
 from conftest import c6_description
 
@@ -209,6 +211,17 @@ class TestDeltaAndPaths:
                     G, ext.source, ext.root, f
                 ) == 1
 
+    def test_directed_paths_over_cap_raise(self, t2):
+        G = t2.graph
+        ext = extremal_matchings(G)
+        s, r = ext.source_index, ext.root_index
+        assert (s, r) == (4, 0)
+        # the two linear extensions of the T(2) face poset
+        assert directed_paths(G, s, r) == [(4, 2, 1, 0), (4, 3, 1, 0)]
+        assert directed_paths(G, s, r, cap=2) == directed_paths(G, s, r)
+        with pytest.raises(SizeCapExceeded, match="more than 1 directed paths"):
+            directed_paths(G, s, r, cap=1)
+
     def test_empty_path(self, c6):
         m1, _ = enumerate_perfect_matchings(c6)
         assert path_face_multiplicity(c6, [m1], c6.inner_face_ids[0]) == 0
@@ -318,6 +331,19 @@ class TestIdealIso:
     def test_t2_five_elements(self, t2):
         cert = verify_iso_matchings_ideals(t2.graph)
         assert len(cert.ideal_of) == 5
+
+    def test_swapped_images_give_a_cover_witness(self, t2):
+        G = t2.graph
+        mp = matching_poset(G)
+        images = list(verify_iso_matchings_ideals(G).ideal_of)
+        ext = extremal_matchings(G)
+        s, r = ext.source_index, ext.root_index
+        images[s], images[r] = images[r], images[s]
+        with pytest.raises(IsoFailure, match="does not map to a cover") as exc:
+            certify_ideal_map(mp, images, face_poset_outerplane(G), G.caps)
+        # every cover away from the two swapped matchings still maps to a cover
+        witness = str(exc.value)
+        assert repr(mp.matchings[s]) in witness or repr(mp.matchings[r]) in witness
 
     def test_random_tree_orientations(self):
         import itertools
