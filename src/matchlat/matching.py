@@ -117,16 +117,26 @@ def matching_index(G: PlaneBipartiteGraph) -> dict[Matching, int]:
 
 
 def check_matching(G: PlaneBipartiteGraph, M: Matching) -> None:
-    covered: set[int] = set()
+    _matching_mask(G, M, [1 << u | 1 << v for u, v in G.edges])
+
+
+def _matching_mask(G: PlaneBipartiteGraph, M: Matching, ends: list[int]) -> int:
+    """M's edges as a mask; refuses M unless it is a perfect matching of G.
+
+    ``ends[e]`` is the vertex mask of edge e.  OR-ing them refuses an
+    unknown edge id, two edges sharing a vertex and an uncovered vertex.
+    """
+    mask = covered = 0
     for eid in M.edge_ids:
-        if not (0 <= eid < G.n_edges):
+        if not 0 <= eid < len(ends):
             raise NotAMatching(f"unknown edge id {eid}")
-        u, v = G.edges[eid]
-        if u in covered or v in covered:
+        if covered & ends[eid]:
             raise NotAMatching(f"edges share vertex at edge {eid}")
-        covered.update((u, v))
-    if len(covered) != G.n_vertices:
+        covered |= ends[eid]
+        mask |= 1 << eid
+    if covered != (1 << G.n_vertices) - 1:
         raise NotAMatching("not all vertices are covered")
+    return mask
 
 
 def classify_alternating_faces(
@@ -136,7 +146,9 @@ def classify_alternating_faces(
 
     An alternating face is proper when its matching edges run from white
     to black along the clockwise inner-face walk.  Faces whose boundary is
-    not a simple cycle can never alternate and are skipped.
+    not a simple cycle can never alternate and are skipped.  This is the
+    per-matching reference route; ``ztransform.build_z_digraph`` makes the
+    same test for every matching at once on edge masks.
     """
     check_matching(G, M)
     out: list[tuple[int, str]] = []

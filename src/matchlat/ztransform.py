@@ -7,6 +7,15 @@ matchings; for weakly elementary graphs the result is a distributive
 lattice whose Hasse diagram is the digraph itself, and for 2-connected
 outerplane graphs the lattice is isomorphic to the ideal lattice of the
 face poset carried by the oriented inner dual.
+
+The digraph is built on integer edge masks.  For a simple-cycle inner
+face f, ``face`` is its boundary and ``white`` the steps of its clockwise
+walk whose tail is white; a matching m has an arc across f exactly when
+``m & face == white``.  The tails of a bipartite simple cycle alternate in
+colour, so this holds exactly when m takes every other boundary edge, each
+from its white end to its black end: the boundary is proper m-alternating.
+``matching.classify_alternating_faces`` is the per-matching reference for
+the same test.
 """
 
 from __future__ import annotations
@@ -43,13 +52,18 @@ from .matching import (
     IMPROPER,
     PROPER,
     Matching,
+    _matching_mask,
     all_alternating_cycles,
-    classify_alternating_faces,
     enumerate_perfect_matchings,
     matching_index,
     symmetric_difference_cycles,
 )
-from .plane_graph import PlaneBipartiteGraph, is_outerplane_2connected, oriented_dual
+from .plane_graph import (
+    WHITE,
+    PlaneBipartiteGraph,
+    is_outerplane_2connected,
+    oriented_dual,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +90,35 @@ class ZDigraph:
 
 @per_object
 def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
-    """Build the flip digraph and certify it acyclic."""
+    """Build the flip digraph from edge masks and certify it acyclic.
+
+    Each matching m and each simple-cycle inner face f are edge masks;
+    ``white`` holds the steps of f's clockwise walk whose tail is white.
+    The tails of a bipartite simple cycle alternate in colour, so
+    ``m & face == white`` says that m takes every other edge of f, each
+    running white to black: f is proper m-alternating, and the arc leads
+    to ``m ^ face``.  Faces that are not simple cycles never alternate.
+    Each matching's mask comes with the checks of ``check_matching``.
+    """
     matchings = enumerate_perfect_matchings(G)
     if not matchings:
         raise NoPerfectMatching("graph has no perfect matching")
-    index = matching_index(G)
-    arcs: list[tuple[int, int, int]] = []
-    for i, M in enumerate(matchings):
-        for fid, cls in classify_alternating_faces(G, M):
-            if cls != PROPER:
-                continue
-            M2 = M.flip(G.faces[fid].edge_set)
-            arcs.append((i, index[M2], fid))
-    dig = ZDigraph(matchings=matchings, arcs=tuple(sorted(arcs)))
+    faces = [
+        (fid, sum(1 << eid for eid, _, _ in walk.steps),
+         sum(1 << eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE))
+        for fid in G.inner_face_ids
+        if (walk := G.faces[fid]).is_simple_cycle
+    ]
+    ends = [1 << u | 1 << v for u, v in G.edges]
+    masks = [_matching_mask(G, M, ends) for M in matchings]
+    index = {m: i for i, m in enumerate(masks)}
+    arcs = sorted(
+        (i, index[m ^ face], fid)
+        for i, m in enumerate(masks)
+        for fid, face, white in faces
+        if m & face == white
+    )
+    dig = ZDigraph(matchings=matchings, arcs=tuple(arcs))
     _topological_order(dig)  # raises CycleDetected
     return dig
 
@@ -232,12 +262,12 @@ def path_face_multiplicity(
         nodes = [idx[M] for M in path]
     except KeyError as exc:
         raise NotAPath(f"unknown matching {exc}") from exc
-    label_of: dict[tuple[int, int], int] = {(a, b): f for a, b, f in Z.arcs}
     count = 0
     for a, b in zip(nodes, nodes[1:]):
-        if (a, b) not in label_of:
+        label = next((f for _, to, f in Z.out_arcs(a) if to == b), None)
+        if label is None:
             raise NotAPath(f"no arc between consecutive matchings {a} -> {b}")
-        if label_of[(a, b)] == face_id:
+        if label == face_id:
             count += 1
     return count
 

@@ -2,7 +2,8 @@
 
 `test_deterministic_bytes` only compares two runs of the same code; these
 digests pin the bytes of `gen` and of every `analyze` target and format
-on four small hosts, so a refactor that changes any output fails here.
+on four small hosts, and the flip digraph of the 12-node fence, so a
+refactor that changes any output fails here.
 Regenerate the table only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -21,6 +22,10 @@ GEN_SPECS = ("P(2,2)", "T(3)", "L(3,2,1)", "tree:1>2,3>2,3>4")
 HOSTS = ("P(2,2)", "T(2)", "C6+L(2,1)", "tree:1>2,3>2,3>4")
 TARGETS = ("matchings", "zdig", "lattice", "decompose", "faceposet", "dual", "graph")
 FORMATS = ("json", "dot", "text")
+# the 12-node fence: 377 matchings and 1,308 flip arcs, where arc order
+# and many faces matter; one target only, to keep the suite quick
+FENCE_12 = "tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12"
+LARGE_CASES = (f"analyze {FENCE_12} zdig --format json",)
 
 
 def cases() -> list[str]:
@@ -31,12 +36,12 @@ def cases() -> list[str]:
                 out.append(f"analyze {host} {target} --format {fmt}")
                 if target == "dual":
                     out.append(f"analyze {host} {target} --format {fmt} --inner-only")
-    return out
+    return out + list(LARGE_CASES)
 
 
 def write_hosts(directory) -> dict[str, str]:
     paths = {}
-    for host in HOSTS:
+    for host in HOSTS + (FENCE_12,):
         if host == "C6+L(2,1)":
             parts = [parse_spec("L(1)").graph, parse_spec("P(2,1)").graph]
             G = link_components(parts).graph
@@ -159,6 +164,7 @@ GOLDEN = {
     'analyze tree:1>2,3>2,3>4 graph --format json': '0 570c34bd60e4dfa7280cf938c56b1906f4d0db0ea2c5b2cf564d8442006ab44e',
     'analyze tree:1>2,3>2,3>4 graph --format dot': '0 7afb5012a6a595b20f3eab818c1c02e60de93ec70d5be031eb6f96f1a66b0a2b',
     'analyze tree:1>2,3>2,3>4 graph --format text': '0 570c34bd60e4dfa7280cf938c56b1906f4d0db0ea2c5b2cf564d8442006ab44e',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 zdig --format json': '0 b042656305eb701be78c7522ff72118d13e45e0e0a42d8455682020a7651a61d',
 }
 
 

@@ -13,6 +13,7 @@ from matchlat import (
     load_graph,
     matching_lattice,
     matching_poset,
+    parse_spec,
     path_face_multiplicity,
     sigma,
     truncated_parallelogram,
@@ -23,6 +24,7 @@ from matchlat.errors import (
     IsoFailure,
     MultipleSinks,
     MultipleSources,
+    NotAMatching,
     NotAPath,
     NotComparable,
     NotOuterplane,
@@ -43,12 +45,13 @@ from matchlat.lattice import (
 from matchlat.matching import (
     IMPROPER,
     PROPER,
+    Matching,
     classify_alternating_faces,
     matching_index,
 )
 from matchlat.ztransform import certify_ideal_map, directed_paths
 
-from conftest import c6_description
+from conftest import c6_description, pendant_description
 
 
 class TestZDigraph:
@@ -108,6 +111,60 @@ class TestZDigraph:
                 rep = classify_cycle(G, M, G.faces[fid].edge_set)
                 assert rep.orientation_class == cls
                 assert rep.enclosed_faces == frozenset({fid})
+
+
+def reference_arcs(G):
+    """The per-matching route: flip each face classified proper, then sort."""
+    index = matching_index(G)
+    return tuple(sorted(
+        (i, index[M.flip(G.faces[fid].edge_set)], fid)
+        for i, M in enumerate(enumerate_perfect_matchings(G))
+        for fid, cls in classify_alternating_faces(G, M)
+        if cls == PROPER
+    ))
+
+
+def reference_host(name):
+    C6 = parse_spec("L(1)").graph
+    if name == "linked C6x3":
+        return link_components([C6, C6, C6]).graph
+    if name == "C6+pendant+C6":  # two weak components, with arcs
+        return link_components([C6, load_graph(pendant_description()), C6]).graph
+    if name == "pendant":  # its one inner face is not a simple cycle
+        return load_graph(pendant_description())
+    if name == "fence-12":
+        return parse_spec("tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12").graph
+    return parse_spec(name).graph
+
+
+class TestMaskRoute:
+    @pytest.mark.parametrize("host", [
+        "P(2,3)", "P(3,3)", "T(3)", "T(4)", "L(3,2,2)", "L(4,2,1)",
+        "linked C6x3", "C6+pendant+C6", "pendant", "fence-12",
+    ])
+    def test_arcs_equal_the_per_matching_route(self, host):
+        G = reference_host(host)
+        assert build_z_digraph(G).arcs == reference_arcs(G)
+
+    def test_disconnected_host_has_arcs_in_both_components(self):
+        mp = matching_poset(reference_host("C6+pendant+C6"))
+        assert len(mp.components) == 2
+        assert len(mp.digraph.arcs) == 8
+
+    @pytest.mark.parametrize("edge_ids, message", [
+        ((0, 1, 3), "edges share vertex at edge 1"),
+        ((0, 3), "not all vertices are covered"),
+        ((0, 3, 99), "unknown edge id 99"),
+    ])
+    def test_non_matching_is_refused(self, monkeypatch, edge_ids, message):
+        from matchlat import ztransform
+
+        G = load_graph(c6_description())
+        good = enumerate_perfect_matchings(G)
+        monkeypatch.setattr(ztransform, "enumerate_perfect_matchings",
+                            lambda G: good + (Matching(edge_ids),))
+        with pytest.raises(NotAMatching, match=message):
+            build_z_digraph(G)
 
 
 class TestMatchingPoset:
