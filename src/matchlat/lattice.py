@@ -1,15 +1,15 @@
 """Finite posets and distributive lattices.
 
 Elements are indexed 0..n-1 with opaque labels; the order is stored as an
-irredundant cover relation.  Lattices add dense meet/join tables (numpy)
-on top of a poset, and every such table comes from
-:func:`lattice_from_poset`, which looks each meet and join up by its
-down-set and up-set mask.  Every order map (a product decomposition, a
-lifted isomorphism) is certified by its covers alone, through
-:func:`order_iso_refusal`.  Everything here is exhaustive and exact:
-triple-loop distributivity, explicit complement search, order-ideal
-enumeration with bitmask encoding, and factorization through connected
-components of the join-irreducible subposet.
+irredundant cover relation.  A lattice's meet and join are methods, one
+lookup of ``down[x] & down[y]`` (``up[x] & up[y]``) among the principal
+down-sets (up-sets); :func:`lattice_from_poset` certifies that no lookup
+misses.  Every order map (a product decomposition, a lifted isomorphism)
+is certified by its covers alone, through :func:`order_iso_refusal`.
+Everything here is exhaustive and exact: triple-loop distributivity,
+explicit complement search, order-ideal enumeration with bitmask
+encoding, and factorization through connected components of the
+join-irreducible subposet.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .derive import component_labels, per_object
@@ -231,13 +229,13 @@ def disjoint_union(P1: FinitePoset, P2: FinitePoset) -> FinitePoset:
 
 @dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """Finite lattice: a poset with total meet/join tables and 0/1 elements."""
+    """Finite lattice: a poset with 0/1 elements and mask-lookup meet/join."""
 
     poset: FinitePoset
-    meet: np.ndarray
-    join: np.ndarray
     bottom: int
     top: int
+    by_down: dict[int, int]  # principal down-set mask -> element
+    by_up: dict[int, int]  # principal up-set mask -> element
 
     @property
     def n(self) -> int:
@@ -250,6 +248,14 @@ class FiniteLattice:
     def leq(self, x: int, y: int) -> bool:
         return self.poset.leq(x, y)
 
+    def meet(self, x: int, y: int) -> int:
+        down = self.poset.down_masks
+        return self.by_down[down[x] & down[y]]
+
+    def join(self, x: int, y: int) -> int:
+        up = self.poset.up_masks
+        return self.by_up[up[x] & up[y]]
+
     @cached_property
     def rank(self) -> tuple[int, ...]:
         """Longest-chain height from the bottom element."""
@@ -261,65 +267,58 @@ class FiniteLattice:
 
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
-    """Fill meet/join tables; raise NotALattice with a witness pair.
+    """Certify that every pair has a meet and a join; raise NotALattice
+    with a witness pair.
 
     The common lower bounds of x and y form the down-set of some z exactly
-    when z = x ^ y, so each meet is one lookup of ``down[x] & down[y]`` in
-    the table of principal down-sets; joins likewise with up-sets.
+    when z = x ^ y, so the meet exists when ``down[x] & down[y]`` is a
+    principal down-set, and is the element it belongs to; joins likewise
+    with up-sets.  The lattice keeps the two lookups, not a table.
     """
-    n = P.n
     down = P.down_masks
     up = P.up_masks
     by_down = {m: z for z, m in enumerate(down)}
     by_up = {m: w for w, m in enumerate(up)}
-
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    for x in range(n):
-        for y in range(x, n):
+    for x in range(P.n):
+        for y in range(x, P.n):
             lower = down[x] & down[y]
             if not lower:
                 raise NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no meet")
-            z = by_down.get(lower)
-            if z is None:
+            if lower not in by_down:
                 raise NotALattice(
                     f"elements {P.labels[x]!r}, {P.labels[y]!r} have no unique meet"
                 )
-            meet[x, y] = meet[y, x] = z
             upper = up[x] & up[y]
             if not upper:
                 raise NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no join")
-            w = by_up.get(upper)
-            if w is None:
+            if upper not in by_up:
                 raise NotALattice(
                     f"elements {P.labels[x]!r}, {P.labels[y]!r} have no unique join"
                 )
-            join[x, y] = join[y, x] = w
     if len(P.minimal_elements) != 1 or len(P.maximal_elements) != 1:
         raise NotALattice("lattice must have unique minimal and maximal elements")
-    meet.flags.writeable = False
-    join.flags.writeable = False
-    return FiniteLattice(
-        poset=P, meet=meet, join=join, bottom=P.topo_order[0], top=P.topo_order[-1]
-    )
+    return FiniteLattice(P, P.topo_order[0], P.topo_order[-1], by_down, by_up)
 
 
 def is_distributive(L: FiniteLattice) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Triple-loop check of x ^ (y v z) == (x ^ y) v (x ^ z); witness on failure."""
-    meet, join = L.meet, L.join
-    for x in range(L.n):
-        mx = meet[x]
-        lhs = mx[join]
-        rhs = join[mx[:, None], mx[None, :]]
-        if not np.array_equal(lhs, rhs):
-            y, z = map(int, np.argwhere(lhs != rhs)[0])
-            return False, (x, y, z)
+    """Triple-loop check of x ^ (y v z) == (x ^ y) v (x ^ z); witness on failure.
+
+    Both sides are symmetric in y and z, so z runs from y up.
+    """
+    meets = [[L.meet(x, y) for y in range(L.n)] for x in range(L.n)]
+    joins = [[L.join(x, y) for y in range(L.n)] for x in range(L.n)]
+    for x, mx in enumerate(meets):
+        for y, jy in enumerate(joins):
+            jxy = joins[mx[y]]
+            for z in range(y, L.n):
+                if mx[jy[z]] != jxy[mx[z]]:
+                    return False, (x, y, z)
     return True, None
 
 
 def rank_check(L: FiniteLattice) -> tuple[int, ...]:
     """Certify the rank function: graded covers and the modular equality."""
-    rho = np.array(L.rank, dtype=np.int64)
+    rho = L.rank
     for lo, hi in L.poset.covers:
         if rho[hi] - rho[lo] != 1:
             raise NotGraded(
@@ -328,13 +327,13 @@ def rank_check(L: FiniteLattice) -> tuple[int, ...]:
             )
     if rho[L.bottom] != 0:
         raise NotGraded("bottom element has nonzero rank")
-    lhs = rho[:, None] + rho[None, :]
-    rhs = rho[L.meet] + rho[L.join]
-    if not np.array_equal(lhs, rhs):
-        x, y = map(int, np.argwhere(lhs != rhs)[0])
-        raise NotGraded(
-            f"rank modularity fails for {L.labels[x]!r}, {L.labels[y]!r}"
-        )
+    # symmetric in x and y, so the first failing pair has x <= y
+    for x in range(L.n):
+        for y in range(x, L.n):
+            if rho[x] + rho[y] != rho[L.meet(x, y)] + rho[L.join(x, y)]:
+                raise NotGraded(
+                    f"rank modularity fails for {L.labels[x]!r}, {L.labels[y]!r}"
+                )
     return L.rank
 
 
@@ -349,7 +348,7 @@ def complements(L: FiniteLattice) -> dict[int, Optional[int]]:
         ys = [
             y
             for y in range(L.n)
-            if L.meet[x, y] == L.bottom and L.join[x, y] == L.top
+            if L.meet(x, y) == L.bottom and L.join(x, y) == L.top
         ]
         if len(ys) > 1:
             raise DuplicateComplement(
@@ -382,7 +381,7 @@ def grid_sublattice(
     join, with meet/join acting coordinatewise; the certified result is
     isomorphic to the product of an (r+1)-chain and a (k-r+1)-chain.
     """
-    if L.meet[x, y] != L.bottom or L.join[x, y] != L.top:
+    if L.meet(x, y) != L.bottom or L.join(x, y) != L.top:
         raise NotComplementary(f"{L.labels[x]!r} and {L.labels[y]!r}")
     for chain, end in ((chain_x, x), (chain_y, y)):
         if not chain or chain[0] != L.bottom or chain[-1] != end:
@@ -397,7 +396,7 @@ def grid_sublattice(
     if r < 1 or s < 1:
         raise NotComplementary("both ranks must be at least 1")
 
-    grid = [[int(L.join[chain_x[i], chain_y[j]]) for j in range(s + 1)] for i in range(r + 1)]
+    grid = [[L.join(chain_x[i], chain_y[j]) for j in range(s + 1)] for i in range(r + 1)]
     flat = [z for row in grid for z in row]
     if len(set(flat)) != (r + 1) * (s + 1):
         raise NotALattice("grid joins are not pairwise distinct")
@@ -406,9 +405,9 @@ def grid_sublattice(
         ia, ja = index[a]
         for b in flat:
             ib, jb = index[b]
-            if L.meet[a, b] != grid[min(ia, ib)][min(ja, jb)]:
+            if L.meet(a, b) != grid[min(ia, ib)][min(ja, jb)]:
                 raise NotALattice("grid not closed under meet")
-            if L.join[a, b] != grid[max(ia, ib)][max(ja, jb)]:
+            if L.join(a, b) != grid[max(ia, ib)][max(ja, jb)]:
                 raise NotALattice("grid not closed under join")
     model = lattice_from_poset(grid_poset(r + 1, s + 1))
     return GridSublattice(
@@ -760,7 +759,7 @@ def lattice_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> IsoResult:
         img = L2.bottom
         for k, p in enumerate(idx1):
             if down[x] >> p & 1:
-                img = int(L2.join[img, idx2[pmap[k]]])
+                img = L2.join(img, idx2[pmap[k]])
         mapping.append(img)
     if len(set(mapping)) != L1.n:
         return IsoResult(False, refusal="lifted map is not a bijection")
@@ -772,11 +771,8 @@ def lattice_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> IsoResult:
     return IsoResult(True, mapping=tuple(mapping))
 
 
-def lattice_to_json(L: FiniteLattice, include_tables: bool = False) -> dict:
+def lattice_to_json(L: FiniteLattice) -> dict:
     out = L.poset.to_json()
     out["bottom"] = L.bottom
     out["top"] = L.top
-    if include_tables:
-        out["meet"] = L.meet.tolist()
-        out["join"] = L.join.tolist()
     return out

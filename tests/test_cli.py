@@ -16,16 +16,21 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_module(args):
-    """Run ``python -m matchlat`` with this test run's copy of the package."""
+def run_python(*argv):
+    """Run a fresh interpreter with this test run's copy of the package."""
     src = str(Path(matchlat.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "matchlat", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(args):
+    """Run ``python -m matchlat`` with this test run's copy of the package."""
+    return run_python("-m", "matchlat", *args)
 
 
 class TestGenerate:
@@ -186,6 +191,16 @@ class TestVerify:
         assert code == 0
         assert "failed" in stdout
         assert "0 failed" in stdout
+
+    def test_core_passes_without_numpy(self):
+        # a None entry in sys.modules makes any "import numpy" fail
+        proc = run_python(
+            "-c",
+            "import sys; sys.modules['numpy'] = None; import matchlat.cli; "
+            "sys.exit(matchlat.cli.main(['verify', 'core']))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "0 failed" in proc.stdout
 
     def test_json_report(self, capsys):
         code, stdout, _ = run_cli(

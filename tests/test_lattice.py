@@ -6,6 +6,7 @@ from matchlat.errors import (
     ChainNotSaturated,
     NotALattice,
     NotComplementary,
+    NotGraded,
     SizeCapExceeded,
 )
 from matchlat.lattice import (
@@ -42,8 +43,8 @@ def l_2x3():
 class TestLatticeFromPoset:
     def test_two_chain_is_boolean(self):
         L = chain(2)
-        assert L.meet[0, 1] == L.bottom
-        assert L.join[0, 1] == L.top
+        assert L.meet(0, 1) == L.bottom
+        assert L.join(0, 1) == L.top
 
     def test_2x3_has_six_elements(self):
         L = l_2x3()
@@ -82,10 +83,12 @@ class TestDistributivity:
             tuple("0abc1"),
             ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),
         )
-        L = lattice_from_poset(P)
-        ok, witness = is_distributive(L)
-        assert not ok
-        assert witness is not None
+        _assert_breaks_distributivity(lattice_from_poset(P))
+
+    def test_n5_pentagon_fails_with_witness(self):
+        # bottom < a < b < top beside bottom < c < top
+        P = FinitePoset(tuple("0abc1"), ((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)))
+        _assert_breaks_distributivity(lattice_from_poset(P))
 
     def test_ideal_lattices_distributive(self):
         for P in (grid_poset(2, 2), grid_poset(2, 3), chain_poset(5)):
@@ -115,6 +118,21 @@ class TestRankAndComplements:
     def test_chain_ranks(self):
         L = chain(4)
         assert list(rank_check(L)) == [0, 1, 2, 3]
+
+    def test_n5_cover_raising_rank_by_two_is_refused(self):
+        # the longest chain 0 < a < b < 1 puts 1 at rank 3, c at rank 1
+        P = FinitePoset(tuple("0abc1"), ((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)))
+        with pytest.raises(NotGraded, match="cover 'c' < '1' raises rank by 2"):
+            rank_check(lattice_from_poset(P))
+
+    def test_graded_non_modular_lattice_is_refused(self):
+        # c ^ e = 0 and c v e = 1, so rank(c) + rank(e) = 4 != 0 + 3
+        P = FinitePoset(
+            tuple("0abcde1"),
+            ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)),
+        )
+        with pytest.raises(NotGraded, match="rank modularity fails for 'c', 'e'"):
+            rank_check(lattice_from_poset(P))
 
     def test_2x3_complement_pair(self):
         L = l_2x3()
@@ -307,8 +325,8 @@ class TestIsomorphism:
             m = res.mapping
             for x in range(L.n):
                 for y in range(L.n):
-                    assert m[L.meet[x, y]] == J.meet[m[x], m[y]]
-                    assert m[L.join[x, y]] == J.join[m[x], m[y]]
+                    assert m[L.meet(x, y)] == J.meet(m[x], m[y])
+                    assert m[L.join(x, y)] == J.join(m[x], m[y])
 
 
 class TestDirectProduct:
@@ -373,8 +391,8 @@ class TestPosetProperties:
                 continue
             L = lattice_from_poset(Q)
             for (x, y), z in glb.items():
-                assert L.meet[x, y] == z
-                assert L.join[x, y] == lub[x, y]
+                assert L.meet(x, y) == z
+                assert L.join(x, y) == lub[x, y]
             assert all(Q.leq(L.bottom, z) and Q.leq(z, L.top) for z in range(Q.n))
 
     @given(small_posets())
@@ -384,8 +402,8 @@ class TestPosetProperties:
         index = {m: k for k, m in enumerate(masks)}
         for a in range(J.n):
             for b in range(J.n):
-                assert J.meet[a, b] == index[masks[a] & masks[b]]
-                assert J.join[a, b] == index[masks[a] | masks[b]]
+                assert J.meet(a, b) == index[masks[a] & masks[b]]
+                assert J.join(a, b) == index[masks[a] | masks[b]]
         assert (J.bottom, J.top) == (index[0], index[(1 << P.n) - 1])
 
     @given(small_posets(), st.data())
@@ -417,10 +435,17 @@ class TestPosetProperties:
             a1, b1 = divmod(x, L2.n)
             for y in range(L.n):
                 a2, b2 = divmod(y, L2.n)
-                assert L.meet[x, y] == L1.meet[a1, a2] * L2.n + L2.meet[b1, b2]
-                assert L.join[x, y] == L1.join[a1, a2] * L2.n + L2.join[b1, b2]
+                assert L.meet(x, y) == L1.meet(a1, a2) * L2.n + L2.meet(b1, b2)
+                assert L.join(x, y) == L1.join(a1, a2) * L2.n + L2.join(b1, b2)
         assert L.bottom == L1.bottom * L2.n + L2.bottom
         assert L.top == L1.top * L2.n + L2.top
+
+
+def _assert_breaks_distributivity(L):
+    ok, witness = is_distributive(L)
+    assert not ok
+    x, y, z = witness
+    assert L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z))
 
 
 def _extremal_bound(P, x, y, le):
