@@ -1,14 +1,17 @@
 """Perfect matching enumeration and alternating-cycle classification.
 
 Enumeration is oracle-grade: deterministic branch-and-prune over
-vertices, complete and duplicate-free, gated by the size caps.  Counting
-shortcuts (transfer matrices, Pfaffians) are deliberately out of scope.
+vertices, complete and duplicate-free, gated by the size caps.  The
+search is iterative, over an explicit stack, and picks each branch
+vertex by the popcount of its free-neighbour mask; its tree is that of a
+search which rescans every vertex per node.  Counting shortcuts
+(transfer matrices, Pfaffians) are deliberately out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .derive import per_object
 from .errors import NoPerfectMatching, NotAMatching, SizeCapExceeded
@@ -58,47 +61,73 @@ def _enumerate_on_edges(
 ) -> list[tuple[int, ...]]:
     """All perfect matchings of an abstract graph, as sorted edge-index tuples.
 
-    Branches on an uncovered vertex with the fewest available edges and
-    prunes dead vertices; complete and deterministic.
+    The leaves of :func:`_search_tree`, sorted; more than ``cap`` of them
+    raise :class:`SizeCapExceeded`.  Complete and deterministic.
     """
     if n_vertices % 2 == 1:
         return []
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-    for eid, (u, v) in enumerate(edges):
-        incident[u].append((eid, v))
-        incident[v].append((eid, u))
-
-    full = (1 << n_vertices) - 1
     results: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(covered: int) -> None:
-        if covered == full:
-            if len(results) >= cap:
-                raise SizeCapExceeded(f"more than {cap} matchings")
-            results.append(tuple(sorted(chosen)))
-            return
-        best_v = -1
-        best: list[tuple[int, int]] | None = None
-        for v in range(n_vertices):
-            if covered >> v & 1:
-                continue
-            avail = [(eid, u) for eid, u in incident[v] if not covered >> u & 1]
-            if not avail:
-                return
-            if best is None or len(avail) < len(best):
-                best_v, best = v, avail
-                if len(avail) == 1:
-                    break
-        assert best is not None
-        for eid, u in best:
-            chosen.append(eid)
-            rec(covered | 1 << best_v | 1 << u)
-            chosen.pop()
-
-    rec(0)
+    for matching in _search_tree(n_vertices, edges):
+        if len(results) >= cap:
+            raise SizeCapExceeded(f"more than {cap} matchings")
+        results.append(matching)
     results.sort()
     return results
+
+
+def _search_tree(
+    n_vertices: int, edges: Sequence[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """Branch-and-prune search for perfect matchings, leaves in visiting order.
+
+    Depth-first over an explicit stack, so no host is too deep.  Each node
+    branches on the first uncovered vertex with the fewest uncovered
+    neighbours, a popcount of its neighbour mask; the walk over the free
+    vertices stops at a vertex with one option and prunes the node at a
+    vertex with none.  The children follow the vertex's incident edges in
+    input order.  On a simple graph, where a vertex's free neighbours and
+    its available edges are one count, this is the tree and the visiting
+    order of a recursive search that rescans every vertex at each node.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
+    nbr = [0] * n_vertices
+    for eid, (u, v) in enumerate(edges):
+        incident[u].append((eid, 1 << v))
+        incident[v].append((eid, 1 << u))
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    full = (1 << n_vertices) - 1
+    chosen: list[int] = []  # the edges on the path to the popped node
+    stack = [(0, 0, -1)]  # (covered, depth, edge chosen last); the root has depth 0
+    while stack:
+        covered, depth, eid = stack.pop()
+        if depth:
+            del chosen[depth - 1 :]
+            chosen.append(eid)
+        if covered == full:
+            yield tuple(sorted(chosen))
+            continue
+        free = full ^ covered
+        rest = free
+        best = n_vertices
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            score = (nbr[v] & free).bit_count()
+            if score < best:
+                best_v, best = v, score
+                if score <= 1:
+                    break
+            rest ^= low
+        if best == 0:
+            continue
+        base = covered | 1 << best_v
+        stack.extend(
+            (base | ubit, depth + 1, e)
+            for e, ubit in reversed(incident[best_v])
+            if free & ubit
+        )
 
 
 @per_object

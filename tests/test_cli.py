@@ -5,9 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matchlat
-from matchlat.cli import main
+from matchlat.cli import _dump_json, main
 
 
 def run_cli(args, capsys):
@@ -57,12 +58,18 @@ class TestGenerate:
         assert "error" in err
 
     def test_leaked_exception_exit_4(self):
-        # the enumeration recursion overflows on a 500-hexagon chain
-        proc = run_module(
-            ["--cap-vertices", "5000", "--cap-inner-faces", "5000", "gen", "P(1,500)"]
+        # an exception that is no MatchlatError is an internal error
+        proc = run_python(
+            "-c",
+            "import sys\n"
+            "from matchlat import cli\n"
+            "def boom(*args):\n"
+            "    raise RuntimeError('leaked')\n"
+            "cli.parse_spec = boom\n"
+            "sys.exit(cli.main(['gen', 'P(1,1)']))\n",
         )
         assert proc.returncode == 4
-        assert "RecursionError" in proc.stderr
+        assert "RuntimeError" in proc.stderr
         assert proc.stdout == ""
 
     def test_deterministic_bytes(self, capsys):
@@ -215,3 +222,49 @@ def test_console_entry_point():
     proc = run_module(["gen", "T(1)"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outer_face"] is not None
+
+
+# JSON values as the standard library reads them, nested: text with quotes,
+# backslashes, non-ASCII and control characters, bignums and negatives
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1f\x7fé€😀'))
+    | st.text()
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+# the rows fast path's shape, with rows that must leave it: empty rows,
+# bools and nested lists among the ints
+row_ints = st.integers() | st.integers(min_value=-(2**70), max_value=2**70)
+int_rows = st.lists(
+    st.lists(row_ints, min_size=1, max_size=4)
+    | st.lists(row_ints, min_size=1, max_size=4).map(tuple)
+    | st.lists(row_ints | st.booleans() | st.lists(row_ints, max_size=2), max_size=3),
+    max_size=5,
+)
+
+
+def reference_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class TestDumpJson:
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_indented_json_dumps(self, value):
+        assert _dump_json(value) == reference_json(value)
+
+    @given(int_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_int_rows_match_indented_json_dumps(self, rows):
+        for value in (rows, {"rows": rows, "n": [rows]}):
+            assert _dump_json(value) == reference_json(value)

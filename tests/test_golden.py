@@ -2,8 +2,8 @@
 
 `test_deterministic_bytes` only compares two runs of the same code; these
 digests pin the bytes of `gen` and of every `analyze` target and format
-on four small hosts, and the flip digraph of the 12-node fence, so a
-refactor that changes any output fails here.
+on four small hosts, and the JSON of the 12-node fence's matchings, flip
+digraph and lattice, so a refactor that changes any output fails here.
 Regenerate the table only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -23,9 +23,14 @@ HOSTS = ("P(2,2)", "T(2)", "C6+L(2,1)", "tree:1>2,3>2,3>4")
 TARGETS = ("matchings", "zdig", "lattice", "decompose", "faceposet", "dual", "graph")
 FORMATS = ("json", "dot", "text")
 # the 12-node fence: 377 matchings and 1,308 flip arcs, where arc order
-# and many faces matter; one target only, to keep the suite quick
+# and many faces matter; the JSON targets whose payloads grow with the
+# matchings (int rows, and the lattice's string elements), to keep the
+# suite quick
 FENCE_12 = "tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12"
-LARGE_CASES = (f"analyze {FENCE_12} zdig --format json",)
+LARGE_CASES = tuple(
+    f"analyze {FENCE_12} {target} --format json"
+    for target in ("zdig", "matchings", "lattice")
+)
 
 
 def cases() -> list[str]:
@@ -165,6 +170,8 @@ GOLDEN = {
     'analyze tree:1>2,3>2,3>4 graph --format dot': '0 7afb5012a6a595b20f3eab818c1c02e60de93ec70d5be031eb6f96f1a66b0a2b',
     'analyze tree:1>2,3>2,3>4 graph --format text': '0 570c34bd60e4dfa7280cf938c56b1906f4d0db0ea2c5b2cf564d8442006ab44e',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 zdig --format json': '0 b042656305eb701be78c7522ff72118d13e45e0e0a42d8455682020a7651a61d',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 matchings --format json': '0 eb7d5a5971da1405c41256128b7ee882df81d8622579f9d078394340609c6311',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 lattice --format json': '0 807fccf40dba4932cb07f632c85e6108565b7bca3c77e6132dfc18eb26aa4dcd',
 }
 
 

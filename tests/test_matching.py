@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchlat import (
     Matching,
@@ -10,9 +13,17 @@ from matchlat import (
     symmetric_difference_cycles,
     truncated_parallelogram,
 )
-from matchlat.errors import NotAMatching
-from matchlat.generators import TruncatedParallelogramSpec
-from matchlat.matching import IMPROPER, PROPER, _cycles_of_edge_set, classify_cycle
+from matchlat.caps import SizeCaps
+from matchlat.errors import NotAMatching, SizeCapExceeded
+from matchlat.generators import TruncatedParallelogramSpec, parallelogram_spec
+from matchlat.matching import (
+    IMPROPER,
+    PROPER,
+    _cycles_of_edge_set,
+    _enumerate_on_edges,
+    _search_tree,
+    classify_cycle,
+)
 from matchlat.oracles import alternating_cycles_dfs, count_matchings_bruteforce
 from matchlat.ztransform import extremal_matchings
 
@@ -58,6 +69,104 @@ class TestEnumeration:
             }
         )
         assert enumerate_perfect_matchings(G) == ()
+
+
+@st.composite
+def abstract_graphs(draw, max_n=12, max_m=20):
+    """A vertex count and an edge list on it: no loops, parallel edges allowed.
+
+    A quarter of the draws have an odd vertex count; three quarters of the
+    even ones plant a perfect matching among the edges, so that most
+    graphs have some.
+    """
+    odd = draw(st.integers(0, 3)) == 0
+    n = min(max_n, 2 * draw(st.integers(0, max_n // 2)) + odd)
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = []
+    if n % 2 == 0 and draw(st.integers(0, 3)):
+        order = draw(st.permutations(range(n)))
+        edges = list(zip(order[0::2], order[1::2]))
+    edges += draw(st.lists(pair, max_size=max_m - len(edges)))
+    return n, draw(st.permutations(edges))
+
+
+def matchings_bruteforce(n, edges):
+    """Every choice of n // 2 edges that covers all n vertices, in sorted order."""
+    return [
+        subset
+        for subset in itertools.combinations(range(len(edges)), n // 2)
+        if len({v for e in subset for v in edges[e]}) == n
+    ]
+
+
+def search_tree_reference(n, edges):
+    """The leaves of the branch-and-prune search, recursively and by rescans.
+
+    Each node scans every vertex: the first uncovered one with the fewest
+    uncovered neighbours is the branch vertex, a vertex with one ends the
+    scan and a vertex with none prunes the node; the children follow the
+    branch vertex's incident edges in input order.
+    """
+    incident = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        incident[u].append((eid, v))
+        incident[v].append((eid, u))
+    leaves = []
+
+    def rec(covered, chosen):
+        if len(covered) == n:
+            leaves.append(tuple(sorted(chosen)))
+            return
+        best_v, best = None, None
+        for v in range(n):
+            if v in covered:
+                continue
+            options = len({u for _, u in incident[v] if u not in covered})
+            if options == 0:
+                return
+            if best is None or options < best:
+                best_v, best = v, options
+                if options == 1:
+                    break
+        for eid, u in incident[best_v]:
+            if u not in covered:
+                rec(covered | {best_v, u}, chosen + [eid])
+
+    rec(frozenset(), [])
+    return leaves
+
+
+class TestEnumerateOnEdges:
+    @given(abstract_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_bruteforce(self, graph):
+        n, edges = graph
+        assert _enumerate_on_edges(n, edges, 10**9) == matchings_bruteforce(n, edges)
+
+    @given(abstract_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_search_tree_is_the_rescanning_tree(self, graph):
+        n, edges = graph
+        assert list(_search_tree(n, edges)) == search_tree_reference(n, edges)
+
+    def test_deep_path_has_one_matching(self):
+        # 2,000 matched edges: far deeper than the interpreter's recursion limit
+        n = 4000
+        edges = [(v, v + 1) for v in range(n - 1)]
+        assert _enumerate_on_edges(n, edges, 10) == [tuple(range(0, n - 1, 2))]
+
+    def test_cap_boundary(self):
+        # P(3,3) has 20 perfect matchings
+        spec = parallelogram_spec(3, 3)
+        G = truncated_parallelogram(spec, SizeCaps(max_matchings=20)).graph
+        assert len(enumerate_perfect_matchings(G)) == 20
+        with pytest.raises(SizeCapExceeded, match="more than 19 matchings"):
+            G = truncated_parallelogram(spec, SizeCaps(max_matchings=19)).graph
+            enumerate_perfect_matchings(G)
 
 
 class TestAlternatingFaces:
