@@ -71,10 +71,9 @@ def _dump_json(obj) -> str:
     CPython encodes with ``indent`` in pure Python; this emitter gets the
     same bytes faster.  It recurses over dicts (keys sorted, every CLI
     payload has str keys) and over lists and tuples, and encodes every
-    scalar with ``json.dumps``.  Two shapes take a fast path: a flat list
-    of plain ints is joined directly, and a list of non-empty int rows
-    (matchings, arcs, covers) goes once through the C encoder, whose row
-    breaks one ``str.replace`` indents.
+    scalar with ``json.dumps``.  A list of non-empty int rows (matchings,
+    arcs, covers) takes a fast path: it goes once through the C encoder,
+    whose row breaks one ``str.replace`` indents.
     """
     return _indented(obj, "\n") + "\n"
 
@@ -98,11 +97,8 @@ def _indented(obj, inner: str) -> str:
     if not obj:
         return "[]"
     deeper = inner + "  "
-    types = set(map(type, obj))
-    if types == {int}:
-        body = ("," + deeper).join(map(str, obj))
-    elif (
-        types <= {list, tuple}
+    if (
+        set(map(type, obj)) <= {list, tuple}
         and all(obj)
         and set(map(type, chain.from_iterable(obj))) == {int}
     ):

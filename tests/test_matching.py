@@ -13,7 +13,6 @@ from matchlat import (
     symmetric_difference_cycles,
     truncated_parallelogram,
 )
-from matchlat.caps import SizeCaps
 from matchlat.errors import NotAMatching, SizeCapExceeded
 from matchlat.generators import TruncatedParallelogramSpec, parallelogram_spec
 from matchlat.matching import (
@@ -161,12 +160,11 @@ class TestEnumerateOnEdges:
 
     def test_cap_boundary(self):
         # P(3,3) has 20 perfect matchings
-        spec = parallelogram_spec(3, 3)
-        G = truncated_parallelogram(spec, SizeCaps(max_matchings=20)).graph
-        assert len(enumerate_perfect_matchings(G)) == 20
+        # building the graph enumerates too, so it is built once with default caps
+        G = truncated_parallelogram(parallelogram_spec(3, 3)).graph
+        assert len(_enumerate_on_edges(G.n_vertices, G.edges, 20)) == 20
         with pytest.raises(SizeCapExceeded, match="more than 19 matchings"):
-            G = truncated_parallelogram(spec, SizeCaps(max_matchings=19)).graph
-            enumerate_perfect_matchings(G)
+            _enumerate_on_edges(G.n_vertices, G.edges, 19)
 
 
 class TestAlternatingFaces:
