@@ -42,7 +42,7 @@ def component_labels(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 def per_object(fn: Callable[[object], T]) -> Callable[[object], T]:
     """Memoise ``fn(obj)`` in ``obj.__dict__``, so the entry dies with ``obj``.
 
-    A module-level ``lru_cache`` would hold every graph ever passed, and
+    A module-level cache keyed by value would hold every graph ever passed, and
     everything derived from it, until the process exits.
     """
     key = f"_memo_{fn.__module__}.{fn.__qualname__}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -135,18 +134,16 @@ def _signed_area(steps, coords) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def truncated_parallelogram(
     spec: TruncatedParallelogramSpec, caps: SizeCaps = DEFAULT_CAPS
 ) -> TruncatedParallelogram:
     """Build the hexagonal system for a row profile.
 
     The returned wrapper certifies that the canonical root matching has
-    no proper alternating face (which pins down the clockwise convention)
-    and that the graph is elementary.
+    an alternating face and no proper one (which pins down the clockwise
+    convention) and that the graph is elementary.
     """
     caps.check_inner_faces(spec.n_hexagons)
-    _validate_hexagon_convention()
     rows = spec.rows
     m = len(rows)
 
@@ -253,12 +250,13 @@ def truncated_parallelogram(
         edge_kind=kinds,
     )
 
-    root_matching = H.root_matching()
-    check_matching(G, root_matching)
-    if any(cls == PROPER for _, cls in classify_alternating_faces(G, root_matching)):
+    # the root is the bottom of the lattice: it has an up-flip, so an
+    # alternating face, and no down-flip, so no proper one
+    tags = classify_alternating_faces(G, H.root_matching())
+    if not tags or any(cls == PROPER for _, cls in tags):
         raise EmbeddingConflict(
-            "root matching admits a proper alternating face; the clockwise "
-            "convention is broken"
+            "root matching has no alternating face or a proper one; the "
+            "clockwise convention is broken"
         )
     matchings = enumerate_perfect_matchings(G)
     used = set()
@@ -269,45 +267,6 @@ def truncated_parallelogram(
     return H
 
 
-@lru_cache(maxsize=None)
-def _validate_hexagon_convention() -> None:
-    """Fail loudly if the single hexagon breaks the clockwise convention.
-
-    For one hexagon the canonical root {left vertical, both right slants}
-    must leave the inner face improper-alternating; a proper face means
-    the rotation order and the orientation semantics disagree.
-    """
-    coords = [(0, 2), (1, 1), (1, -1), (0, -2), (-1, -1), (-1, 1)]
-    edges = sorted(
-        (min(a, b), max(a, b))
-        for a, b in zip(range(6), list(range(1, 6)) + [0])
-    )
-    colors = tuple(WHITE if y % 3 == 1 else BLACK for _, y in coords)
-    rotation = _clockwise_rotation(coords, edges)
-    walks = _trace_rotation(edges, rotation)
-    areas = [_signed_area(w, coords) for w in walks]
-    outer = max(range(len(walks)), key=lambda k: areas[k])
-    G = build_graph(colors, edges, rotation, outer)
-    eindex = {pair: k for k, pair in enumerate(edges)}
-    root = Matching(
-        tuple(
-            sorted(
-                (
-                    eindex[(4, 5)],  # left vertical
-                    eindex[(0, 1)],  # upper-right falling slant
-                    eindex[(2, 3)],  # lower-right rising slant
-                )
-            )
-        )
-    )
-    tags = classify_alternating_faces(G, root)
-    if len(tags) != 1 or tags[0][1] == PROPER:
-        raise AssertionError(
-            "clockwise rotation convention failed its hexagon self-check"
-        )
-
-
-@lru_cache(maxsize=None)
 def hexagon_poset(spec: TruncatedParallelogramSpec) -> FinitePoset:
     """Hexagons ordered componentwise: (i,j) <= (k,l) iff i <= k and j <= l.
 
@@ -366,7 +325,7 @@ def matching_geometry(
             raise NotAMatching(
                 "difference with the root matching is not a single cycle"
             )
-        cycle = frozenset(cycles[0])
+        cycle = cycles[0]
         if H.forcing_edge not in cycle:
             raise IsoFailure("root-difference cycle misses the forcing edge")
         inside = faces_inside_cycle(G, cycle)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .derive import per_object
+from .derive import component_labels, per_object
 from .errors import NoPerfectMatching, NotAMatching, SizeCapExceeded
 from .plane_graph import (
     WHITE,
@@ -204,47 +204,24 @@ def classify_alternating_faces(
 
 def _cycles_of_edge_set(
     G: PlaneBipartiteGraph, edge_set: frozenset[int]
-) -> list[tuple[int, ...]]:
-    """Decompose a 2-regular edge set into vertex-disjoint simple cycles.
+) -> list[frozenset[int]]:
+    """Split a 2-regular edge set into its vertex-disjoint cycles.
 
-    Each cycle is returned as a canonical edge-id sequence: starting at
-    its smallest edge, continuing toward the smaller-id neighbor edge.
+    Each cycle is a set of edge ids, and the list is ordered by each
+    cycle's smallest edge.  :func:`classify_cycle` gives a cycle's
+    canonical edge sequence.
     """
-    if not edge_set:
-        return []
-    adj: dict[int, list[tuple[int, int]]] = {}
+    degree: dict[int, int] = {}
     for eid in edge_set:
-        u, v = G.edges[eid]
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    if any(len(lst) != 2 for lst in adj.values()):
+        for v in G.edges[eid]:
+            degree[v] = degree.get(v, 0) + 1
+    if any(d != 2 for d in degree.values()):
         raise NotAMatching("symmetric difference is not a disjoint union of cycles")
-
-    cycles: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    for start_eid in sorted(edge_set):
-        if start_eid in used:
-            continue
-        u, v = G.edges[start_eid]
-        # walk both ways from the start edge; pick the direction whose
-        # second edge id is smaller, for a canonical representative
-        def walk(frm: int, to: int) -> list[int]:
-            seq = [start_eid]
-            here = to
-            while here != frm:
-                nxt = [(w, eid) for w, eid in adj[here] if eid != seq[-1]]
-                assert len(nxt) == 1
-                here = nxt[0][0]
-                seq.append(nxt[0][1])
-            return seq
-
-        fwd = walk(u, v)
-        bwd = walk(v, u)
-        seq = fwd if fwd[1] <= bwd[1] else bwd
-        used.update(seq)
-        cycles.append(tuple(seq))
-    cycles.sort(key=lambda c: c[0])
-    return cycles
+    label = component_labels(G.n_vertices, (G.edges[eid] for eid in edge_set))
+    cycles: dict[int, set[int]] = {}
+    for eid in sorted(edge_set):
+        cycles.setdefault(label[G.edges[eid][0]], set()).add(eid)
+    return [frozenset(c) for c in cycles.values()]
 
 
 def classify_cycle(
@@ -272,10 +249,9 @@ def classify_cycle(
 
 
 def _cyclic_order(steps: dict[int, tuple[int, int]]) -> tuple[int, ...]:
-    """The canonical edge sequence of one cycle given its (tail, head) steps.
-
-    Same as :func:`_cycles_of_edge_set`: start at the smallest edge and
-    continue toward its smaller-id neighbor edge.
+    """The canonical edge sequence of one cycle given its (tail, head) steps:
+    start at the smallest edge and continue toward its smaller-id neighbor
+    edge.
     """
     leaving = {tail: eid for eid, (tail, _) in steps.items()}
     arriving = {head: eid for eid, (_, head) in steps.items()}

@@ -29,6 +29,7 @@ from .errors import (
     NoPerfectMatching,
     NotACycle,
     NotBipartite,
+    NotOuterplane,
     ParseError,
 )
 
@@ -176,9 +177,9 @@ def _trace_rotation(
     Arriving at v along edge e, the walk leaves along the predecessor of
     e in the clockwise rotation at v.  This keeps each face on the right
     of its walk, so inner faces are traced clockwise as drawn and the
-    outer face counterclockwise; the choice is validated against the
-    hexagon-generator conventions (see generators) and fails loudly
-    there if broken.
+    outer face counterclockwise; every generated hexagonal system checks
+    this choice on its root matching (see the root check in
+    ``generators.truncated_parallelogram``) and fails loudly if broken.
     """
     pos: dict[tuple[int, int], int] = {}
     for v, rot in enumerate(rotation):
@@ -578,11 +579,10 @@ def elementary_structure(
                     matchings[j].edge_ids
                 )
                 for cyc in _cycles_of_edge_set(G, diff):
-                    key = frozenset(cyc)
-                    if key in seen_cycles:
+                    if cyc in seen_cycles:
                         continue
-                    seen_cycles.add(key)
-                    if not _cycle_plus_interior_elementary(G, key):
+                    seen_cycles.add(cyc)
+                    if not _cycle_plus_interior_elementary(G, cyc):
                         is_weak = False
         if is_elementary and not is_weak:
             raise AssertionError(
@@ -644,26 +644,24 @@ class ECut:
 
 
 def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
-    """Enumerate e-cuts via directed cycles of the oriented dual.
+    """Enumerate the e-cuts of a 2-connected outerplane host.
 
     Walks every simple directed cycle of the full oriented dual through
-    the outer-face node (length >= 2; bridge self-loops are not cycles)
-    and maps each to its primal minimal edge cut with banks identified.
-    Complete for 2-connected outerplane graphs, where every dual cycle
-    passes through the outer face; any other plane bipartite graph is
-    accepted with a warning, but dual cycles avoiding the outer face are
-    not searched.
+    the outer-face node (length >= 2) and maps each to its primal minimal
+    edge cut.  On a 2-connected outerplane host every dual cycle passes
+    through the outer face, so the list is complete, and every vertex
+    lies on the outer walk.  The cycle crosses exactly two outer edges,
+    its first and its last; the two runs of the outer walk between them
+    stay connected once the cut is removed, so they are the banks, read
+    off in O(V) per cut with no traversal.  Any other host raises
+    :class:`NotOuterplane`: there the cuts whose dual cycle avoids the
+    outer face would be missing.
     """
     if not is_outerplane_2connected(G):
-        import warnings
-
-        warnings.warn(
-            "e-cut enumeration is only guaranteed complete for 2-connected "
-            "outerplane graphs",
-            stacklevel=2,
-        )
+        raise NotOuterplane("e-cuts need a 2-connected outerplane host")
     dual = oriented_dual(G, include_outer=True)
     f0 = G.outer_face
+    at = {eid: k for k, eid in enumerate(G.faces[f0].edge_ids)}
     cuts: list[ECut] = []
 
     arcs_from: dict[int, list[DualArc]] = {f: [] for f in dual.nodes}
@@ -677,11 +675,10 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
     def extend() -> None:
         here = path_faces[-1]
         for arc in arcs_from[here]:
-            if arc.src == arc.dst:
-                continue
-            if arc.dst == f0:
-                if len(path_edges) >= 1:
-                    cuts.append(_build_e_cut(G, path_faces[:], path_edges + [arc.edge_id]))
+            if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
+                cuts.append(
+                    _build_e_cut(G, at, path_faces[:], path_edges + [arc.edge_id])
+                )
                 continue
             if arc.dst in on_path:
                 continue
@@ -699,23 +696,23 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
 
 
 def _build_e_cut(
-    G: PlaneBipartiteGraph, faces: list[int], edge_ids: list[int]
+    G: PlaneBipartiteGraph, at: dict[int, int], faces: list[int], edge_ids: list[int]
 ) -> ECut:
+    """The cut of one dual cycle, with banks read off the outer walk.
+
+    ``at`` maps each outer edge to its step index on the outer walk.  The
+    first and last cut edges are the outer ones; the vertices strictly
+    after the one and up to the other form one bank, the rest the other.
+    """
+    i, j = sorted((at[edge_ids[0]], at[edge_ids[-1]]))
+    walk = G.faces[G.outer_face].vertices
+    run = frozenset(walk[i + 1 : j + 1])
+    rest = frozenset(walk[j + 1 :] + walk[: i + 1])
     T = frozenset(edge_ids)
-    comp = component_labels(
-        G.n_vertices, (e for eid, e in enumerate(G.edges) if eid not in T)
-    )
-    n_comp = max(comp) + 1
-    if n_comp != 2:
-        raise AssertionError(
-            f"dual cycle produced a cut with {n_comp} components (bug)"
-        )
-    white_sides = {comp[G.white_end(eid)] for eid in T}
-    if len(white_sides) != 1:
+    white_in_run = {G.white_end(eid) in run for eid in T}
+    if len(white_in_run) != 1:
         raise AssertionError("cut edges touch white vertices of both banks (bug)")
-    white_side = white_sides.pop()
-    white_bank = frozenset(v for v in range(G.n_vertices) if comp[v] == white_side)
-    black_bank = frozenset(v for v in range(G.n_vertices) if comp[v] != white_side)
+    white_bank, black_bank = (run, rest) if white_in_run.pop() else (rest, run)
     return ECut(
         edges=T,
         white_bank=white_bank,

@@ -131,6 +131,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# --- suite sizes ----------------------------------------------------------------
+
+MAX_HEXAGONS = 10  # row profiles of at most this many hexagons: 138 of them
+MAX_FLIP_PATHS = 10_000  # directed flip paths per pair of matchings
+MAX_TREE_NODES = 6  # tree shapes on 1..6 nodes, as listed in _TREES_UP_TO_6
+MAX_ORIENTATIONS = 32  # orientations per tree shape, sampled evenly above it
+
+
 # --- shared fixture graphs ---------------------------------------------------
 
 
@@ -237,10 +245,9 @@ def check_counting(report: VerificationReport, caps: SizeCaps) -> None:
         report.add(f"count T_{m} = Catalan", fn)
 
 
-def check_parallelogram_iso(report: VerificationReport, caps: SizeCaps,
-                            max_hexagons: int = 10) -> None:
+def check_parallelogram_iso(report: VerificationReport, caps: SizeCaps) -> None:
     """Matching lattice vs hexagon ideal lattice for every small row profile."""
-    for rows in _all_profiles(max_hexagons):
+    for rows in _all_profiles(MAX_HEXAGONS):
         def fn(rows=rows) -> Optional[str]:
             H = truncated_parallelogram(TruncatedParallelogramSpec(rows), caps)
             verify_iso_parallelogram(H)
@@ -249,10 +256,9 @@ def check_parallelogram_iso(report: VerificationReport, caps: SizeCaps,
         report.add(f"iso M(H) = J(F(H)) for rows {rows}", fn)
 
 
-def check_irreducibility(report: VerificationReport, caps: SizeCaps,
-                         max_hexagons: int = 10) -> None:
+def check_irreducibility(report: VerificationReport, caps: SizeCaps) -> None:
     """Elementary hosts give irreducible lattices; only extremes complemented."""
-    for rows in _all_profiles(max_hexagons):
+    for rows in _all_profiles(MAX_HEXAGONS):
         def fn(rows=rows) -> Optional[str]:
             G = truncated_parallelogram(TruncatedParallelogramSpec(rows), caps).graph
             L = matching_lattice(G)
@@ -319,8 +325,7 @@ def check_link_decomposition(report: VerificationReport, caps: SizeCaps) -> None
         report.add("link " + "+".join(combo), fn)
 
 
-def check_delta_path_invariance(report: VerificationReport, caps: SizeCaps,
-                                max_paths: int = 10_000) -> None:
+def check_delta_path_invariance(report: VerificationReport, caps: SizeCaps) -> None:
     """Face multiplicity along any flip path equals the signed cycle count."""
     for name, G in _small_fixtures(caps):
         def fn(G=G) -> Optional[str]:
@@ -336,7 +341,7 @@ def check_delta_path_invariance(report: VerificationReport, caps: SizeCaps,
                     deltas = {
                         f: delta_cycle_count(G, Mi, Mj, f) for f in inner
                     }
-                    for path in directed_paths(G, i, j, cap=max_paths):
+                    for path in directed_paths(G, i, j, cap=MAX_FLIP_PATHS):
                         ms = [Z.matchings[k] for k in path]
                         for f in inner:
                             if path_face_multiplicity(G, ms, f) != deltas[f]:
@@ -349,15 +354,14 @@ def check_delta_path_invariance(report: VerificationReport, caps: SizeCaps,
         report.add(f"delta = path multiplicity on {name}", fn)
 
 
-def check_outerplane(report: VerificationReport, caps: SizeCaps,
-                     max_nodes: int = 6, max_orientations: int = 32) -> None:
+def check_outerplane(report: VerificationReport, caps: SizeCaps) -> None:
     """Tree realizations: dual recovery, e-cut hits, simple flips, ideal iso."""
-    for n in range(1, max_nodes + 1):
+    for n in range(1, MAX_TREE_NODES + 1):
         for shape_k, edges in enumerate(_TREES_UP_TO_6[n]):
             def fn(n=n, edges=edges) -> Optional[str]:
                 failures: list[str] = []
                 count = 0
-                for arcs in _orientations(edges, max_orientations):
+                for arcs in _orientations(edges, MAX_ORIENTATIONS):
                     count += 1
                     tree = OrientedTree(tuple(range(1, n + 1)), arcs)
                     try:
@@ -375,10 +379,11 @@ def check_outerplane(report: VerificationReport, caps: SizeCaps,
 
 
 def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
-    matchings = enumerate_perfect_matchings(G)
+    masks = [sum(1 << e for e in M.edge_ids) for M in enumerate_perfect_matchings(G)]
     for cut in find_e_cuts(G):
-        for M in matchings:
-            hits = len(cut.edges & M.edge_set)
+        cut_mask = sum(1 << e for e in cut.edges)
+        for m in masks:
+            hits = (cut_mask & m).bit_count()
             if hits != 1:
                 return f"e-cut {sorted(cut.edges)} meets a matching {hits} times"
     ext = extremal_matchings(G)

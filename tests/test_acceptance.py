@@ -50,7 +50,7 @@ def test_criterion_2_parallelogram_isomorphism():
     """Certified lattice/ideal isomorphism for every profile up to 10 hexagons."""
     report = _run(
         "criterion 2: hexagon-system isomorphisms",
-        lambda r, c: check_parallelogram_iso(r, c, max_hexagons=10),
+        check_parallelogram_iso,
         budget=60.0,
     )
     assert len(report.checks) == 138  # partitions of 1..10
@@ -58,10 +58,7 @@ def test_criterion_2_parallelogram_isomorphism():
 
 def test_criterion_3_irreducibility():
     """Elementary hosts: no central elements, only extremes complemented."""
-    _run(
-        "criterion 3: irreducibility",
-        lambda r, c: check_irreducibility(r, c, max_hexagons=10),
-    )
+    _run("criterion 3: irreducibility", check_irreducibility)
 
 
 def test_criterion_4_link_decomposition():
@@ -72,17 +69,14 @@ def test_criterion_4_link_decomposition():
 
 def test_criterion_5_delta_path_invariance():
     """Face multiplicities along every flip path equal the signed counts."""
-    _run(
-        "criterion 5: path invariance",
-        lambda r, c: check_delta_path_invariance(r, c, max_paths=10_000),
-    )
+    _run("criterion 5: path invariance", check_delta_path_invariance)
 
 
 def test_criterion_6_outerplane():
     """Tree realizations: dual recovery, e-cut hits, simple flips, ideal iso."""
     report = _run(
         "criterion 6: outerplane realizations",
-        lambda r, c: check_outerplane(r, c, max_nodes=6, max_orientations=32),
+        check_outerplane,
         budget=120.0,
     )
     assert len(report.checks) == 14  # tree shapes on 1..6 nodes

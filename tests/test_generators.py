@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +19,16 @@ from matchlat import (
     verify_iso_parallelogram,
 )
 from matchlat.caps import SizeCaps
-from matchlat.errors import InvalidRowLengths, NotATree, ParseError, SizeCapExceeded
+from matchlat.errors import (
+    EmbeddingConflict,
+    InvalidRowLengths,
+    NotATree,
+    ParseError,
+    SizeCapExceeded,
+)
 from matchlat.generators import (
     FALLING,
+    PROPER,
     RISING,
     VERTICAL,
     parallelogram_spec,
@@ -88,6 +97,24 @@ class TestTruncatedParallelogram:
         a = truncated_parallelogram(parallelogram_spec(2, 2)).graph.to_json()
         b = truncated_parallelogram(parallelogram_spec(2, 2)).graph.to_json()
         assert a == b
+
+    def test_root_check_refuses_a_broken_convention(self, monkeypatch):
+        # no alternating face, then a proper one: either breaks the convention
+        for tags in ([], [(0, PROPER)]):
+            monkeypatch.setattr(
+                "matchlat.generators.classify_alternating_faces",
+                lambda G, M, tags=tags: tags,
+            )
+            with pytest.raises(EmbeddingConflict, match="clockwise convention"):
+                truncated_parallelogram(parallelogram_spec(2, 2))
+
+    def test_graph_and_hexagon_order_die_with_their_last_user(self):
+        H = parse_spec("P(2,2)")
+        P = hexagon_poset(H.spec)
+        refs = [weakref.ref(H.graph), weakref.ref(P)]
+        del H, P
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestHexagonPoset:

@@ -235,8 +235,30 @@ class TestSymmetricDifference:
             for M1 in ms:
                 for M2 in ms:
                     for rep in symmetric_difference_cycles(G, M1, M2):
-                        assert [rep.cycle] == _cycles_of_edge_set(G, rep.edge_set)
-                        assert classify_cycle(G, M1, reversed(rep.cycle)) == rep
+                        cyc = rep.cycle
+                        assert cyc[0] == min(rep.edge_set)
+                        assert cyc[1] < cyc[-1]
+                        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                            assert set(G.edges[a]) & set(G.edges[b])
+                        assert sorted(cyc) == sorted(rep.edge_set)
+                        assert classify_cycle(G, M1, reversed(cyc)) == rep
+
+
+    def test_cycles_of_edge_set_split(self, t2, pyrene):
+        for G in (t2.graph, pyrene.graph):
+            ms = enumerate_perfect_matchings(G)
+            for M1, M2 in itertools.combinations(ms, 2):
+                diff = M1.edge_set ^ M2.edge_set
+                cycles = _cycles_of_edge_set(G, diff)
+                assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
+                assert sum(len(c) for c in cycles) == len(diff)
+                assert frozenset().union(*cycles) == diff
+                reps = symmetric_difference_cycles(G, M1, M2)
+                assert cycles == [rep.edge_set for rep in reps]
+
+    def test_cycles_of_edge_set_refuses_a_path(self, c6):
+        with pytest.raises(NotAMatching):
+            _cycles_of_edge_set(c6, frozenset(range(5)))
 
 
 class TestForcingEdges:

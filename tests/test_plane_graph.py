@@ -1,6 +1,7 @@
 import pytest
 
 from matchlat import (
+    OrientedTree,
     elementary_structure,
     enumerate_perfect_matchings,
     faces_inside_cycle,
@@ -8,9 +9,11 @@ from matchlat import (
     link_components,
     load_graph,
     oriented_dual,
+    tree_to_outerplane,
     truncated_parallelogram,
 )
-from matchlat.caps import SizeCaps
+from matchlat.caps import DEFAULT_CAPS, SizeCaps
+from matchlat.derive import component_labels
 from matchlat.errors import (
     Disconnected,
     DuplicateEdge,
@@ -19,12 +22,20 @@ from matchlat.errors import (
     InputRequired,
     NotACycle,
     NotBipartite,
+    NotOuterplane,
     ParseError,
     SizeCapExceeded,
 )
 from matchlat.generators import TruncatedParallelogramSpec
 from matchlat.oracles import minimal_cuts_with_white_bank
-from matchlat.plane_graph import cycle_clockwise_steps
+from matchlat.plane_graph import ECut, cycle_clockwise_steps
+from matchlat.verify import (
+    MAX_ORIENTATIONS,
+    MAX_TREE_NODES,
+    _TREES_UP_TO_6,
+    _orientations,
+    _outerplane_case,
+)
 
 from conftest import c6_description
 
@@ -289,6 +300,15 @@ class TestElementaryStructure:
         assert 2 in es.forbidden_edges  # the edge into the pendant
 
 
+def _suite_tree_graphs():
+    """Every tree realization the outerplane verification suite builds."""
+    for n in range(1, MAX_TREE_NODES + 1):
+        for edges in _TREES_UP_TO_6[n]:
+            for arcs in _orientations(edges, MAX_ORIENTATIONS):
+                tree = OrientedTree(tuple(range(1, n + 1)), arcs)
+                yield tree_to_outerplane(tree).graph
+
+
 class TestECuts:
     def test_hexagon_nine_cuts(self, c6):
         cuts = find_e_cuts(c6)
@@ -307,7 +327,7 @@ class TestECuts:
             got = {cut.edges for cut in find_e_cuts(G)}
             assert got == minimal_cuts_with_white_bank(G)
 
-    def test_k2_no_cuts_with_warning(self):
+    def test_k2_refused_as_not_outerplane(self):
         G = load_graph(
             {
                 "vertices": [
@@ -318,8 +338,33 @@ class TestECuts:
                 "rotation": {"0": [0], "1": [0]},
             }
         )
-        with pytest.warns(UserWarning, match="outerplane"):
-            assert find_e_cuts(G) == []
+        with pytest.raises(NotOuterplane):
+            find_e_cuts(G)
+
+    def test_banks_are_the_components_on_suite_trees(self):
+        # the traversal the outer-walk route replaced, kept as its oracle
+        for G in _suite_tree_graphs():
+            for cut in find_e_cuts(G):
+                comp = component_labels(
+                    G.n_vertices,
+                    (e for eid, e in enumerate(G.edges) if eid not in cut.edges),
+                )
+                assert max(comp) == 1
+                banks = {
+                    frozenset(v for v in range(G.n_vertices) if comp[v] == side)
+                    for side in (0, 1)
+                }
+                assert banks == {cut.white_bank, cut.black_bank}
+                assert {comp[G.white_end(eid)] for eid in cut.edges} == {
+                    comp[min(cut.white_bank)]
+                }
+
+    def test_cut_sets_match_definition_on_small_suite_trees(self):
+        small = [G for G in _suite_tree_graphs() if G.n_edges <= 13]
+        assert len(small) == 15
+        for G in small:
+            got = {cut.edges for cut in find_e_cuts(G)}
+            assert got == minimal_cuts_with_white_bank(G)
 
     def test_matching_hits_on_outerplane_members(self, t2, naphthalene):
         for G in (t2.graph, naphthalene.graph):
@@ -329,6 +374,15 @@ class TestECuts:
             for cut in cuts:
                 for M in matchings:
                     assert len(cut.edges & M.edge_set) == 1
+
+    def test_outerplane_check_reports_a_cut_hit_twice(self, monkeypatch, t2):
+        G = t2.graph
+        M = enumerate_perfect_matchings(G)[0]
+        cut = ECut(frozenset(M.edge_ids[:2]), frozenset(), frozenset(), ())
+        monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [cut])
+        assert _outerplane_case(G, DEFAULT_CAPS) == (
+            f"e-cut {sorted(cut.edges)} meets a matching 2 times"
+        )
 
     def test_banks_partition(self, t2):
         for cut in find_e_cuts(t2.graph):
