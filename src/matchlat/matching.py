@@ -6,6 +6,13 @@ search is iterative, over an explicit stack, and picks each branch
 vertex by the popcount of its free-neighbour mask; its tree is that of a
 search which rescans every vertex per node.  Counting shortcuts
 (transfer matrices, Pfaffians) are deliberately out of scope.
+
+Alternating cycles run on the edge masks of ``plane_graph``: a symmetric
+difference is split into cycles by walks from each cycle's smallest
+edge, and ``classify_cycle`` takes a cycle's canonical edge sequence from
+that walk and its interior and clockwise steps from Jordan parity.
+``oracles.faces_inside_cycle_by_flood`` is the independent route to the
+interiors.
 """
 
 from __future__ import annotations
@@ -13,13 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .derive import component_labels, per_object
+from .derive import per_object
 from .errors import NoPerfectMatching, NotAMatching, SizeCapExceeded
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
-    _clockwise_steps,
-    faces_inside_cycle,
+    clockwise_cycle,
+    edge_ends,
+    edge_mask,
+    is_two_regular,
+    walk_cycle,
 )
 
 PROPER = "proper"
@@ -146,10 +156,12 @@ def matching_index(G: PlaneBipartiteGraph) -> dict[Matching, int]:
 
 
 def check_matching(G: PlaneBipartiteGraph, M: Matching) -> None:
-    _matching_mask(G, M, [1 << u | 1 << v for u, v in G.edges])
+    _matching_mask(G, M, edge_ends(G))
 
 
-def _matching_mask(G: PlaneBipartiteGraph, M: Matching, ends: list[int]) -> int:
+def _matching_mask(
+    G: PlaneBipartiteGraph, M: Matching, ends: Sequence[int]
+) -> int:
     """M's edges as a mask; refuses M unless it is a perfect matching of G.
 
     ``ends[e]`` is the vertex mask of edge e.  OR-ing them refuses an
@@ -197,7 +209,8 @@ def classify_alternating_faces(
             for (eid, tail, _), inm in zip(walk.steps, pattern)
             if inm
         }
-        assert len(classes) == 1, "matched edges disagree on orientation class"
+        if len(classes) != 1:
+            raise AssertionError("matched edges disagree on orientation class")
         out.append((fid, classes.pop()))
     return out
 
@@ -207,21 +220,21 @@ def _cycles_of_edge_set(
 ) -> list[frozenset[int]]:
     """Split a 2-regular edge set into its vertex-disjoint cycles.
 
-    Each cycle is a set of edge ids, and the list is ordered by each
-    cycle's smallest edge.  :func:`classify_cycle` gives a cycle's
-    canonical edge sequence.
+    Each cycle is a set of edge ids, walked on the edge mask from the
+    smallest edge not yet taken, so the list is ordered by each cycle's
+    smallest edge.  :func:`classify_cycle` gives a cycle's canonical edge
+    sequence.
     """
-    degree: dict[int, int] = {}
-    for eid in edge_set:
-        for v in G.edges[eid]:
-            degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
+    rest = edge_mask(G, edge_set)
+    if not is_two_regular(G, edge_set):
         raise NotAMatching("symmetric difference is not a disjoint union of cycles")
-    label = component_labels(G.n_vertices, (G.edges[eid] for eid in edge_set))
-    cycles: dict[int, set[int]] = {}
-    for eid in sorted(edge_set):
-        cycles.setdefault(label[G.edges[eid][0]], set()).add(eid)
-    return [frozenset(c) for c in cycles.values()]
+    cycles: list[frozenset[int]] = []
+    while rest:
+        steps = walk_cycle(G, rest, (rest & -rest).bit_length() - 1)
+        cycle = frozenset(eid for eid, _, _ in steps)
+        cycles.append(cycle)
+        rest ^= sum(1 << eid for eid in cycle)
+    return cycles
 
 
 def classify_cycle(
@@ -229,45 +242,25 @@ def classify_cycle(
 ) -> AlternatingCycleReport:
     """Classify one M-alternating cycle as proper/improper w.r.t. M.
 
-    The cycle is checked and its interior found once; its canonical edge
-    sequence is read off the clockwise steps.
+    One walk checks the cycle and gives its canonical edge sequence; Jordan
+    parity gives its interior, and with it each edge's clockwise step.
     """
-    cyc = frozenset(cycle_edges)
-    inside = faces_inside_cycle(G, cyc)
-    steps = _clockwise_steps(G, cyc, inside)
-    matched = sorted(cyc & M.edge_set)
-    assert matched, "cycle has no matching edge"
+    steps, inside = clockwise_cycle(G, cycle_edges)
+    mset = M.edge_set
     classes = {
-        PROPER if G.colors[steps[eid][0]] == WHITE else IMPROPER for eid in matched
+        PROPER if G.colors[tail] == WHITE else IMPROPER
+        for eid, tail, _ in steps
+        if eid in mset
     }
-    assert len(classes) == 1, "matched edges disagree on orientation class"
+    if not classes:
+        raise AssertionError("cycle has no matching edge")
+    if len(classes) != 1:
+        raise AssertionError("matched edges disagree on orientation class")
     return AlternatingCycleReport(
-        cycle=_cyclic_order(steps),
+        cycle=tuple(eid for eid, _, _ in steps),
         orientation_class=classes.pop(),
         enclosed_faces=inside,
     )
-
-
-def _cyclic_order(steps: dict[int, tuple[int, int]]) -> tuple[int, ...]:
-    """The canonical edge sequence of one cycle given its (tail, head) steps:
-    start at the smallest edge and continue toward its smaller-id neighbor
-    edge.
-    """
-    leaving = {tail: eid for eid, (tail, _) in steps.items()}
-    arriving = {head: eid for eid, (_, head) in steps.items()}
-
-    def forward(eid: int) -> int:
-        return leaving[steps[eid][1]]
-
-    def backward(eid: int) -> int:
-        return arriving[steps[eid][0]]
-
-    start = min(steps)
-    step = forward if forward(start) < backward(start) else backward
-    seq = [start]
-    while (nxt := step(seq[-1])) != start:
-        seq.append(nxt)
-    return tuple(seq)
 
 
 def symmetric_difference_cycles(

@@ -3,8 +3,9 @@
 These deliberately re-derive results by a different route than the main
 implementations (edge-subset recursion instead of vertex branching,
 subset filtering instead of extension DFS, cycle DFS instead of
-symmetric differences, definition chasing instead of dual cycles) and
-exist only to cross-check them at small sizes.
+symmetric differences, definition chasing instead of dual cycles,
+flooding the dual instead of Jordan parity) and exist only to
+cross-check them at small sizes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .caps import SizeCaps
+from .derive import component_labels
 from .errors import SizeCapExceeded
 from .lattice import FiniteLattice, FinitePoset, lattice_isomorphic, order_ideal_lattice
 from .matching import Matching
@@ -105,6 +107,20 @@ def alternating_cycles_dfs(
     return found
 
 
+def faces_inside_cycle_by_flood(
+    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
+) -> frozenset[int]:
+    """Faces inside a simple cycle: with the dual edges crossing it deleted,
+    those outside the outer face's component of the dual."""
+    cyc = frozenset(cycle_edges)
+    labels = component_labels(
+        len(G.faces),
+        (G.edge_faces(eid) for eid in range(G.n_edges) if eid not in cyc),
+    )
+    outside = labels[G.outer_face]
+    return frozenset(f for f, label in enumerate(labels) if label != outside)
+
+
 def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
     """All e-cuts straight from the definition, by scanning edge subsets.
 
@@ -113,7 +129,8 @@ def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
     of one single component.  Exponential; only for graphs with few edges.
     """
     E = G.n_edges
-    assert E <= 20, "definition oracle is limited to 20 edges"
+    if E > 20:
+        raise AssertionError("definition oracle is limited to 20 edges")
 
     def components(removed: int) -> list[int]:
         comp = [-1] * G.n_vertices

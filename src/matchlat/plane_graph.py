@@ -9,6 +9,15 @@ black end along a face" is then meaningful without coordinates.
 The same convention drives the oriented dual: the dual arc for a shared
 edge points out of the face whose clockwise walk traverses the edge from
 its black end to its white end.
+
+Cycles are integer edge masks, read through two tables kept per graph:
+each vertex's incident-edge mask, and each face's path in a BFS tree of
+the dual rooted at the outer face.  A cycle is checked by a degree test
+and one walk from its smallest edge; a face lies inside it when its path
+crosses the cycle an odd number of times (Jordan parity), and the inside
+face of each cycle edge gives that edge's clockwise step.  All of it is
+O(|C| + F) per cycle.  ``oracles.faces_inside_cycle_by_flood`` finds the
+same interiors by flooding the dual.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .derive import component_labels
+from .derive import component_labels, per_object
 from .errors import (
     Disconnected,
     DuplicateEdge,
@@ -461,71 +470,166 @@ def oriented_dual(
 # --- cycles and interiors ---------------------------------------------------
 
 
-def check_cycle(G: PlaneBipartiteGraph, cycle_edges: Iterable[int]) -> frozenset[int]:
-    """Verify an edge set forms one simple cycle; return it as a frozenset."""
-    cyc = frozenset(cycle_edges)
-    if not cyc:
-        raise NotACycle("empty edge set")
-    deg: dict[int, int] = {}
-    for eid in cyc:
+@per_object
+def edge_ends(G: PlaneBipartiteGraph) -> tuple[int, ...]:
+    """Each edge's two ends, as a vertex mask."""
+    return tuple(1 << u | 1 << v for u, v in G.edges)
+
+
+@per_object
+def incident_edge_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
+    """Each vertex's incident edges, as an edge mask."""
+    masks = [0] * G.n_vertices
+    for eid, (u, v) in enumerate(G.edges):
+        masks[u] |= 1 << eid
+        masks[v] |= 1 << eid
+    return tuple(masks)
+
+
+@per_object
+def dual_tree_paths(G: PlaneBipartiteGraph) -> tuple[int, ...]:
+    """For each face, the edges its path crosses in a BFS tree of the dual.
+
+    The tree is rooted at the outer face, whose path is empty.  A face
+    lies inside a simple cycle exactly when any dual walk to it from the
+    outer face crosses the cycle an odd number of times (Jordan), so one
+    popcount of ``path & cycle`` decides it.
+    """
+    paths: list[Optional[int]] = [None] * len(G.faces)
+    paths[G.outer_face] = 0
+    queue = [G.outer_face]
+    for f in queue:
+        for eid in G.faces[f].edge_ids:
+            g = sum(G.edge_faces(eid)) - f
+            if paths[g] is None:
+                paths[g] = paths[f] | 1 << eid
+                queue.append(g)
+    return tuple(paths)
+
+
+def edge_mask(G: PlaneBipartiteGraph, edge_ids: Iterable[int]) -> int:
+    """Edge ids as a mask; an id that is no edge of G raises NotACycle."""
+    n_edges = len(G.edges)
+    mask = 0
+    for eid in edge_ids:
+        if not 0 <= eid < n_edges:
+            raise NotACycle(f"unknown edge id {eid}")
+        mask |= 1 << eid
+    return mask
+
+
+def is_two_regular(G: PlaneBipartiteGraph, edge_ids: Iterable[int]) -> bool:
+    """Every end of the given (known, distinct) edges meets exactly two of them.
+
+    ``once``, ``twice`` and ``thrice`` collect the vertices met at least
+    one, two and three times.
+    """
+    ends = edge_ends(G)
+    once = twice = thrice = 0
+    for eid in edge_ids:
+        x = ends[eid]
+        thrice |= twice & x
+        twice |= once & x
+        once |= x
+    return not thrice and once == twice
+
+
+def walk_cycle(G: PlaneBipartiteGraph, mask: int, start: int) -> list[Step]:
+    """The cycle of a 2-regular edge mask through edge ``start``, walked in
+    canonical order: from ``start`` toward its smaller-id neighbour edge."""
+    inc = incident_edge_masks(G)
+    first = 1 << start
+    a, b = G.edges[start]
+    tail, head = (b, a) if inc[a] & mask ^ first < inc[b] & mask ^ first else (a, b)
+    steps = [(start, tail, head)]
+    bit = first
+    while (bit := inc[head] & mask ^ bit) != first:
+        eid = bit.bit_length() - 1
         u, v = G.edges[eid]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
+        tail, head = head, v if u == head else u
+        steps.append((eid, tail, head))
+    return steps
+
+
+def _checked_walk(
+    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
+) -> tuple[int, list[Step]]:
+    """The mask and canonical walk of an edge set that must be one simple cycle."""
+    cyc = frozenset(cycle_edges)
+    mask = edge_mask(G, cyc)
+    if not mask:
+        raise NotACycle("empty edge set")
+    if not is_two_regular(G, cyc):
         raise NotACycle("edge set is not 2-regular")
-    labels = component_labels(G.n_vertices, (G.edges[eid] for eid in cyc))
-    if len({labels[v] for v in deg}) != 1:
+    steps = walk_cycle(G, mask, (mask & -mask).bit_length() - 1)
+    if len(steps) != mask.bit_count():
         raise NotACycle("edge set is a union of several cycles")
-    return cyc
+    return mask, steps
+
+
+def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
+    """Faces whose dual tree path crosses the cycle mask an odd number of times."""
+    return frozenset(
+        f for f, path in enumerate(dual_tree_paths(G)) if (path & mask).bit_count() & 1
+    )
+
+
+def check_cycle(G: PlaneBipartiteGraph, cycle_edges: Iterable[int]) -> frozenset[int]:
+    """Verify an edge set forms one simple cycle; return it as a frozenset.
+
+    A degree test on vertex masks and one walk from the smallest edge: the
+    walk must take every edge.
+    """
+    _, steps = _checked_walk(G, cycle_edges)
+    return frozenset(eid for eid, _, _ in steps)
 
 
 def faces_inside_cycle(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> frozenset[int]:
-    """Inner faces on the interior side of a cycle.
+    """Inner faces on the interior side of a cycle, by Jordan parity.
 
-    Deletes the dual edges crossing the cycle and returns the dual
-    component not containing the outer face.
+    A face is inside when its path in a BFS tree of the dual, rooted at
+    the outer face, crosses the cycle an odd number of times.
+    ``oracles.faces_inside_cycle_by_flood`` finds the same faces by
+    flooding the dual.
     """
-    cyc = check_cycle(G, cycle_edges)
-    labels = component_labels(
-        len(G.faces),
-        (G.edge_faces(eid) for eid in range(G.n_edges) if eid not in cyc),
-    )
-    outside = labels[G.outer_face]
-    return frozenset(f for f, label in enumerate(labels) if label != outside)
+    mask, _ = _checked_walk(G, cycle_edges)
+    return _faces_inside(G, mask)
+
+
+def clockwise_cycle(
+    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
+) -> tuple[list[Step], frozenset[int]]:
+    """A checked cycle's canonical walk with each step turned clockwise, and
+    the inner faces inside it.
+
+    The clockwise orientation of a cycle is the orientation its interior
+    faces use: every cycle edge is traversed by exactly one face inside
+    the cycle, and those traversals are coherent, so they either all
+    follow the walk or all run against it.
+    """
+    mask, steps = _checked_walk(G, cycle_edges)
+    inside = _faces_inside(G, mask)
+    senses: set[bool] = set()
+    for eid, tail, _ in steps:
+        (f1, t1, _), (f2, t2, _) = G.edge_traversals[eid]
+        if (f1 in inside) == (f2 in inside):
+            raise NotACycle(f"edge {eid} does not separate inside from outside")
+        senses.add((t1 if f1 in inside else t2) == tail)
+    if len(senses) != 1:
+        raise NotACycle("interior traversals are not a coherent orientation")
+    if not senses.pop():
+        steps = [(eid, head, tail) for eid, tail, head in steps]
+    return steps, inside
 
 
 def cycle_clockwise_steps(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> dict[int, tuple[int, int]]:
-    """Clockwise traversal direction (tail, head) for each edge of a cycle.
-
-    The clockwise orientation of a cycle is the orientation its interior
-    faces use: every cycle edge is traversed by exactly one face inside
-    the cycle, and those traversals are coherent.
-    """
-    cyc = frozenset(cycle_edges)
-    return _clockwise_steps(G, cyc, faces_inside_cycle(G, cyc))
-
-
-def _clockwise_steps(
-    G: PlaneBipartiteGraph, cyc: frozenset[int], inside: frozenset[int]
-) -> dict[int, tuple[int, int]]:
-    """Clockwise steps of a checked cycle whose interior faces are given."""
-    steps: dict[int, tuple[int, int]] = {}
-    for eid in cyc:
-        trav = [t for t in G.edge_traversals[eid] if t[0] in inside]
-        if len(trav) != 1:
-            raise NotACycle(f"edge {eid} does not separate inside from outside")
-        _, tail, head = trav[0]
-        steps[eid] = (tail, head)
-    # coherence: each cycle vertex appears once as tail and once as head
-    tails = [t for t, _ in steps.values()]
-    heads = [h for _, h in steps.values()]
-    if sorted(tails) != sorted(heads) or len(set(tails)) != len(tails):
-        raise NotACycle("interior traversals are not a coherent orientation")
-    return steps
+    """Clockwise traversal direction (tail, head) for each edge of a cycle."""
+    steps, _ = clockwise_cycle(G, cycle_edges)
+    return {eid: (tail, head) for eid, tail, head in steps}
 
 
 # --- elementary structure ---------------------------------------------------

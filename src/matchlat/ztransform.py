@@ -61,6 +61,7 @@ from .matching import (
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
+    edge_ends,
     is_outerplane_2connected,
     oriented_dual,
 )
@@ -109,7 +110,7 @@ def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
         for fid in G.inner_face_ids
         if (walk := G.faces[fid]).is_simple_cycle
     ]
-    ends = [1 << u | 1 << v for u, v in G.edges]
+    ends = edge_ends(G)
     masks = [_matching_mask(G, M, ends) for M in matchings]
     index = {m: i for i, m in enumerate(masks)}
     arcs = sorted(
@@ -248,7 +249,8 @@ def delta_cycle_count(
     for rep in symmetric_difference_cycles(G, M, M2):
         if face_id in rep.enclosed_faces:
             total += 1 if rep.orientation_class == PROPER else -1
-    assert total >= 0, "signed enclosure count went negative under the order"
+    if total < 0:
+        raise AssertionError("signed enclosure count went negative under the order")
     return total
 
 
@@ -275,23 +277,31 @@ def path_face_multiplicity(
 def directed_paths(
     G: PlaneBipartiteGraph, start: int, end: int, cap: int = 10_000
 ) -> list[tuple[int, ...]]:
-    """All directed paths from start to end; more than cap raise SizeCapExceeded."""
+    """All directed paths from start to end; more than cap raise SizeCapExceeded.
+
+    Depth-first over an explicit stack of successor iterators, one more
+    than the nodes on the path.  A recursive closure would be a reference
+    cycle holding every path found until the cyclic collector ran.
+    """
     Z = build_z_digraph(G)
     out: list[tuple[int, ...]] = []
-    stack = [start]
-
-    def rec(here: int) -> None:
+    path: list[int] = []
+    todo = [iter((start,))]
+    while todo:
+        here = next(todo[-1], None)
+        if here is None:
+            todo.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(here)
         if here == end:
             if len(out) == cap:
                 raise SizeCapExceeded(f"more than {cap} directed paths")
-            out.append(tuple(stack))
-            return
-        for _, b, _ in Z.out_arcs(here):
-            stack.append(b)
-            rec(b)
-            stack.pop()
-
-    rec(start)
+            out.append(tuple(path))
+            path.pop()
+        else:
+            todo.append(b for _, b, _ in Z.out_arcs(here))
     return out
 
 

@@ -1,12 +1,21 @@
 import pytest
+from hypothesis import settings
 
 from matchlat import (
+    OrientedTree,
     TruncatedParallelogramSpec,
     load_graph,
     parallelogram_spec,
     prolate_triangle_spec,
+    tree_to_outerplane,
     truncated_parallelogram,
 )
+from matchlat.caps import DEFAULT_CAPS
+from matchlat.verify import _TREES_UP_TO_6, _orientations, _small_fixtures
+
+# Derandomised: a failure under `pytest --hypothesis-profile=ci` replays
+# with the same examples on any machine.
+settings.register_profile("ci", derandomize=True)
 
 
 def c6_description(outer_face=1):
@@ -126,3 +135,18 @@ def pyrene():
 @pytest.fixture
 def t2():
     return truncated_parallelogram(prolate_triangle_spec(2))
+
+
+def cycle_oracle_hosts():
+    """Hosts on which the cycle routes are checked against the flood oracle:
+    the verification suite's small fixtures (the linked one has a bridge and
+    a face that is no simple cycle), every orientation of every tree with at
+    most four nodes, and the pendant hexagon."""
+    hosts = [G for _, G in _small_fixtures(DEFAULT_CAPS)]
+    for n in range(1, 5):
+        for edges in _TREES_UP_TO_6[n]:
+            for arcs in _orientations(edges, 1 << len(edges)):
+                tree = OrientedTree(tuple(range(1, n + 1)), arcs)
+                hosts.append(tree_to_outerplane(tree).graph)
+    hosts.append(load_graph(pendant_description()))
+    return hosts

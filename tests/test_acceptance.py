@@ -5,8 +5,11 @@ criteria with stated runtime budgets assert them.  Each test prints one
 PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import ast
 import time
+from pathlib import Path
 
+import matchlat
 from matchlat.caps import DEFAULT_CAPS
 from matchlat.verify import (
     VerificationReport,
@@ -90,3 +93,22 @@ def test_criterion_7_grid_sublattices():
 def test_criterion_8_structural_invariants():
     """Acyclicity, cover certification, Birkhoff round trips, oracles."""
     _run("criterion 8: structural invariants", check_structural_invariants)
+
+
+def test_package_has_no_assert_statement():
+    """`python -O` strips `assert`, and a stripped guard would let a wrong
+    result pass a check; the package raises AssertionError explicitly."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(matchlat.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_ci_hypothesis_profile_is_derandomised():
+    """CI selects this profile, so its property tests replay locally."""
+    from hypothesis import settings
+
+    assert settings.get_profile("ci").derandomize

@@ -18,13 +18,21 @@ from matchlat.generators import TruncatedParallelogramSpec, parallelogram_spec
 from matchlat.matching import (
     IMPROPER,
     PROPER,
+    AlternatingCycleReport,
     _cycles_of_edge_set,
     _enumerate_on_edges,
     _search_tree,
     classify_cycle,
 )
-from matchlat.oracles import alternating_cycles_dfs, count_matchings_bruteforce
+from matchlat.oracles import (
+    alternating_cycles_dfs,
+    count_matchings_bruteforce,
+    faces_inside_cycle_by_flood,
+)
+from matchlat.plane_graph import WHITE, check_cycle, faces_inside_cycle
 from matchlat.ztransform import extremal_matchings
+
+from conftest import cycle_oracle_hosts
 
 
 class TestEnumeration:
@@ -259,6 +267,64 @@ class TestSymmetricDifference:
     def test_cycles_of_edge_set_refuses_a_path(self, c6):
         with pytest.raises(NotAMatching):
             _cycles_of_edge_set(c6, frozenset(range(5)))
+
+
+def classify_cycle_by_flood(G, M, cycle):
+    """Reference for ``classify_cycle``: each edge's clockwise step is that
+    of the one face walk inside the flooded interior, and the sequence is
+    chained along those steps from the smallest edge toward its smaller-id
+    neighbour."""
+    inside = faces_inside_cycle_by_flood(G, cycle)
+    steps = {}
+    for eid in cycle:
+        (steps[eid],) = [(t, h) for f, t, h in G.edge_traversals[eid] if f in inside]
+    leaving = {tail: eid for eid, (tail, _) in steps.items()}
+    arriving = {head: eid for eid, (_, head) in steps.items()}
+    seq = [min(cycle)]
+    forward = leaving[steps[seq[0]][1]] < arriving[steps[seq[0]][0]]
+    while True:
+        tail, head = steps[seq[-1]]
+        nxt = leaving[head] if forward else arriving[tail]
+        if nxt == seq[0]:
+            break
+        seq.append(nxt)
+    (cls,) = {
+        PROPER if G.colors[steps[eid][0]] == WHITE else IMPROPER
+        for eid in cycle & M.edge_set
+    }
+    return AlternatingCycleReport(tuple(seq), cls, inside)
+
+
+class TestCycleRoutesAgainstFlood:
+    """Walks and Jordan parity against the flood oracle, on every cycle of
+    every symmetric difference of two matchings."""
+
+    def test_difference_cycles(self):
+        for G in cycle_oracle_hosts():
+            ms = enumerate_perfect_matchings(G)
+            for M1, M2 in itertools.permutations(ms, 2):
+                for cyc in _cycles_of_edge_set(G, M1.edge_set ^ M2.edge_set):
+                    inside = faces_inside_cycle_by_flood(G, cyc)
+                    assert faces_inside_cycle(G, cyc) == inside
+                    rep = classify_cycle(G, M1, cyc)
+                    assert rep == classify_cycle_by_flood(G, M1, cyc)
+                    assert rep.enclosed_faces == inside
+
+    def test_split_orders_several_cycles_by_smallest_edge(self):
+        several = 0
+        for G in cycle_oracle_hosts():
+            ms = enumerate_perfect_matchings(G)
+            for M1, M2 in itertools.combinations(ms, 2):
+                diff = M1.edge_set ^ M2.edge_set
+                cycles = _cycles_of_edge_set(G, diff)
+                if len(cycles) < 2:
+                    continue
+                several += 1
+                assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
+                assert frozenset().union(*cycles) == diff
+                assert sum(map(len, cycles)) == len(diff)
+                assert all(check_cycle(G, c) == c for c in cycles)
+        assert several > 0
 
 
 class TestForcingEdges:

@@ -27,8 +27,9 @@ from matchlat.errors import (
     SizeCapExceeded,
 )
 from matchlat.generators import TruncatedParallelogramSpec
-from matchlat.oracles import minimal_cuts_with_white_bank
-from matchlat.plane_graph import ECut, cycle_clockwise_steps
+from matchlat.matching import classify_cycle
+from matchlat.oracles import faces_inside_cycle_by_flood, minimal_cuts_with_white_bank
+from matchlat.plane_graph import ECut, check_cycle, cycle_clockwise_steps
 from matchlat.verify import (
     MAX_ORIENTATIONS,
     MAX_TREE_NODES,
@@ -37,7 +38,7 @@ from matchlat.verify import (
     _outerplane_case,
 )
 
-from conftest import c6_description
+from conftest import c6_description, cycle_oracle_hosts
 
 
 class TestLoadGraph:
@@ -252,6 +253,65 @@ class TestFacesInsideCycle:
     def test_not_a_cycle(self, c6):
         with pytest.raises(NotACycle):
             faces_inside_cycle(c6, [0, 2])
+
+    @pytest.mark.parametrize("route", ["check", "inside", "classify"])
+    @pytest.mark.parametrize("bad", ["negative", "too large"])
+    def test_unknown_edge_id(self, hexagon_gen, route, bad):
+        """-1 would alias the last edge, n_edges would index past the list."""
+        G = hexagon_gen.graph
+        hexagon = list(G.faces[G.inner_face_ids[0]].edge_ids)
+        eid = -1 if bad == "negative" else G.n_edges
+        hexagon[2] = eid
+        M = enumerate_perfect_matchings(G)[0]
+        fn = {
+            "check": lambda: check_cycle(G, hexagon),
+            "inside": lambda: faces_inside_cycle(G, hexagon),
+            "classify": lambda: classify_cycle(G, M, hexagon),
+        }[route]
+        with pytest.raises(NotACycle, match=f"unknown edge id {eid}$"):
+            fn()
+
+    @pytest.mark.parametrize("route", ["check", "inside", "classify"])
+    def test_refusals(self, route):
+        H = truncated_parallelogram(TruncatedParallelogramSpec((3,)))
+        G = H.graph
+        M = enumerate_perfect_matchings(G)[0]
+        fn = {
+            "check": check_cycle,
+            "inside": faces_inside_cycle,
+            "classify": lambda G, edges: classify_cycle(G, M, edges),
+        }[route]
+        # the two end hexagons of a row of three share no vertex
+        left, right = (G.faces[H.hexagon_face[(1, c)]] for c in (1, 3))
+        assert not left.vertex_set & right.vertex_set
+        left, right = left.edge_set, right.edge_set
+        with pytest.raises(NotACycle, match="empty edge set"):
+            fn(G, [])
+        with pytest.raises(NotACycle, match="not 2-regular"):
+            fn(G, sorted(left)[:-1])
+        with pytest.raises(NotACycle, match="union of several cycles"):
+            fn(G, left | right)
+
+    def test_face_boundaries_match_flood(self):
+        checked = 0
+        for G in cycle_oracle_hosts():
+            inner = frozenset(G.inner_face_ids)
+            for walk in G.faces:
+                if not walk.is_simple_cycle:
+                    continue
+                got = faces_inside_cycle(G, walk.edge_set)
+                assert got == faces_inside_cycle_by_flood(G, walk.edge_set)
+                assert got == (inner if walk.is_outer else {walk.face_id})
+                checked += walk.is_outer
+        assert checked > 0
+
+    def test_bridge_and_non_simple_face(self, pendant):
+        outer = pendant.faces[pendant.outer_face]
+        (inner,) = pendant.inner_face_ids
+        assert not pendant.faces[inner].is_simple_cycle
+        assert any(pendant.is_bridge(eid) for eid in range(pendant.n_edges))
+        assert faces_inside_cycle(pendant, outer.edge_set) == {inner}
+        assert faces_inside_cycle_by_flood(pendant, outer.edge_set) == {inner}
 
     def test_clockwise_steps_coherent(self, pyrene):
         G = pyrene.graph

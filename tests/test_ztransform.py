@@ -279,6 +279,21 @@ class TestDeltaAndPaths:
         with pytest.raises(SizeCapExceeded, match="more than 1 directed paths"):
             directed_paths(G, s, r, cap=1)
 
+    def test_directed_paths_leave_no_cyclic_garbage(self, t2):
+        """The paths are freed by reference counting alone, not by a later
+        pass of the cyclic collector that may come long after a large list."""
+        G = t2.graph
+        ext = extremal_matchings(G)
+        s, r = ext.source_index, ext.root_index
+        directed_paths(G, s, r)  # memoises the digraph
+        gc.collect()
+        gc.disable()
+        try:
+            directed_paths(G, s, r)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_path(self, c6):
         m1, _ = enumerate_perfect_matchings(c6)
         assert path_face_multiplicity(c6, [m1], c6.inner_face_ids[0]) == 0
