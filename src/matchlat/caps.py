@@ -8,6 +8,8 @@ truncated silently.
 
 from dataclasses import dataclass
 
+from .errors import SizeCapExceeded
+
 
 @dataclass(frozen=True)
 class SizeCaps:
@@ -16,20 +18,14 @@ class SizeCaps:
     max_matchings: int = 100_000
 
     def check_vertices(self, n: int) -> None:
-        from .errors import SizeCapExceeded
-
         if n > self.max_vertices:
             raise SizeCapExceeded(f"{n} vertices exceeds cap {self.max_vertices}")
 
     def check_inner_faces(self, n: int) -> None:
-        from .errors import SizeCapExceeded
-
         if n > self.max_inner_faces:
             raise SizeCapExceeded(f"{n} inner faces exceeds cap {self.max_inner_faces}")
 
     def check_matchings(self, n: int) -> None:
-        from .errors import SizeCapExceeded
-
         if n > self.max_matchings:
             raise SizeCapExceeded(f"{n} matchings exceeds cap {self.max_matchings}")
 

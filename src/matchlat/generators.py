@@ -13,8 +13,8 @@ and fails loudly on any mismatch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -51,6 +51,7 @@ from .plane_graph import (
     faces_inside_cycle,
     oriented_dual,
 )
+from .ztransform import certify_ideal_map, matching_lattice, matching_poset
 
 VERTICAL = "vertical"
 RISING = "rising"  # left-low to right-up
@@ -107,23 +108,37 @@ class TruncatedParallelogram:
         return Matching(tuple(sorted(self.root_edges)))
 
 
+def _clockwise_before(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Negative when direction a comes before b, turning clockwise from
+    (-1, 0) with y growing upward; exact on integer vectors.
+
+    The upper half-plane with the ray (-1, 0) comes first, the lower one
+    with the ray (1, 0) second; inside one half, b is clockwise of a when
+    their cross product is negative.
+    """
+    ha = a[1] < 0 or (a[1] == 0 and a[0] > 0)
+    hb = b[1] < 0 or (b[1] == 0 and b[0] > 0)
+    if ha != hb:
+        return ha - hb
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def _clockwise_rotation(coords: Sequence[tuple[int, int]],
                         edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Per-vertex incident edges sorted clockwise as drawn (y grows upward)."""
-    incident: list[list[int]] = [[] for _ in coords]
-    for eid, (u, v) in enumerate(edges):
-        incident[u].append(eid)
-        incident[v].append(eid)
+    """Per-vertex incident edges sorted clockwise as drawn (y grows upward).
 
-    def angle(v: int, eid: int) -> float:
-        a, b = edges[eid]
-        w = b if v == a else a
-        dx = coords[w][0] - coords[v][0]
-        dy = coords[w][1] - coords[v][1]
-        return -math.atan2(dy, dx)
-
-    return [tuple(sorted(inc, key=lambda e: angle(v, e)))
-            for v, inc in enumerate(incident)]
+    The few distinct edge directions are ranked once by
+    :func:`_clockwise_before`; each vertex then sorts by rank.
+    """
+    steps = [(coords[v][0] - coords[u][0], coords[v][1] - coords[u][1]) for u, v in edges]
+    directions = set(steps) | {(-dx, -dy) for dx, dy in steps}
+    ordered = sorted(directions, key=cmp_to_key(_clockwise_before))
+    rank = {d: k for k, d in enumerate(ordered)}
+    incident: list[list[tuple[int, int]]] = [[] for _ in coords]
+    for eid, ((u, v), (dx, dy)) in enumerate(zip(edges, steps)):
+        incident[u].append((rank[dx, dy], eid))
+        incident[v].append((rank[-dx, -dy], eid))
+    return [tuple([eid for _, eid in sorted(inc)]) for inc in incident]
 
 
 def _signed_area(steps, coords) -> int:
@@ -418,10 +433,8 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
 
     Certifies the explicit map (matching to its bounded hexagon set) as
     an isomorphism onto the ideals, and cross-checks with the generic
-    join-irreducible isomorphism test.
+    lattice isomorphism search.
     """
-    from .ztransform import certify_ideal_map, matching_lattice, matching_poset
-
     G = H.graph
     mp = matching_poset(G)
     images = tuple(matching_geometry(H, M).hexagons for M in mp.matchings)

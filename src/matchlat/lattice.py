@@ -4,8 +4,9 @@ Elements are indexed 0..n-1 with opaque labels; the order is stored as an
 irredundant cover relation.  A lattice's meet and join are methods, one
 lookup of ``down[x] & down[y]`` (``up[x] & up[y]``) among the principal
 down-sets (up-sets); :func:`lattice_from_poset` certifies that no lookup
-misses.  Every order map (a product decomposition, a lifted isomorphism)
-is certified by its covers alone, through :func:`order_iso_refusal`.
+misses.  Lattice isomorphism is one depth-first search on the principal
+down-sets, and every order map it or a product decomposition yields is
+certified by its covers alone, through :func:`order_iso_refusal`.
 Everything here is exhaustive and exact: triple-loop distributivity,
 explicit complement search, order-ideal enumeration with bitmask
 encoding, and factorization through connected components of the
@@ -14,6 +15,7 @@ join-irreducible subposet.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -76,8 +78,6 @@ class FinitePoset:
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """Deterministic linear extension (Kahn with min-index choice)."""
-        import heapq
-
         indeg = [len(d) for d in self.down_covers]
         heap = [i for i in range(self.n) if indeg[i] == 0]
         heapq.heapify(heap)
@@ -199,8 +199,8 @@ def poset_from_relation(
     return FinitePoset(tuple(labels), tuple(sorted(covers)))
 
 
-def chain_poset(k: int, label_prefix: str = "") -> FinitePoset:
-    labels = tuple(f"{label_prefix}{i}" for i in range(k))
+def chain_poset(k: int) -> FinitePoset:
+    labels = tuple(str(i) for i in range(k))
     return FinitePoset(labels, tuple((i, i + 1) for i in range(k - 1)))
 
 
@@ -618,113 +618,53 @@ def order_iso_refusal(
     return None
 
 
-def digraph_isomorphic(
-    n1: int,
-    arcs1: Iterable[tuple[int, int]],
-    n2: int,
-    arcs2: Iterable[tuple[int, int]],
-) -> Optional[list[int]]:
-    """Backtracking digraph isomorphism with degree-refinement pruning.
-
-    Returns a mapping (node of graph 1 -> node of graph 2) or None.  No
-    polynomial-time guarantee; intended for small graphs.
-    """
-    A1 = set(arcs1)
-    A2 = set(arcs2)
-    if n1 != n2 or len(A1) != len(A2):
-        return None
-    out1: list[set[int]] = [set() for _ in range(n1)]
-    in1: list[set[int]] = [set() for _ in range(n1)]
-    out2: list[set[int]] = [set() for _ in range(n2)]
-    in2: list[set[int]] = [set() for _ in range(n2)]
-    for u, v in A1:
-        out1[u].add(v)
-        in1[v].add(u)
-    for u, v in A2:
-        out2[u].add(v)
-        in2[v].add(u)
-
-    # joint iterative refinement; colors are renamed to small integers
-    # through a table shared by both graphs so they stay comparable
-    def canon(values, table):
-        out = []
-        for v in values:
-            if v not in table:
-                table[v] = len(table)
-            out.append(table[v])
-        return out
-
-    table: dict = {}
-    c1 = canon([(len(out1[x]), len(in1[x])) for x in range(n1)], table)
-    c2 = canon([(len(out2[x]), len(in2[x])) for x in range(n2)], table)
-    for _ in range(n1):
-        table = {}
-        s1 = canon(
-            [
-                (
-                    c1[x],
-                    tuple(sorted(c1[y] for y in out1[x])),
-                    tuple(sorted(c1[y] for y in in1[x])),
-                )
-                for x in range(n1)
-            ],
-            table,
-        )
-        s2 = canon(
-            [
-                (
-                    c2[x],
-                    tuple(sorted(c2[y] for y in out2[x])),
-                    tuple(sorted(c2[y] for y in in2[x])),
-                )
-                for x in range(n2)
-            ],
-            table,
-        )
-        if len(set(s1)) == len(set(c1)) and len(set(s2)) == len(set(c2)):
-            c1, c2 = s1, s2
-            break
-        c1, c2 = s1, s2
-    if sorted(c1) != sorted(c2):
-        return None
-
-    # match most-constrained vertices first
-    order = sorted(range(n1), key=lambda x: (c1.count(c1[x]), x))
-    mapping = [-1] * n1
-    used = [False] * n2
-
-    def bt(i: int) -> bool:
-        if i == n1:
-            return True
-        x = order[i]
-        for y in range(n2):
-            if used[y] or c1[x] != c2[y]:
-                continue
-            ok = True
-            for z in range(n1):
-                if mapping[z] < 0 or z == x:
-                    continue
-                if ((x, z) in A1) != ((y, mapping[z]) in A2):
-                    ok = False
-                    break
-                if ((z, x) in A1) != ((mapping[z], y) in A2):
-                    ok = False
-                    break
-            if ok:
-                mapping[x] = y
-                used[y] = True
-                if bt(i + 1):
-                    return True
-                mapping[x] = -1
-                used[y] = False
-        return False
-
-    return mapping if bt(0) else None
-
-
 def poset_isomorphic(P1: FinitePoset, P2: FinitePoset) -> Optional[list[int]]:
-    """Poset isomorphism via the Hasse-diagram digraphs."""
-    return digraph_isomorphic(P1.n, P1.covers, P2.n, P2.covers)
+    """An order isomorphism from P1 onto P2 (element of P1 -> element of P2),
+    or None when there is none.
+
+    Places P1's elements in topological order, depth first over an explicit
+    stack of candidate iterators.  Each x goes to an unused y of equal up-set
+    size whose strict down-set is the union of the down-sets of the images
+    of x's lower covers, found by one dict lookup.  By induction the map
+    sends the down-set of every x onto that of its image, so a bijection
+    built this way preserves and reflects the order.  Every isomorphism
+    passes these tests, so the search is complete; its worst case is
+    exponential.
+    """
+    n = P1.n
+    if n != P2.n or len(P1.covers) != len(P2.covers):
+        return None
+    down2 = P2.down_masks
+    by_strict_down: dict[int, list[int]] = {}
+    for y, m in enumerate(down2):
+        by_strict_down.setdefault(m ^ 1 << y, []).append(y)
+    up_size1 = [m.bit_count() for m in P1.up_masks]
+    up_size2 = [m.bit_count() for m in P2.up_masks]
+    order = P1.topo_order
+    mapping = [-1] * n
+    used = 0
+    todo: list[Iterator[int]] = []  # candidates for order[0], ..., order[k]
+    k = 0
+    while 0 <= k < n:
+        x = order[k]
+        if mapping[x] < 0:  # arrived from order[k - 1]: list x's candidates
+            below = 0
+            for z in P1.down_covers[x]:
+                below |= down2[mapping[z]]
+            todo.append(iter([
+                y for y in by_strict_down.get(below, ())
+                if not used >> y & 1 and up_size2[y] == up_size1[x]
+            ]))
+        else:  # back from a dead end at order[k + 1]: free x's image
+            used ^= 1 << mapping[x]
+        mapping[x] = next(todo[-1], -1)
+        if mapping[x] < 0:
+            todo.pop()
+            k -= 1
+        else:
+            used |= 1 << mapping[x]
+            k += 1
+    return mapping if k == n else None
 
 
 @dataclass(frozen=True)
@@ -735,39 +675,25 @@ class IsoResult:
 
 
 def lattice_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> IsoResult:
-    """Isomorphism of distributive lattices through their join-irreducibles.
+    """Isomorphism of finite lattices, as an order isomorphism of their posets.
 
-    By Birkhoff duality it suffices to match the join-irreducible
-    subposets; the element map is lifted by joining irreducible images
-    and verified, cover by cover, as an order isomorphism.
+    A bijection of lattices that preserves and reflects the order preserves
+    meet and join, so :func:`poset_isomorphic` finds the map and
+    :func:`order_iso_refusal` certifies it, cover by cover.
     """
     if L1.n != L2.n:
         return IsoResult(False, refusal=f"sizes differ: {L1.n} vs {L2.n}")
     if sorted(L1.rank) != sorted(L2.rank):
         return IsoResult(False, refusal="rank multisets differ")
-    P1, idx1 = join_irreducibles(L1)
-    P2, idx2 = join_irreducibles(L2)
-    if P1.n != P2.n:
-        return IsoResult(False, refusal="join-irreducible counts differ")
-    pmap = poset_isomorphic(P1, P2)
-    if pmap is None:
-        return IsoResult(False, refusal="join-irreducible posets are not isomorphic")
-
-    down = L1.poset.down_masks
-    mapping: list[int] = []
-    for x in range(L1.n):
-        img = L2.bottom
-        for k, p in enumerate(idx1):
-            if down[x] >> p & 1:
-                img = L2.join(img, idx2[pmap[k]])
-        mapping.append(img)
-    if len(set(mapping)) != L1.n:
-        return IsoResult(False, refusal="lifted map is not a bijection")
+    mapping = poset_isomorphic(L1.poset, L2.poset)
+    if mapping is None:
+        return IsoResult(False, refusal="no order isomorphism")
     Q = L2.poset
-    if order_iso_refusal(
+    refusal = order_iso_refusal(
         L1.poset, mapping, lambda a, b: b in Q.up_covers[a], len(Q.covers)
-    ) is not None:
-        return IsoResult(False, refusal="lifted map does not preserve order")
+    )
+    if len(set(mapping)) != L1.n or refusal is not None:
+        raise AssertionError(f"bad isomorphism: {refusal or 'not a bijection'}")
     return IsoResult(True, mapping=tuple(mapping))
 
 

@@ -15,7 +15,13 @@ from typing import Iterable
 from .caps import SizeCaps
 from .derive import component_labels
 from .errors import SizeCapExceeded
-from .lattice import FiniteLattice, FinitePoset, lattice_isomorphic, order_ideal_lattice
+from .lattice import (
+    FiniteLattice,
+    FinitePoset,
+    join_irreducibles,
+    lattice_isomorphic,
+    order_ideal_lattice,
+)
 from .matching import Matching
 from .plane_graph import PlaneBipartiteGraph
 
@@ -184,8 +190,6 @@ def _bits(mask: int) -> Iterable[int]:
 def distributive_by_birkhoff(L: FiniteLattice) -> bool:
     """A finite lattice is distributive iff it embeds onto the ideal
     lattice of its join-irreducibles; used to cross-check the triple loop."""
-    from .lattice import join_irreducibles
-
     P, _ = join_irreducibles(L)
     try:
         J, _ = order_ideal_lattice(P, caps=SizeCaps(max_matchings=L.n))

@@ -120,23 +120,13 @@ class PlaneBipartiteGraph:
         u, w = self.edges[edge_id]
         return w if v == u else u
 
-    def color(self, v: int) -> int:
-        return self.colors[v]
-
     def white_end(self, edge_id: int) -> int:
         u, w = self.edges[edge_id]
         return u if self.colors[u] == WHITE else w
 
-    def black_end(self, edge_id: int) -> int:
-        u, w = self.edges[edge_id]
-        return u if self.colors[u] == BLACK else w
-
     @cached_property
     def inner_face_ids(self) -> tuple[int, ...]:
         return tuple(f.face_id for f in self.faces if not f.is_outer)
-
-    def face(self, face_id: int) -> FaceWalk:
-        return self.faces[face_id]
 
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -441,7 +431,6 @@ class DualDigraph:
 
     nodes: tuple[int, ...]
     arcs: tuple[DualArc, ...]
-    includes_outer: bool
 
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
@@ -460,11 +449,11 @@ def oriented_dual(
         arcs.append(DualArc(src=src, dst=dst, edge_id=eid))
     if include_outer:
         nodes = tuple(f.face_id for f in G.faces)
-        return DualDigraph(nodes=nodes, arcs=tuple(arcs), includes_outer=True)
+        return DualDigraph(nodes=nodes, arcs=tuple(arcs))
     nodes = G.inner_face_ids
     keep = set(nodes)
     arcs = [a for a in arcs if a.src in keep and a.dst in keep]
-    return DualDigraph(nodes=nodes, arcs=tuple(arcs), includes_outer=False)
+    return DualDigraph(nodes=nodes, arcs=tuple(arcs))
 
 
 # --- cycles and interiors ---------------------------------------------------
@@ -751,15 +740,15 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
     """Enumerate the e-cuts of a 2-connected outerplane host.
 
     Walks every simple directed cycle of the full oriented dual through
-    the outer-face node (length >= 2) and maps each to its primal minimal
-    edge cut.  On a 2-connected outerplane host every dual cycle passes
-    through the outer face, so the list is complete, and every vertex
-    lies on the outer walk.  The cycle crosses exactly two outer edges,
-    its first and its last; the two runs of the outer walk between them
-    stay connected once the cut is removed, so they are the banks, read
-    off in O(V) per cut with no traversal.  Any other host raises
-    :class:`NotOuterplane`: there the cuts whose dual cycle avoids the
-    outer face would be missing.
+    the outer-face node (length >= 2), depth first over an explicit stack
+    of arc iterators, and maps each to its primal minimal edge cut.  On a
+    2-connected outerplane host every dual cycle passes through the outer
+    face, so the list is complete, and every vertex lies on the outer
+    walk.  The cycle crosses exactly two outer edges, its first and its
+    last; the two runs of the outer walk between them stay connected once
+    the cut is removed, so they are the banks, read off in O(V) per cut
+    with no traversal.  Any other host raises :class:`NotOuterplane`:
+    there the cuts whose dual cycle avoids the outer face would be missing.
     """
     if not is_outerplane_2connected(G):
         raise NotOuterplane("e-cuts need a 2-connected outerplane host")
@@ -775,26 +764,22 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
     path_faces: list[int] = [f0]
     path_edges: list[int] = []
     on_path = {f0}
-
-    def extend() -> None:
-        here = path_faces[-1]
-        for arc in arcs_from[here]:
-            if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
-                cuts.append(
-                    _build_e_cut(G, at, path_faces[:], path_edges + [arc.edge_id])
-                )
-                continue
-            if arc.dst in on_path:
-                continue
+    todo = [iter(arcs_from[f0])]
+    while todo:
+        arc = next(todo[-1], None)
+        if arc is None:
+            todo.pop()
+            if path_edges:
+                on_path.remove(path_faces.pop())
+                path_edges.pop()
+            continue
+        if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
+            cuts.append(_build_e_cut(G, at, path_faces[:], path_edges + [arc.edge_id]))
+        elif arc.dst not in on_path:
             path_faces.append(arc.dst)
             path_edges.append(arc.edge_id)
             on_path.add(arc.dst)
-            extend()
-            on_path.remove(arc.dst)
-            path_edges.pop()
-            path_faces.pop()
-
-    extend()
+            todo.append(iter(arcs_from[arc.dst]))
     cuts.sort(key=lambda c: sorted(c.edges))
     return cuts
 

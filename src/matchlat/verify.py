@@ -8,7 +8,6 @@ exposes the suites; the acceptance tests assert them.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional, Sequence

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import weakref
 
 import pytest
@@ -31,6 +32,7 @@ from matchlat.generators import (
     PROPER,
     RISING,
     VERTICAL,
+    _clockwise_rotation,
     parallelogram_spec,
     prolate_triangle_spec,
 )
@@ -76,6 +78,23 @@ class TestTruncatedParallelogram:
         with pytest.raises(SizeCapExceeded, match="900 inner faces exceeds cap 20"):
             truncated_parallelogram(parallelogram_spec(30, 30))
         assert rotations == []
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_rotation_is_the_atan2_order(self, points):
+        """The exact clockwise order equals the float key -atan2(dy, dx),
+        kept here as the reference, on a star of distinct directions."""
+        ends: dict[tuple[int, int], tuple[int, int]] = {}
+        for dx, dy in points:
+            if (dx, dy) != (0, 0):
+                g = math.gcd(dx, dy)
+                ends.setdefault((dx // g, dy // g), (dx, dy))
+        coords = [(0, 0), *ends.values()]
+        edges = [(0, k) for k in range(1, len(coords))]
+        expected = sorted(
+            range(len(edges)), key=lambda e: -math.atan2(coords[e + 1][1], coords[e + 1][0])
+        )
+        assert _clockwise_rotation(coords, edges)[0] == tuple(expected)
 
     def test_edge_kinds_partition(self, pyrene):
         kinds = set(pyrene.edge_kind)

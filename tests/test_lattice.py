@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,24 @@ def chain(k):
 
 def l_2x3():
     return direct_product(chain(2), chain(3))
+
+
+@st.composite
+def small_posets(draw, max_n=6, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                pairs.append((i, j))
+    return poset_from_relation(tuple(range(n)), pairs)
+
+
+def pentagon():
+    """N5: 0 < a < b < 1 beside 0 < c < 1, the smallest non-modular lattice."""
+    return lattice_from_poset(
+        FinitePoset(("0", "a", "b", "c", "1"), ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4)))
+    )
 
 
 class TestLatticeFromPoset:
@@ -315,6 +335,53 @@ class TestIsomorphism:
         assert not res.isomorphic
         assert res.refusal
 
+    def test_pentagon_against_a_relabelled_copy(self):
+        """The search is not confined to distributive lattices."""
+        N5 = pentagon()
+        perm = (3, 0, 4, 1, 2)
+        copy = lattice_from_poset(
+            FinitePoset(
+                tuple(N5.labels[perm.index(k)] for k in range(N5.n)),
+                tuple((perm[lo], perm[hi]) for lo, hi in N5.poset.covers),
+            )
+        )
+        res = lattice_isomorphic(N5, copy)
+        assert res.isomorphic
+        m = res.mapping
+        for x in range(N5.n):
+            for y in range(N5.n):
+                assert m[N5.meet(x, y)] == copy.meet(m[x], m[y])
+                assert m[N5.join(x, y)] == copy.join(m[x], m[y])
+
+    def test_pentagon_against_ideals_of_lambda(self):
+        # J(a < c > b) is 0 < a, b < a v b < 1: five elements ranked 0,1,1,2,3
+        J, _ = order_ideal_lattice(poset_from_relation("abc", [(0, 2), (1, 2)]))
+        N5 = pentagon()
+        assert J.n == N5.n and sorted(J.rank) == sorted(N5.rank)
+        res = lattice_isomorphic(N5, J)
+        assert not res.isomorphic
+        assert res.refusal == "no order isomorphism"
+
+    @given(small_posets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_poset_isomorphic_decides_as_brute_force(self, P, data):
+        n = P.n
+        if data.draw(st.booleans()):
+            g = data.draw(st.permutations(range(n)))
+            Q = poset_from_relation(range(n), [(g[x], g[y]) for x, y in P.covers])
+        else:
+            Q = data.draw(small_posets(max_n=n, min_n=n))
+
+        def order_iso(f):
+            return all(
+                P.leq(x, y) == Q.leq(f[x], f[y]) for x in range(n) for y in range(n)
+            )
+
+        f = poset_isomorphic(P, Q)
+        assert (f is not None) == any(map(order_iso, itertools.permutations(range(n))))
+        if f is not None:
+            assert sorted(f) == list(range(n)) and order_iso(f)
+
     def test_birkhoff_round_trip(self):
         for L in (l_2x3(), chain(5), order_ideal_lattice(grid_poset(2, 2))[0]):
             P, _ = join_irreducibles(L)
@@ -341,17 +408,6 @@ class TestDirectProduct:
         J2, _ = order_ideal_lattice(P2)
         J12, _ = order_ideal_lattice(disjoint_union(P1, P2))
         assert lattice_isomorphic(direct_product(J1, J2), J12).isomorphic
-
-
-@st.composite
-def small_posets(draw, max_n=6, min_n=0):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                pairs.append((i, j))
-    return poset_from_relation(tuple(range(n)), pairs)
 
 
 class TestPosetProperties:

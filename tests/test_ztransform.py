@@ -9,6 +9,7 @@ from matchlat import (
     enumerate_perfect_matchings,
     extremal_matchings,
     face_poset_outerplane,
+    find_e_cuts,
     link_components,
     load_graph,
     matching_lattice,
@@ -294,6 +295,18 @@ class TestDeltaAndPaths:
         finally:
             gc.enable()
 
+    def test_find_e_cuts_leaves_no_cyclic_garbage(self):
+        """The search frees its paths by reference counting alone."""
+        G = parse_spec("tree:1>2,3>2,3>4,5>4").graph
+        find_e_cuts(G)  # memoises what the graph derives
+        gc.collect()
+        gc.disable()
+        try:
+            find_e_cuts(G)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_path(self, c6):
         m1, _ = enumerate_perfect_matchings(c6)
         assert path_face_multiplicity(c6, [m1], c6.inner_face_ids[0]) == 0
@@ -315,7 +328,6 @@ class TestFacePoset:
         cyclic = DualDigraph(
             nodes=(f, g),
             arcs=(DualArc(f, g, 0), DualArc(g, f, 1)),
-            includes_outer=False,
         )
         monkeypatch.setattr(ztransform, "oriented_dual", lambda G, include_outer: cyclic)
         with pytest.raises(DirectedCycleInInnerDual):
