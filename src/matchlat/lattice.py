@@ -218,12 +218,6 @@ def grid_poset(m: int, n: int) -> FinitePoset:
     return FinitePoset(labels, tuple(sorted(covers)))
 
 
-def disjoint_union(P1: FinitePoset, P2: FinitePoset) -> FinitePoset:
-    labels = P1.labels + P2.labels
-    covers = list(P1.covers) + [(lo + P1.n, hi + P1.n) for lo, hi in P2.covers]
-    return FinitePoset(labels, tuple(covers))
-
-
 # --- lattices ---------------------------------------------------------------
 
 
@@ -452,24 +446,28 @@ def order_ideal_lattice(
 
 
 def _enumerate_ideals(P: FinitePoset, cap: int) -> tuple[int, ...]:
-    """All down-sets of P, DFS over a fixed linear extension, as bitmasks."""
+    """All down-sets of P, DFS over a fixed linear extension, as bitmasks.
+
+    The search runs on an explicit stack of (position, ideal, forbidden
+    mask): a recursive one would go as deep as P is tall, and its closure
+    would be a reference cycle.
+    """
     ext = P.topo_order
     out: list[int] = []
-
-    def rec(i: int, mask: int, forbidden: int) -> None:
+    todo = [(0, 0, 0)]
+    while todo:
+        i, mask, forbidden = todo.pop()
         if i == len(ext):
             if len(out) >= cap:
                 raise SizeCapExceeded(f"more than {cap} order ideals")
             out.append(mask)
-            return
+            continue
         x = ext[i]
         # exclude x: everything above x is excluded too
-        rec(i + 1, mask, forbidden | P.up_masks[x])
+        todo.append((i + 1, mask, forbidden | P.up_masks[x]))
         # include x if allowed and its strict down-set is already in
         if not (forbidden >> x & 1) and (P.down_masks[x] & ~(1 << x)) & ~mask == 0:
-            rec(i + 1, mask | (1 << x), forbidden)
-
-    rec(0, 0, 0)
+            todo.append((i + 1, mask | (1 << x), forbidden))
     return tuple(sorted(out, key=lambda m: (bin(m).count("1"), m)))
 
 

@@ -563,16 +563,6 @@ def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
     )
 
 
-def check_cycle(G: PlaneBipartiteGraph, cycle_edges: Iterable[int]) -> frozenset[int]:
-    """Verify an edge set forms one simple cycle; return it as a frozenset.
-
-    A degree test on vertex masks and one walk from the smallest edge: the
-    walk must take every edge.
-    """
-    _, steps = _checked_walk(G, cycle_edges)
-    return frozenset(eid for eid, _, _ in steps)
-
-
 def faces_inside_cycle(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> frozenset[int]:
@@ -611,14 +601,6 @@ def clockwise_cycle(
     if not senses.pop():
         steps = [(eid, head, tail) for eid, tail, head in steps]
     return steps, inside
-
-
-def cycle_clockwise_steps(
-    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
-) -> dict[int, tuple[int, int]]:
-    """Clockwise traversal direction (tail, head) for each edge of a cycle."""
-    steps, _ = clockwise_cycle(G, cycle_edges)
-    return {eid: (tail, head) for eid, tail, head in steps}
 
 
 # --- elementary structure ---------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -16,6 +17,7 @@ from .caps import DEFAULT_CAPS, SizeCaps
 from .errors import MatchlatError
 from .generators import (
     OrientedTree,
+    TruncatedParallelogram,
     TruncatedParallelogramSpec,
     hexagon_poset,
     link_components,
@@ -90,21 +92,7 @@ class VerificationReport:
         return self.n_fail == 0
 
     def add(self, claim_id: str, fn: Callable[[], Optional[str]]) -> None:
-        """Run one check; a raised error or returned message is a failure witness."""
-        try:
-            witness = fn()
-        except MatchlatError as exc:
-            self.checks.append(
-                CheckResult(claim_id, "fail", f"{type(exc).__name__}: {exc}")
-            )
-            return
-        except AssertionError as exc:
-            self.checks.append(CheckResult(claim_id, "fail", f"assertion: {exc}"))
-            return
-        if witness is None:
-            self.checks.append(CheckResult(claim_id, "pass"))
-        else:
-            self.checks.append(CheckResult(claim_id, "fail", witness))
+        self.checks.append(_checked(claim_id, fn))
 
     def to_json(self) -> dict:
         return {
@@ -128,6 +116,19 @@ class VerificationReport:
             f"suite {self.suite}: {self.n_pass} passed, {self.n_fail} failed"
         )
         return "\n".join(lines)
+
+
+def _checked(claim_id: str, fn: Callable[[], Optional[str]]) -> CheckResult:
+    """Run one check; a raised error or returned message is a failure witness."""
+    try:
+        witness = fn()
+    except MatchlatError as exc:
+        witness = f"{type(exc).__name__}: {exc}"
+    except AssertionError as exc:
+        witness = f"assertion: {exc}"
+    if witness is None:
+        return CheckResult(claim_id, "pass")
+    return CheckResult(claim_id, "fail", witness)
 
 
 # --- suite sizes ----------------------------------------------------------------
@@ -244,35 +245,43 @@ def check_counting(report: VerificationReport, caps: SizeCaps) -> None:
         report.add(f"count T_{m} = Catalan", fn)
 
 
-def check_parallelogram_iso(report: VerificationReport, caps: SizeCaps) -> None:
-    """Matching lattice vs hexagon ideal lattice for every small row profile."""
+def check_parallelogram_profiles(report: VerificationReport, caps: SizeCaps) -> None:
+    """Every small row profile: M(H) = J(F(H)), and elementary H gives an
+    irreducible M(H) with only its extremes complemented.
+
+    One pass builds each host once for both claims and drops it before
+    the next profile.  A build that raises is not kept, so it raises again
+    and fails the second claim with the same witness.  The report lists
+    every isomorphism claim before the first irreducibility claim.
+    """
+    iso: list[CheckResult] = []
+    irreducible: list[CheckResult] = []
     for rows in _all_profiles(MAX_HEXAGONS):
-        def fn(rows=rows) -> Optional[str]:
-            H = truncated_parallelogram(TruncatedParallelogramSpec(rows), caps)
-            verify_iso_parallelogram(H)
-            return None
+        spec = TruncatedParallelogramSpec(rows)
+        host = cache(lambda: truncated_parallelogram(spec, caps))
+        iso.append(_checked(f"iso M(H) = J(F(H)) for rows {rows}",
+                            lambda: _parallelogram_iso(host())))
+        irreducible.append(_checked(f"irreducible M(H) for rows {rows}",
+                                    lambda: _irreducibility_refusal(host().graph)))
+    report.checks += iso + irreducible
 
-        report.add(f"iso M(H) = J(F(H)) for rows {rows}", fn)
+
+def _parallelogram_iso(H: TruncatedParallelogram) -> None:
+    verify_iso_parallelogram(H)
 
 
-def check_irreducibility(report: VerificationReport, caps: SizeCaps) -> None:
-    """Elementary hosts give irreducible lattices; only extremes complemented."""
-    for rows in _all_profiles(MAX_HEXAGONS):
-        def fn(rows=rows) -> Optional[str]:
-            G = truncated_parallelogram(TruncatedParallelogramSpec(rows), caps).graph
-            L = matching_lattice(G)
-            if central_elements(L):
-                return "central elements found"
-            comp = complements(L)
-            extra = [
-                x for x, y in comp.items()
-                if y is not None and x not in (L.bottom, L.top)
-            ]
-            if extra:
-                return f"non-extremal complemented elements {extra}"
-            return None
-
-        report.add(f"irreducible M(H) for rows {rows}", fn)
+def _irreducibility_refusal(G: PlaneBipartiteGraph) -> Optional[str]:
+    L = matching_lattice(G)
+    if central_elements(L):
+        return "central elements found"
+    comp = complements(L)
+    extra = [
+        x for x, y in comp.items()
+        if y is not None and x not in (L.bottom, L.top)
+    ]
+    if extra:
+        return f"non-extremal complemented elements {extra}"
+    return None
 
 
 def check_link_decomposition(report: VerificationReport, caps: SizeCaps) -> None:
@@ -550,7 +559,7 @@ def check_structural_invariants(report: VerificationReport, caps: SizeCaps) -> N
 
 SUITES = {
     "core": (check_delta_path_invariance, check_structural_invariants),
-    "parallelogram": (check_counting, check_parallelogram_iso, check_irreducibility),
+    "parallelogram": (check_counting, check_parallelogram_profiles),
     "outerplane": (check_outerplane,),
     "decomposition": (check_link_decomposition, check_grid_sublattice),
 }

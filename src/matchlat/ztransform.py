@@ -34,6 +34,7 @@ from .errors import (
     MultipleSinks,
     MultipleSources,
     NoPerfectMatching,
+    NotAMatching,
     NotAPath,
     NotComparable,
     NotOuterplane,
@@ -182,6 +183,7 @@ def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
     return MatchingPoset(digraph=Z, poset=poset, components=poset.components)
 
 
+@per_object
 def matching_lattice(G: PlaneBipartiteGraph) -> FiniteLattice:
     """The full matching lattice; fails if the host is not weakly elementary."""
     return lattice_from_poset(matching_poset(G).poset)
@@ -242,7 +244,10 @@ def delta_cycle_count(
     """
     mp = matching_poset(G)
     idx = matching_index(G)
-    i, j = idx[M], idx[M2]
+    try:
+        i, j = idx[M], idx[M2]
+    except KeyError as exc:
+        raise NotAMatching(f"{exc} is not a perfect matching of the graph") from None
     if not mp.leq(j, i):
         raise NotComparable("second matching is not below the first")
     total = 0

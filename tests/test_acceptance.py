@@ -10,25 +10,29 @@ import time
 from pathlib import Path
 
 import matchlat
+from matchlat import verify
 from matchlat.caps import DEFAULT_CAPS
+from matchlat.errors import SizeCapExceeded
 from matchlat.verify import (
     VerificationReport,
     check_counting,
     check_delta_path_invariance,
     check_grid_sublattice,
-    check_irreducibility,
     check_link_decomposition,
     check_outerplane,
-    check_parallelogram_iso,
+    check_parallelogram_profiles,
     check_structural_invariants,
+    run_suite,
 )
 
 
-def _run(name, check, budget=None):
+def _run(name, check, budget=None, claims=""):
+    """Run a check into a fresh report and keep the claims with this prefix."""
     report = VerificationReport(suite=name)
     start = time.perf_counter()
     check(report, DEFAULT_CAPS)
     elapsed = time.perf_counter() - start
+    report.checks = [c for c in report.checks if c.claim_id.startswith(claims)]
     status = "PASS" if report.passed else "FAIL"
     print(
         f"[{status}] {name}: {report.n_pass}/{len(report.checks)} checks "
@@ -53,15 +57,59 @@ def test_criterion_2_parallelogram_isomorphism():
     """Certified lattice/ideal isomorphism for every profile up to 10 hexagons."""
     report = _run(
         "criterion 2: hexagon-system isomorphisms",
-        check_parallelogram_iso,
+        check_parallelogram_profiles,
         budget=60.0,
+        claims="iso ",
     )
     assert len(report.checks) == 138  # partitions of 1..10
 
 
 def test_criterion_3_irreducibility():
     """Elementary hosts: no central elements, only extremes complemented."""
-    _run("criterion 3: irreducibility", check_irreducibility)
+    report = _run(
+        "criterion 3: irreducibility",
+        check_parallelogram_profiles,
+        claims="irreducible ",
+    )
+    assert len(report.checks) == 138
+
+
+def test_parallelogram_suite_builds_each_host_once(monkeypatch):
+    """20 counting hosts plus one per row profile, shared by both claims;
+    the report lists all isomorphism claims before the irreducibility ones."""
+    builds = []
+
+    def counted(spec, caps):
+        builds.append(spec.rows)
+        return build(spec, caps)
+
+    build = verify.truncated_parallelogram
+    monkeypatch.setattr(verify, "truncated_parallelogram", counted)
+    report = run_suite("parallelogram")
+    kinds = [c.claim_id.split()[0] for c in report.checks]
+    assert kinds == ["count"] * 20 + ["iso"] * 138 + ["irreducible"] * 138
+    assert report.passed
+    assert len(builds) == 158
+    assert len(set(builds[20:])) == 138
+
+
+def test_failed_build_fails_both_claims(monkeypatch):
+    build = verify.truncated_parallelogram
+
+    def refuse_pyrene(spec, caps):
+        if spec.rows == (2, 2):
+            raise SizeCapExceeded("4 inner faces exceeds cap 3")
+        return build(spec, caps)
+
+    monkeypatch.setattr(verify, "truncated_parallelogram", refuse_pyrene)
+    report = VerificationReport(suite="parallelogram profiles")
+    check_parallelogram_profiles(report, DEFAULT_CAPS)
+    failed = [(c.claim_id, c.witness) for c in report.checks if not c.passed]
+    witness = "SizeCapExceeded: 4 inner faces exceeds cap 3"
+    assert failed == [
+        ("iso M(H) = J(F(H)) for rows (2, 2)", witness),
+        ("irreducible M(H) for rows (2, 2)", witness),
+    ]
 
 
 def test_criterion_4_link_decomposition():

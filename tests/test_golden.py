@@ -2,8 +2,9 @@
 
 `test_deterministic_bytes` only compares two runs of the same code; these
 digests pin the bytes of `gen` and of every `analyze` target and format
-on four small hosts, and the JSON of the 12-node fence's matchings, flip
-digraph and lattice, so a refactor that changes any output fails here.
+on four small hosts, the JSON of the 12-node fence's matchings, flip
+digraph and lattice, and the JSON report of `verify all`, so a refactor
+that changes any output fails here.
 Regenerate the table only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -30,7 +31,7 @@ FENCE_12 = "tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12"
 LARGE_CASES = tuple(
     f"analyze {FENCE_12} {target} --format json"
     for target in ("zdig", "matchings", "lattice")
-)
+) + ("verify all --format json",)
 
 
 def cases() -> list[str]:
@@ -172,6 +173,7 @@ GOLDEN = {
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 zdig --format json': '0 b042656305eb701be78c7522ff72118d13e45e0e0a42d8455682020a7651a61d',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 matchings --format json': '0 eb7d5a5971da1405c41256128b7ee882df81d8622579f9d078394340609c6311',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 lattice --format json': '0 807fccf40dba4932cb07f632c85e6108565b7bca3c77e6132dfc18eb26aa4dcd',
+    'verify all --format json': '0 39920ecdff122e01e20f322891fc8ad73fa7958a899d3ef069245672379f935d',
 }
 
 

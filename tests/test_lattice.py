@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -17,7 +18,6 @@ from matchlat.lattice import (
     chain_poset,
     complements,
     direct_product,
-    disjoint_union,
     grid_poset,
     grid_sublattice,
     irreducible_decomposition,
@@ -255,6 +255,26 @@ class TestOrderIdealLattice:
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             order_ideal_lattice(grid_poset(3, 3), caps=SizeCaps(max_matchings=5))
+        with pytest.raises(SizeCapExceeded, match="more than 19 order ideals"):
+            order_ideal_lattice(grid_poset(3, 3), caps=SizeCaps(max_matchings=19))
+        J, _ = order_ideal_lattice(grid_poset(3, 3), caps=SizeCaps(max_matchings=20))
+        assert J.n == 20
+
+    def test_tall_chain(self):
+        """The search depth is the poset's height, past the recursion limit."""
+        J, masks = order_ideal_lattice(chain_poset(1100))
+        assert J.n == 1101
+        assert masks == tuple((1 << k) - 1 for k in range(1101))
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        order_ideal_lattice(grid_poset(3, 3))
+        gc.collect()
+        gc.disable()
+        try:
+            order_ideal_lattice(grid_poset(3, 3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_subset_oracle(self):
         for P in (grid_poset(2, 3), chain_poset(6), grid_poset(3, 3)):
@@ -406,7 +426,8 @@ class TestDirectProduct:
         P1, P2 = grid_poset(2, 2), chain_poset(3)
         J1, _ = order_ideal_lattice(P1)
         J2, _ = order_ideal_lattice(P2)
-        J12, _ = order_ideal_lattice(disjoint_union(P1, P2))
+        covers = P1.covers + tuple((lo + P1.n, hi + P1.n) for lo, hi in P2.covers)
+        J12, _ = order_ideal_lattice(FinitePoset(P1.labels + P2.labels, covers))
         assert lattice_isomorphic(direct_product(J1, J2), J12).isomorphic
 
 

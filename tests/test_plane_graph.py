@@ -29,7 +29,7 @@ from matchlat.errors import (
 from matchlat.generators import TruncatedParallelogramSpec
 from matchlat.matching import classify_cycle
 from matchlat.oracles import faces_inside_cycle_by_flood, minimal_cuts_with_white_bank
-from matchlat.plane_graph import ECut, check_cycle, cycle_clockwise_steps
+from matchlat.plane_graph import ECut, clockwise_cycle
 from matchlat.verify import (
     MAX_ORIENTATIONS,
     MAX_TREE_NODES,
@@ -264,7 +264,7 @@ class TestFacesInsideCycle:
         hexagon[2] = eid
         M = enumerate_perfect_matchings(G)[0]
         fn = {
-            "check": lambda: check_cycle(G, hexagon),
+            "check": lambda: clockwise_cycle(G, hexagon),
             "inside": lambda: faces_inside_cycle(G, hexagon),
             "classify": lambda: classify_cycle(G, M, hexagon),
         }[route]
@@ -277,7 +277,7 @@ class TestFacesInsideCycle:
         G = H.graph
         M = enumerate_perfect_matchings(G)[0]
         fn = {
-            "check": check_cycle,
+            "check": clockwise_cycle,
             "inside": faces_inside_cycle,
             "classify": lambda G, edges: classify_cycle(G, M, edges),
         }[route]
@@ -316,9 +316,9 @@ class TestFacesInsideCycle:
     def test_clockwise_steps_coherent(self, pyrene):
         G = pyrene.graph
         f = pyrene.hexagon_face[(1, 1)]
-        steps = cycle_clockwise_steps(G, G.faces[f].edge_set)
-        walk_dirs = {(t, h) for _, t, h in G.faces[f].steps}
-        assert set(steps.values()) == walk_dirs
+        steps, inside = clockwise_cycle(G, G.faces[f].edge_set)
+        assert sorted(steps) == sorted(G.faces[f].steps)
+        assert inside == {f}
 
 
 class TestElementaryStructure:

@@ -256,6 +256,15 @@ class TestDeltaAndPaths:
                 G, mp.matchings[i], mp.matchings[j], G.inner_face_ids[0]
             )
 
+    def test_non_matching_is_refused(self, pyrene):
+        G = pyrene.graph
+        M = extremal_matchings(G).root
+        f = G.inner_face_ids[0]
+        with pytest.raises(NotAMatching, match=r"\(0,\)\) is not a perfect matching"):
+            delta_cycle_count(G, Matching((0,)), M, f)
+        with pytest.raises(NotAMatching):
+            delta_cycle_count(G, M, Matching(tuple(reversed(M.edge_ids))), f)
+
     def test_path_multiplicity_matches_delta(self, pyrene):
         G = pyrene.graph
         mp = matching_poset(G)
@@ -500,7 +509,8 @@ class TestLinkedLattice:
 def test_derived_data_dies_with_its_graph():
     G = load_graph(c6_description())
     for derive in (enumerate_perfect_matchings, matching_index, build_z_digraph,
-                   matching_poset, extremal_matchings, face_poset_outerplane):
+                   matching_poset, matching_lattice, extremal_matchings,
+                   face_poset_outerplane):
         assert derive(G) is derive(G)
     L = matching_lattice(G)
     assert irreducible_decomposition(L) is irreducible_decomposition(L)
