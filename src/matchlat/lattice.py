@@ -4,10 +4,12 @@ Elements are indexed 0..n-1 with opaque labels; the order is stored as an
 irredundant cover relation.  A lattice's meet and join are methods, one
 lookup of ``down[x] & down[y]`` (``up[x] & up[y]``) among the principal
 down-sets (up-sets); :func:`lattice_from_poset` certifies that no lookup
-misses.  Lattice isomorphism is one depth-first search on the principal
-down-sets, and every order map it or a product decomposition yields is
-certified by its covers alone, through :func:`order_iso_refusal`.
-Everything here is exhaustive and exact: triple-loop distributivity,
+misses: a distributive lattice by its Birkhoff coordinates in O(n |Irr|),
+any other poset by the pair loop, which with :func:`is_distributive`'s
+triple loop is also the oracle.  Lattice isomorphism is one depth-first
+search on the principal down-sets, and every order map it or a product
+decomposition yields is certified by its covers alone, through
+:func:`order_iso_refusal`.  Everything here is exhaustive and exact:
 explicit complement search, order-ideal enumeration with bitmask
 encoding, and factorization through connected components of the
 join-irreducible subposet.
@@ -116,6 +118,19 @@ class FinitePoset:
                 masks[y] |= masks[x]
         return tuple(masks)
 
+    @cached_property
+    def irreducible_coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Irr (the elements with one lower cover) and per x the mask D[x] of
+        Irr below x: bit k for irr[k]."""
+        irr = tuple(x for x, d in enumerate(self.down_covers) if len(d) == 1)
+        D = [0] * self.n
+        for k, x in enumerate(irr):
+            D[x] = 1 << k
+        for x in self.topo_order:
+            for y in self.up_covers[x]:
+                D[y] |= D[x]
+        return irr, tuple(D)
+
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up_masks[x] >> y & 1)
 
@@ -136,7 +151,7 @@ class FinitePoset:
         return tuple(tuple(c) for c in members.values())
 
     def subposet(self, indices: Sequence[int]) -> "FinitePoset":
-        """Induced subposet; the cover relation is recomputed by reduction."""
+        """Induced subposet, reduced from all n^2 pairs: a test oracle."""
         idx = list(indices)
         pos = {x: i for i, x in enumerate(idx)}
         pairs = [
@@ -188,15 +203,17 @@ def poset_from_relation(
     for x in range(n):
         if lt[x] >> x & 1:
             raise ParseError("relation contains a cycle")
-    covers: list[tuple[int, int]] = []
-    for x in range(n):
-        # t covers x iff x < t and no z sits strictly between: x < z < t
+    return FinitePoset(tuple(labels), tuple(sorted(_reduction(lt))))
+
+
+def _reduction(lt: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Pairs (x, t), t covering x, of the strict order with up-masks lt."""
+    for x, m in enumerate(lt):
         beyond = 0
-        for z in _bits(lt[x]):
+        for z in _bits(m):
             beyond |= lt[z]
-        for t in _bits(lt[x] & ~beyond):
-            covers.append((x, t))
-    return FinitePoset(tuple(labels), tuple(sorted(covers)))
+        for t in _bits(m & ~beyond):
+            yield x, t
 
 
 def chain_poset(k: int) -> FinitePoset:
@@ -262,12 +279,43 @@ class FiniteLattice:
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
     """Certify that every pair has a meet and a join; raise NotALattice
-    with a witness pair.
+    with a witness pair.  A distributive lattice passes
+    :func:`_birkhoff_certificate`; any other poset runs the pair loop."""
+    if not _birkhoff_certificate(P):
+        return _lattice_by_pairs(P)
+    by_down = {m: z for z, m in enumerate(P.down_masks)}
+    by_up = {m: w for w, m in enumerate(P.up_masks)}
+    return FiniteLattice(P, P.topo_order[0], P.topo_order[-1], by_down, by_up)
 
-    The common lower bounds of x and y form the down-set of some z exactly
-    when z = x ^ y, so the meet exists when ``down[x] & down[y]`` is a
-    principal down-set, and is the element it belongs to; joins likewise
-    with up-sets.  The lattice keeps the two lookups, not a table.
+
+def _birkhoff_certificate(P: FinitePoset) -> bool:
+    """True when the coordinates D show P is J(Irr P); False decides nothing.
+
+    Accepts a nonempty P when D is injective, each cover adds one
+    irreducible, and each x has as many upper covers as D[x] has in J(Irr),
+    where the ideal D[x] gains i when the D of i's lower cover lies in it.
+    Then, up from D[x] = {} for a minimal x, D is a bijection onto J(Irr)
+    that preserves covers and their number (:func:`order_iso_refusal`).
+    """
+    irr, D = P.irreducible_coordinates
+    if not D or len(set(D)) != P.n or any(
+        (D[hi] ^ D[lo]).bit_count() != 1 for lo, hi in P.covers
+    ):
+        return False
+    below = [D[P.down_covers[x][0]] for x in irr]
+    # D[x] is an ideal, so the i it holds are among those with below(i) in it
+    return all(
+        len(up) == sum(b & ~d == 0 for b in below) - d.bit_count()
+        for d, up in zip(D, P.up_covers)
+    )
+
+
+def _lattice_by_pairs(P: FinitePoset) -> FiniteLattice:
+    """The pair loop, for posets the certificate refuses.  The common lower
+    bounds of x and y form the down-set of some z exactly when z = x ^ y,
+    so the meet exists when ``down[x] & down[y]`` is a principal down-set,
+    and is the element it belongs to; joins likewise with up-sets.  The
+    lattice keeps the two lookups, not a table.
     """
     down = P.down_masks
     up = P.up_masks
@@ -413,15 +461,13 @@ def join_irreducibles(L: FiniteLattice) -> tuple[FinitePoset, tuple[int, ...]]:
     """Subposet of non-bottom elements with exactly one lower cover.
 
     Returns the subposet and the lattice indices of its elements (in the
-    subposet's element order).
+    subposet's element order).  The order is read off the coordinates:
+    irr[i] < irr[j] exactly when bit i is in D[irr[j]].
     """
-    idx = [
-        x
-        for x in range(L.n)
-        if x != L.bottom and len(L.poset.down_covers[x]) == 1
-    ]
-    idx.sort()
-    return L.poset.subposet(idx), tuple(idx)
+    irr, D = L.poset.irreducible_coordinates
+    strictly_below = [D[x] ^ 1 << k for k, x in enumerate(irr)]
+    covers = sorted((i, j) for j, i in _reduction(strictly_below))
+    return FinitePoset(tuple(L.labels[x] for x in irr), tuple(covers)), irr
 
 
 def order_ideal_lattice(
@@ -492,31 +538,24 @@ def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
     if L.n == 1:
         # convention: the one-element lattice decomposes into no factors
         return Decomposition(factors=(), product_iso=((),), factor_irreducibles=())
-    if not comps:
-        raise ProductMismatch("nontrivial lattice with no join-irreducibles")
 
     factors: list[FiniteLattice] = []
-    factor_masks: list[tuple[int, ...]] = []
     factor_index: list[dict[int, int]] = []
     for comp in comps:
-        sub = P.subposet(comp)
+        # comp is convex in P, so its covers are P's covers inside it
+        pos = {p: k for k, p in enumerate(comp)}
+        covers = tuple(sorted((pos[a], pos[b]) for a, b in P.covers if a in pos))
+        sub = FinitePoset(tuple(P.labels[p] for p in comp), covers)
         F, masks = order_ideal_lattice(sub, caps=SizeCaps(max_matchings=L.n + 1))
         factors.append(F)
-        factor_masks.append(masks)
         factor_index.append({m: k for k, m in enumerate(masks)})
 
-    # map each lattice element to its tuple of component ideals
-    down = L.poset.down_masks
-    iso: list[tuple[int, ...]] = []
-    for x in range(L.n):
-        coords: list[int] = []
-        for c, comp in enumerate(comps):
-            mask = 0
-            for pos_in_sub, p_elt in enumerate(comp):
-                if down[x] >> idx[p_elt] & 1:
-                    mask |= 1 << pos_in_sub
-            coords.append(factor_index[c][mask])
-        iso.append(tuple(coords))
+    # map each element x to its component ideals, read off the bits of D[x]
+    iso = [
+        tuple(index[sum(1 << k for k, p in enumerate(comp) if d >> p & 1)]
+              for comp, index in zip(comps, factor_index))
+        for d in L.poset.irreducible_coordinates[1]
+    ]
 
     if len(set(iso)) != L.n:
         raise ProductMismatch("element-to-tuple map is not injective")

@@ -269,6 +269,11 @@ def symmetric_difference_cycles(
     """Decompose M1 xor M2 into disjoint cycles, classified w.r.t. M1."""
     check_matching(G, M1)
     check_matching(G, M2)
+    return _difference_cycles(G, M1, M2)
+
+
+def _difference_cycles(G: PlaneBipartiteGraph, M1: Matching, M2: Matching) -> list:
+    """The same, for two matchings known to be perfect matchings of G."""
     diff = M1.edge_set ^ M2.edge_set
     return [classify_cycle(G, M1, cyc) for cyc in _cycles_of_edge_set(G, diff)]
 

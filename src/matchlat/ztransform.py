@@ -53,11 +53,11 @@ from .matching import (
     IMPROPER,
     PROPER,
     Matching,
+    _difference_cycles,
     _matching_mask,
     all_alternating_cycles,
     enumerate_perfect_matchings,
     matching_index,
-    symmetric_difference_cycles,
 )
 from .plane_graph import (
     WHITE,
@@ -164,12 +164,6 @@ class MatchingPoset:
         """True when matching i is below matching j."""
         return self.poset.leq(i, j)
 
-    def component_lattices(self) -> tuple[FiniteLattice, ...]:
-        out = []
-        for comp in self.components:
-            out.append(lattice_from_poset(self.poset.subposet(comp)))
-        return tuple(out)
-
 
 @per_object
 def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
@@ -251,7 +245,7 @@ def delta_cycle_count(
     if not mp.leq(j, i):
         raise NotComparable("second matching is not below the first")
     total = 0
-    for rep in symmetric_difference_cycles(G, M, M2):
+    for rep in _difference_cycles(G, M, M2):
         if face_id in rep.enclosed_faces:
             total += 1 if rep.orientation_class == PROPER else -1
     if total < 0:
@@ -339,8 +333,10 @@ def sigma(G: PlaneBipartiteGraph, M: Matching) -> frozenset[int]:
     """Faces enclosed by the cycles of M xor root: an ideal of the face poset."""
     face_poset_outerplane(G)  # raises NotOuterplane on any other host
     ext = extremal_matchings(G)
+    if M not in matching_index(G):  # the enumerated matchings were checked
+        raise NotAMatching(f"{M!r} is not a perfect matching of the graph")
     enclosed: set[int] = set()
-    for rep in symmetric_difference_cycles(G, M, ext.root):
+    for rep in _difference_cycles(G, M, ext.root):
         enclosed.update(rep.enclosed_faces)
     return frozenset(enclosed)
 

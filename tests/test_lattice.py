@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchlat import lattice as lattice_module, matching_lattice, parse_spec
 from matchlat.caps import SizeCaps
 from matchlat.errors import (
     ChainNotSaturated,
@@ -30,6 +31,8 @@ from matchlat.lattice import (
     poset_from_relation,
     poset_isomorphic,
     rank_check,
+    _birkhoff_certificate,
+    _lattice_by_pairs,
 )
 from matchlat.oracles import distributive_by_birkhoff, ideals_bruteforce
 
@@ -53,11 +56,31 @@ def small_posets(draw, max_n=6, min_n=0):
     return poset_from_relation(tuple(range(n)), pairs)
 
 
-def pentagon():
-    """N5: 0 < a < b < 1 beside 0 < c < 1, the smallest non-modular lattice."""
-    return lattice_from_poset(
-        FinitePoset(("0", "a", "b", "c", "1"), ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4)))
+def with_bottom_and_top(P):
+    """P with a new least element "0" and a new greatest element "1"."""
+    n = P.n
+    return poset_from_relation(
+        ("0",) + P.labels + ("1",),
+        [(0, x + 1) for x in range(n + 1)]
+        + [(x + 1, n + 1) for x in range(n)]
+        + [(x + 1, y + 1) for x in range(n) for y in range(n) if x != y and P.leq(x, y)],
     )
+
+
+# N5: 0 < a < b < 1 beside 0 < c < 1, the smallest non-modular lattice
+N5 = FinitePoset(tuple("0abc1"), ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4)))
+M3 = FinitePoset(tuple("0abc1"), ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)))
+# the seven-element lattice 0 < a, b, c; a, b < ab; b, c < bc; ab, bc < 1:
+# every cover adds one irreducible and the coordinates are injective, but
+# {a, c} is an ideal of Irr that no element has
+SEVEN = FinitePoset(
+    ("0", "a", "b", "c", "ab", "bc", "1"),
+    ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)),
+)
+
+
+def pentagon():
+    return lattice_from_poset(N5)
 
 
 class TestLatticeFromPoset:
@@ -94,6 +117,77 @@ class TestLatticeFromPoset:
     def test_witness_message(self, labels, covers, message):
         with pytest.raises(NotALattice, match=message):
             lattice_from_poset(FinitePoset(tuple(labels), covers))
+
+
+def assert_same_lattice(L1, L2):
+    assert (L1.bottom, L1.top) == (L2.bottom, L2.top)
+    assert L1.by_down == L2.by_down and L1.by_up == L2.by_up
+
+
+def assert_irreducibles_match_subposet(L):
+    """join_irreducibles against the induced subposet, reduced from all pairs."""
+    P, idx = join_irreducibles(L)
+    Q = L.poset.subposet(idx)
+    assert (P.labels, P.covers) == (Q.labels, Q.covers)
+    assert idx == tuple(
+        x for x in range(L.n) if x != L.bottom and len(L.poset.down_covers[x]) == 1
+    )
+
+
+class TestBirkhoffCertificate:
+    @given(small_posets())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_pair_loop(self, P):
+        Q = with_bottom_and_top(P)
+        try:
+            want = _lattice_by_pairs(Q)
+        except NotALattice as exc:
+            assert not _birkhoff_certificate(Q)
+            with pytest.raises(NotALattice) as got:
+                lattice_from_poset(Q)
+            assert str(got.value) == str(exc)
+            return
+        assert_same_lattice(lattice_from_poset(Q), want)
+        assert _birkhoff_certificate(Q) == is_distributive(want)[0]
+        assert_irreducibles_match_subposet(want)
+
+    @pytest.mark.parametrize("P", [N5, M3, SEVEN], ids=["N5", "M3", "seven"])
+    def test_non_distributive_lattices_fall_back(self, P):
+        assert not _birkhoff_certificate(P)
+        L = lattice_from_poset(P)
+        assert_same_lattice(L, _lattice_by_pairs(P))
+        assert not is_distributive(L)[0]
+
+    @pytest.mark.parametrize(
+        "P, message",
+        [
+            (FinitePoset(tuple("abc"), ((0, 2), (1, 2))), "'a', 'b' have no meet"),
+            (FinitePoset((), ()), "unique minimal and maximal"),
+        ],
+        ids=["two bottoms", "empty"],
+    )
+    def test_non_lattices_keep_their_witness(self, P, message):
+        assert not _birkhoff_certificate(P)
+        with pytest.raises(NotALattice, match=message):
+            lattice_from_poset(P)
+
+    def test_distributive_lattices_never_run_the_pair_loop(self, monkeypatch):
+        def refuse(P):
+            raise AssertionError("pair loop ran")
+
+        monkeypatch.setattr(lattice_module, "_lattice_by_pairs", refuse)
+        fence_16 = "tree:" + ",".join(
+            f"{k}>{k + 1}" if k % 2 else f"{k + 1}>{k}" for k in range(1, 16)
+        )
+        for spec, n in (("P(4,4)", 70), (fence_16, 2584)):
+            assert matching_lattice(parse_spec(spec).graph).n == n
+        assert order_ideal_lattice(grid_poset(3, 3))[0].n == 20
+        assert direct_product(chain(3), chain(4)).n == 12
+        with pytest.raises(AssertionError, match="pair loop ran"):
+            lattice_from_poset(N5)
+
+    def test_irreducibles_of_a_matching_lattice_match_subposet(self):
+        assert_irreducibles_match_subposet(matching_lattice(parse_spec("P(4,4)").graph))
 
 
 class TestDistributivity:
@@ -451,14 +545,7 @@ class TestPosetProperties:
     @settings(max_examples=40, deadline=None)
     def test_lattice_tables_are_the_brute_force_bounds(self, P):
         # most draws are not lattices; P with a new bottom and top often is
-        n = P.n
-        bounded = poset_from_relation(
-            ("0",) + P.labels + ("1",),
-            [(0, x + 1) for x in range(n + 1)]
-            + [(x + 1, n + 1) for x in range(n)]
-            + [(x + 1, y + 1) for x in range(n) for y in range(n) if x != y and P.leq(x, y)],
-        )
-        for Q in (P, bounded):
+        for Q in (P, with_bottom_and_top(P)):
             glb = {(x, y): _extremal_bound(Q, x, y, Q.leq) for x in range(Q.n) for y in range(Q.n)}
             lub = {(x, y): _extremal_bound(Q, x, y, lambda a, b: Q.leq(b, a)) for x, y in glb}
             # the empty poset has no bottom, so it is no lattice either

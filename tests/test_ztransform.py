@@ -39,6 +39,7 @@ from matchlat.generators import (
 from matchlat.lattice import (
     grid_poset,
     irreducible_decomposition,
+    lattice_from_poset,
     lattice_isomorphic,
     order_ideal_lattice,
     poset_isomorphic,
@@ -178,7 +179,7 @@ class TestMatchingPoset:
     def test_pendant_components(self, pendant):
         mp = matching_poset(pendant)
         assert len(mp.components) == 2
-        lattices = mp.component_lattices()
+        lattices = [lattice_from_poset(mp.poset.subposet(c)) for c in mp.components]
         assert [L.n for L in lattices] == [1, 1]
 
     def test_t2_is_j_r2(self, t2):
@@ -415,6 +416,27 @@ class TestSigma:
                 flipped = {label_of[(a, b)] for a, b in zip(path, path[1:])}
                 assert flipped == want
 
+    def test_non_matching_is_refused(self, t2):
+        with pytest.raises(NotAMatching, match=r"\(0,\)\) is not a perfect matching"):
+            sigma(t2.graph, Matching((0,)))
+
+    def test_enumerated_matchings_are_not_checked_again(self, t2, monkeypatch):
+        """sigma finds M among the enumerated matchings, which the flip
+        digraph's build checked, and does not check it again."""
+        from matchlat import matching
+
+        G = t2.graph
+        ext = extremal_matchings(G)  # certifies its own two matchings, once
+
+        def refuse(G, M):
+            raise AssertionError("check_matching called")
+
+        monkeypatch.setattr(matching, "check_matching", refuse)
+        with pytest.raises(AssertionError, match="check_matching called"):
+            matching.symmetric_difference_cycles(G, ext.source, ext.root)
+        ideals = {sigma(G, M) for M in enumerate_perfect_matchings(G)}
+        assert len(ideals) == 5
+
 
 class TestIdealIso:
     def test_hexagon(self, c6):
@@ -484,8 +506,6 @@ class TestOrientationSymmetries:
         assert e1.source.edge_ids == e2.root.edge_ids
 
     def test_t2_lattice_is_not_self_dual(self, t2):
-        from matchlat.lattice import lattice_from_poset
-
         L = matching_lattice(t2.graph)
         Ld = lattice_from_poset(L.poset.dual())
         res = lattice_isomorphic(L, Ld)
