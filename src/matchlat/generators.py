@@ -33,6 +33,7 @@ from .lattice import (
     FinitePoset,
     IsoResult,
     lattice_isomorphic,
+    order_ideal_lattice,
 )
 from .matching import (
     PROPER,
@@ -433,13 +434,13 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
 
     Certifies the explicit map (matching to its bounded hexagon set) as
     an isomorphism onto the ideals, and cross-checks with the generic
-    lattice isomorphism search.
+    lattice isomorphism search against J(F), built for that alone.
     """
     G = H.graph
     mp = matching_poset(G)
     images = tuple(matching_geometry(H, M).hexagons for M in mp.matchings)
     P = hexagon_poset(H.spec)
-    JL = certify_ideal_map(mp, images, P, G.caps)
+    certify_ideal_map(mp, images, P)
 
     # join-irreducible matchings carry a unique maximal hexagon, which is
     # also their unique proper alternating face
@@ -461,6 +462,7 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
                 f"join-irreducible matching {i} lacks a unique top hexagon"
             )
 
+    JL, _ = order_ideal_lattice(P, G.caps)
     generic = lattice_isomorphic(matching_lattice(G), JL)
     if not generic.isomorphic:
         raise IsoFailure(f"generic isomorphism test refused: {generic.refusal}")

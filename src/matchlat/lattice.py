@@ -6,13 +6,15 @@ lookup of ``down[x] & down[y]`` (``up[x] & up[y]``) among the principal
 down-sets (up-sets); :func:`lattice_from_poset` certifies that no lookup
 misses: a distributive lattice by its Birkhoff coordinates in O(n |Irr|),
 any other poset by the pair loop, which with :func:`is_distributive`'s
-triple loop is also the oracle.  Lattice isomorphism is one depth-first
-search on the principal down-sets, and every order map it or a product
-decomposition yields is certified by its covers alone, through
-:func:`order_iso_refusal`.  Everything here is exhaustive and exact:
-explicit complement search, order-ideal enumeration with bitmask
-encoding, and factorization through connected components of the
-join-irreducible subposet.
+triple loop is also the oracle.  :func:`ideal_iso_refusal` is the one
+proof that a map x -> d[x] is an isomorphism onto an ideal lattice J(Q),
+by covers alone; it certifies lattices (Q = Irr, d = D) and ideal maps,
+and the product decomposition reads its factors off D as intervals of L.
+Lattice isomorphism is one depth-first search on the principal down-sets,
+whose maps :func:`order_iso_refusal` certifies.  Everything here is
+exhaustive and exact: explicit complement search, order-ideal enumeration
+with bitmask encoding, and factorization through connected components of
+the join-irreducible subposet.
 """
 
 from __future__ import annotations
@@ -130,6 +132,15 @@ class FinitePoset:
             for y in self.up_covers[x]:
                 D[y] |= D[x]
         return irr, tuple(D)
+
+    @cached_property
+    def birkhoff_refusal(self) -> Optional[str]:
+        """Why x -> D[x] is not an isomorphism onto J(Irr); None when it is,
+        and then P is a distributive lattice (Birkhoff).  Irr is ordered by
+        D, so the irreducibles strictly below i are D of i's lower cover."""
+        irr, D = self.irreducible_coordinates
+        below = [D[self.down_covers[x][0]] for x in irr]
+        return ideal_iso_refusal(self, D, below)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up_masks[x] >> y & 1)
@@ -278,36 +289,53 @@ class FiniteLattice:
 
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
-    """Certify that every pair has a meet and a join; raise NotALattice
-    with a witness pair.  A distributive lattice passes
-    :func:`_birkhoff_certificate`; any other poset runs the pair loop."""
-    if not _birkhoff_certificate(P):
+    """Certify that every pair has a meet and a join; raise NotALattice with
+    a witness pair.  A distributive lattice passes its Birkhoff certificate
+    (``P.birkhoff_refusal`` is None); any other poset runs the pair loop."""
+    if P.birkhoff_refusal is not None:
         return _lattice_by_pairs(P)
+    return _mask_lattice(P)
+
+
+def _mask_lattice(P: FinitePoset) -> FiniteLattice:
+    """P with the mask lookups of meet and join; P must be a lattice."""
     by_down = {m: z for z, m in enumerate(P.down_masks)}
     by_up = {m: w for w, m in enumerate(P.up_masks)}
     return FiniteLattice(P, P.topo_order[0], P.topo_order[-1], by_down, by_up)
 
 
-def _birkhoff_certificate(P: FinitePoset) -> bool:
-    """True when the coordinates D show P is J(Irr P); False decides nothing.
+def ideal_iso_refusal(
+    P: FinitePoset, d: Sequence[int], below: Sequence[int]
+) -> Optional[str]:
+    """Why x -> d[x] (a mask over Q) is not an isomorphism of P onto J(Q),
+    where below[q] masks the elements strictly below q; None if it is.
 
-    Accepts a nonempty P when D is injective, each cover adds one
-    irreducible, and each x has as many upper covers as D[x] has in J(Irr),
-    where the ideal D[x] gains i when the D of i's lower cover lies in it.
-    Then, up from D[x] = {} for a minimal x, D is a bijection onto J(Irr)
-    that preserves covers and their number (:func:`order_iso_refusal`).
+    Accepts when each cover adds to d one q whose below[q] it holds, P's one
+    minimal element goes to the empty ideal, d is injective, and each x has
+    as many upper covers as q outside d[x] with below[q] inside it.  Up from
+    the empty ideal each d[x] is then an ideal, each ideal is some d[x] (less
+    a maximal q it is some d[x'], and x' has a cover per q it can gain), and
+    both orders have as many covers, so d^-1 sends covers to covers too.
     """
-    irr, D = P.irreducible_coordinates
-    if not D or len(set(D)) != P.n or any(
-        (D[hi] ^ D[lo]).bit_count() != 1 for lo, hi in P.covers
-    ):
-        return False
-    below = [D[P.down_covers[x][0]] for x in irr]
-    # D[x] is an ideal, so the i it holds are among those with below(i) in it
-    return all(
-        len(up) == sum(b & ~d == 0 for b in below) - d.bit_count()
-        for d, up in zip(D, P.up_covers)
-    )
+    for lo, hi in P.covers:
+        add = d[hi] ^ d[lo]
+        if add & d[lo] or add.bit_count() != 1 or below[add.bit_length() - 1] & ~d[lo]:
+            return f"cover {P.labels[lo]!r} < {P.labels[hi]!r} does not map to a cover"
+    if len(P.minimal_elements) != 1:
+        return f"{len(P.minimal_elements)} minimal elements, not one"
+    least = P.minimal_elements[0]
+    if d[least]:
+        return f"least element {P.labels[least]!r} does not map to the empty ideal"
+    first: dict[int, int] = {}
+    for x, m in enumerate(d):
+        if first.setdefault(m, x) != x:
+            return f"elements {P.labels[first[m]]!r} and {P.labels[x]!r} have one image"
+    for x, (m, up) in enumerate(zip(d, P.up_covers)):
+        # d[x] is an ideal, so the q it holds are among those with below[q] in it
+        gains = sum(b & ~m == 0 for b in below) - m.bit_count()
+        if len(up) != gains:
+            return f"element {P.labels[x]!r} has {len(up)} upper covers, its ideal {gains}"
+    return None
 
 
 def _lattice_by_pairs(P: FinitePoset) -> FiniteLattice:
@@ -529,70 +557,46 @@ class Decomposition:
 @per_object
 def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
     """Factor L as the product of J(P_c) over components P_c of its
-    join-irreducible subposet; certified against L cover by cover.
+    join-irreducible subposet, read off the coordinates D.
 
-    Computed once per lattice object; :func:`central_elements` reuses it.
+    L's Birkhoff certificate proves that D is an isomorphism onto J(Irr),
+    and J of a disjoint union is the product of the J(P_c), so factor c is
+    the interval of L whose D lies in P_c, ordered by (|D|, D), and x's
+    coordinate in it is the position of D[x] restricted to P_c.  A lattice
+    the certificate refuses raises ProductMismatch.  Computed once per
+    lattice object; :func:`central_elements` reuses it.
     """
-    P, idx = join_irreducibles(L)
-    comps = P.components
-    if L.n == 1:
-        # convention: the one-element lattice decomposes into no factors
-        return Decomposition(factors=(), product_iso=((),), factor_irreducibles=())
-
-    factors: list[FiniteLattice] = []
-    factor_index: list[dict[int, int]] = []
-    for comp in comps:
-        # comp is convex in P, so its covers are P's covers inside it
-        pos = {p: k for k, p in enumerate(comp)}
-        covers = tuple(sorted((pos[a], pos[b]) for a, b in P.covers if a in pos))
-        sub = FinitePoset(tuple(P.labels[p] for p in comp), covers)
-        F, masks = order_ideal_lattice(sub, caps=SizeCaps(max_matchings=L.n + 1))
-        factors.append(F)
-        factor_index.append({m: k for k, m in enumerate(masks)})
-
-    # map each element x to its component ideals, read off the bits of D[x]
-    iso = [
-        tuple(index[sum(1 << k for k, p in enumerate(comp) if d >> p & 1)]
-              for comp, index in zip(comps, factor_index))
-        for d in L.poset.irreducible_coordinates[1]
-    ]
-
-    if len(set(iso)) != L.n:
-        raise ProductMismatch("element-to-tuple map is not injective")
-    expected = 1
-    for F in factors:
-        expected *= F.n
-    if expected != L.n:
-        raise ProductMismatch(
-            f"product of factor sizes {expected} != lattice size {L.n}"
-        )
-
-    def product_cover(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-        # t covers s when it moves one coordinate, by a cover of its factor
-        moved = [c for c in range(len(factors)) if s[c] != t[c]]
-        return len(moved) == 1 and all(
-            t[c] in factors[c].poset.up_covers[s[c]] for c in moved
-        )
-
-    n_covers = sum(len(F.poset.covers) * (L.n // F.n) for F in factors)
-    refusal = order_iso_refusal(L.poset, iso, product_cover, n_covers)
+    refusal = L.poset.birkhoff_refusal
     if refusal is not None:
         raise ProductMismatch(refusal)
+    P, _ = join_irreducibles(L)
+    # components come in order of their smallest member, so of lattice index
+    comps = P.components
+    irr_labels = tuple(tuple(P.labels[p] for p in comp) for comp in comps)
+    if len(comps) == 1:
+        # a fresh lattice object: L itself here would put L in its own memo
+        F = FiniteLattice(L.poset, L.bottom, L.top, L.by_down, L.by_up)
+        return Decomposition((F,), tuple((x,) for x in range(L.n)), irr_labels)
 
-    # canonical factor order: by the smallest lattice index of a member
-    order = sorted(
-        range(len(comps)), key=lambda c: min(idx[p] for p in comps[c])
-    )
-    factors = [factors[c] for c in order]
-    iso = [tuple(t[c] for c in order) for t in iso]
-    irr_labels = tuple(
-        tuple(P.labels[p] for p in comps[c]) for c in order
-    )
-    return Decomposition(
-        factors=tuple(factors),
-        product_iso=tuple(iso),
-        factor_irreducibles=irr_labels,
-    )
+    D = L.poset.irreducible_coordinates[1]
+    up = L.poset.up_covers
+    masks = [sum(1 << p for p in comp) for comp in comps]
+    factors: list[FiniteLattice] = []
+    coordinate: list[dict[int, int]] = []
+    for mask in masks:
+        xs = sorted(
+            (x for x in range(L.n) if D[x] & ~mask == 0),
+            key=lambda x: (D[x].bit_count(), D[x]),
+        )
+        pos = {D[x]: k for k, x in enumerate(xs)}
+        covers = sorted(
+            (k, pos[D[y]]) for k, x in enumerate(xs) for y in up[x] if D[y] in pos
+        )
+        interval = FinitePoset(tuple(L.labels[x] for x in xs), tuple(covers))
+        factors.append(_mask_lattice(interval))
+        coordinate.append(pos)
+    iso = tuple(tuple(pos[d & m] for pos, m in zip(coordinate, masks)) for d in D)
+    return Decomposition(tuple(factors), iso, irr_labels)
 
 
 def central_elements(L: FiniteLattice) -> tuple[int, ...]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .caps import SizeCaps
 from .derive import per_object
 from .errors import (
     CycleDetected,
@@ -44,9 +43,8 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    ideal_iso_refusal,
     lattice_from_poset,
-    order_ideal_lattice,
-    order_iso_refusal,
     poset_from_relation,
 )
 from .matching import (
@@ -350,25 +348,17 @@ class MatchingIdealIso:
 
 
 def certify_ideal_map(
-    mp: MatchingPoset, images: Sequence[frozenset], F: FinitePoset, caps: SizeCaps
-) -> FiniteLattice:
+    mp: MatchingPoset, images: Sequence[frozenset], F: FinitePoset
+) -> None:
     """Certify matching i -> images[i] (a set of F's labels) as an isomorphism
-    onto J(F), and return J(F): ideal images, a bijection, covers to covers."""
-    J, masks = order_ideal_lattice(F, caps=caps)
-    index = {m: k for k, m in enumerate(masks)}
+    onto J(F), by its covers (:func:`lattice.ideal_iso_refusal`); raise
+    IsoFailure with the refusal otherwise.  J(F) itself is never built."""
     pos = {label: i for i, label in enumerate(F.labels)}
-    f = [index.get(sum(1 << pos[x] for x in image)) for image in images]
-    if None in f:
-        raise IsoFailure(f"image of matching {f.index(None)} is not an ideal")
-    if not len(set(f)) == len(f) == J.n:
-        raise IsoFailure(f"the images are no bijection onto the {J.n} ideals")
-    Q = J.poset
-    refusal = order_iso_refusal(
-        mp.poset, f, lambda a, b: b in Q.up_covers[a], len(Q.covers)
-    )
+    d = [sum(1 << pos[x] for x in image) for image in images]
+    below = [m ^ 1 << q for q, m in enumerate(F.down_masks)]
+    refusal = ideal_iso_refusal(mp.poset, d, below)
     if refusal is not None:
         raise IsoFailure(refusal)
-    return J
 
 
 def verify_iso_matchings_ideals(G: PlaneBipartiteGraph) -> MatchingIdealIso:
@@ -376,5 +366,5 @@ def verify_iso_matchings_ideals(G: PlaneBipartiteGraph) -> MatchingIdealIso:
     F = face_poset_outerplane(G)
     mp = matching_poset(G)
     images = tuple(sigma(G, M) for M in mp.matchings)
-    certify_ideal_map(mp, images, F, G.caps)
+    certify_ideal_map(mp, images, F)
     return MatchingIdealIso(face_poset=F, ideal_of=images)

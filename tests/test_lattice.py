@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from matchlat.errors import (
     NotALattice,
     NotComplementary,
     NotGraded,
+    ProductMismatch,
     SizeCapExceeded,
 )
 from matchlat.lattice import (
@@ -21,6 +23,7 @@ from matchlat.lattice import (
     direct_product,
     grid_poset,
     grid_sublattice,
+    ideal_iso_refusal,
     irreducible_decomposition,
     is_distributive,
     join_irreducibles,
@@ -31,7 +34,6 @@ from matchlat.lattice import (
     poset_from_relation,
     poset_isomorphic,
     rank_check,
-    _birkhoff_certificate,
     _lattice_by_pairs,
 )
 from matchlat.oracles import distributive_by_birkhoff, ideals_bruteforce
@@ -54,6 +56,14 @@ def small_posets(draw, max_n=6, min_n=0):
             if draw(st.booleans()):
                 pairs.append((i, j))
     return poset_from_relation(tuple(range(n)), pairs)
+
+
+def with_bottom(P):
+    """P with a new least element "0"."""
+    return poset_from_relation(
+        ("0",) + P.labels,
+        [(0, x + 1) for x in range(P.n)] + [(lo + 1, hi + 1) for lo, hi in P.covers],
+    )
 
 
 def with_bottom_and_top(P):
@@ -142,18 +152,18 @@ class TestBirkhoffCertificate:
         try:
             want = _lattice_by_pairs(Q)
         except NotALattice as exc:
-            assert not _birkhoff_certificate(Q)
+            assert Q.birkhoff_refusal is not None
             with pytest.raises(NotALattice) as got:
                 lattice_from_poset(Q)
             assert str(got.value) == str(exc)
             return
         assert_same_lattice(lattice_from_poset(Q), want)
-        assert _birkhoff_certificate(Q) == is_distributive(want)[0]
+        assert (Q.birkhoff_refusal is None) == is_distributive(want)[0]
         assert_irreducibles_match_subposet(want)
 
     @pytest.mark.parametrize("P", [N5, M3, SEVEN], ids=["N5", "M3", "seven"])
     def test_non_distributive_lattices_fall_back(self, P):
-        assert not _birkhoff_certificate(P)
+        assert P.birkhoff_refusal is not None
         L = lattice_from_poset(P)
         assert_same_lattice(L, _lattice_by_pairs(P))
         assert not is_distributive(L)[0]
@@ -167,7 +177,7 @@ class TestBirkhoffCertificate:
         ids=["two bottoms", "empty"],
     )
     def test_non_lattices_keep_their_witness(self, P, message):
-        assert not _birkhoff_certificate(P)
+        assert P.birkhoff_refusal is not None
         with pytest.raises(NotALattice, match=message):
             lattice_from_poset(P)
 
@@ -188,6 +198,51 @@ class TestBirkhoffCertificate:
 
     def test_irreducibles_of_a_matching_lattice_match_subposet(self):
         assert_irreducibles_match_subposet(matching_lattice(parse_spec("P(4,4)").graph))
+
+
+def strictly_below(Q):
+    return [m ^ 1 << q for q, m in enumerate(Q.down_masks)]
+
+
+class TestIdealIsoRefusal:
+    @given(small_posets(max_n=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_decides_as_brute_force(self, Q, data):
+        ideals = ideals_bruteforce(Q)
+        if data.draw(st.booleans()):
+            # J(Q) itself, its ideals perhaps permuted
+            J, masks = order_ideal_lattice(Q)
+            P, d = J.poset, list(masks)
+            if data.draw(st.booleans()):
+                d = [masks[y] for y in data.draw(st.permutations(range(J.n)))]
+        else:
+            P = with_bottom(data.draw(small_posets(max_n=5)))
+            image = st.sampled_from(sorted(ideals)) | st.integers(0, (1 << Q.n) - 1)
+            d = data.draw(st.lists(image, min_size=P.n, max_size=P.n))
+        iso = sorted(d) == sorted(ideals) and all(
+            P.leq(x, y) == (d[x] & ~d[y] == 0) for x in range(P.n) for y in range(P.n)
+        )
+        assert (ideal_iso_refusal(P, d, strictly_below(Q)) is None) == iso
+
+    @pytest.mark.parametrize(
+        "P, Q, d, refusal",
+        [
+            (chain_poset(3), chain_poset(2), [0, 0b10, 0b11],
+             "cover '0' < '1' does not map to a cover"),
+            (FinitePoset(tuple("ab"), ()), chain_poset(2), [0, 0b01],
+             "2 minimal elements, not one"),
+            (chain_poset(2), chain_poset(2), [0b01, 0b11],
+             "least element '0' does not map to the empty ideal"),
+            (grid_poset(2, 2), chain_poset(2), [0, 0b01, 0b01, 0b11],
+             "elements (1, 2) and (2, 1) have one image"),
+            (chain_poset(2), FinitePoset(tuple("ab"), ()), [0, 0b01],
+             "element '0' has 1 upper covers, its ideal 2"),
+        ],
+        ids=["non-ideal image", "two minimal", "least not empty", "not injective",
+             "missing ideal"],
+    )
+    def test_each_refusal(self, P, Q, d, refusal):
+        assert ideal_iso_refusal(P, d, strictly_below(Q)) == refusal
 
 
 class TestDistributivity:
@@ -376,7 +431,75 @@ class TestOrderIdealLattice:
             assert set(masks) == ideals_bruteforce(P)
 
 
+def rebuilt_decomposition(L):
+    """The reference route: J(P_c) rebuilt per component of Irr L by
+    order_ideal_lattice, and x's coordinates read off D[x]."""
+    P, _ = join_irreducibles(L)
+    D = L.poset.irreducible_coordinates[1]
+    factors, columns = [], []
+    for comp in P.components:
+        pos = {p: k for k, p in enumerate(comp)}
+        covers = tuple(sorted((pos[a], pos[b]) for a, b in P.covers if a in pos))
+        F, masks = order_ideal_lattice(FinitePoset(tuple(P.labels[p] for p in comp), covers))
+        index = {m: k for k, m in enumerate(masks)}
+        factors.append(F)
+        columns.append([index[sum(1 << k for k, p in enumerate(comp) if d >> p & 1)] for d in D])
+    return factors, list(zip(*columns)) if factors else [()] * L.n
+
+
+def product_refusal(L, iso, factors):
+    """Why iso is no isomorphism of L onto the product of the factors: the
+    product's covers move one coordinate by a cover of its factor."""
+    if len(set(iso)) != L.n or math.prod(F.n for F in factors) != L.n:
+        return "not a bijection onto the product"
+
+    def product_cover(s, t):
+        moved = [c for c in range(len(factors)) if s[c] != t[c]]
+        return len(moved) == 1 and t[moved[0]] in factors[moved[0]].poset.up_covers[s[moved[0]]]
+
+    n_covers = sum(len(F.poset.covers) * (L.n // F.n) for F in factors)
+    return order_iso_refusal(L.poset, iso, product_cover, n_covers)
+
+
 class TestDecomposition:
+    @given(small_posets(max_n=5), st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rebuilt_factors(self, P, k):
+        J, _ = order_ideal_lattice(P)
+        for L in (J, direct_product(J, chain(k))):
+            dec = irreducible_decomposition(L)
+            factors, iso = rebuilt_decomposition(L)
+            assert product_refusal(L, iso, factors) is None
+            assert [F.n for F in dec.factors] == [F.n for F in factors]
+            if len(factors) == 1:
+                # the one factor is L on its own indices
+                assert dec.product_iso == tuple((x,) for x in range(L.n))
+                moved = sorted((iso[a][0], iso[b][0]) for a, b in dec.factors[0].poset.covers)
+                assert moved == sorted(factors[0].poset.covers)
+                assert central_elements(L) == ()
+                continue
+            assert product_refusal(L, dec.product_iso, factors) is None
+            assert dec.product_iso == tuple(iso)
+            assert [F.poset.covers for F in dec.factors] == [F.poset.covers for F in factors]
+            assert all((F.bottom, F.top) == (0, F.n - 1) for F in dec.factors)
+            inv = {t: x for x, t in enumerate(iso)}
+            units = [
+                inv[tuple(F.top if c == c2 else F.bottom for c2, F in enumerate(factors))]
+                for c in range(len(factors))
+            ]
+            assert central_elements(L) == tuple(sorted(units))
+
+    @pytest.mark.parametrize(
+        "P, refusal",
+        [(N5, "cover 'c' < '1' does not map to a cover"),
+         (M3, "cover 'a' < '1' does not map to a cover"),
+         (SEVEN, "element 'a' has 1 upper covers, its ideal 2")],
+        ids=["N5", "M3", "seven"],
+    )
+    def test_non_distributive_lattices_raise(self, P, refusal):
+        with pytest.raises(ProductMismatch, match=refusal):
+            irreducible_decomposition(lattice_from_poset(P))
+
     def test_2x3_factors(self):
         dec = irreducible_decomposition(l_2x3())
         assert sorted(F.n for F in dec.factors) == [2, 3]

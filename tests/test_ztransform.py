@@ -37,6 +37,7 @@ from matchlat.generators import (
     tree_to_outerplane,
 )
 from matchlat.lattice import (
+    central_elements,
     grid_poset,
     irreducible_decomposition,
     lattice_from_poset,
@@ -455,7 +456,7 @@ class TestIdealIso:
         s, r = ext.source_index, ext.root_index
         images[s], images[r] = images[r], images[s]
         with pytest.raises(IsoFailure, match="does not map to a cover") as exc:
-            certify_ideal_map(mp, images, face_poset_outerplane(G), G.caps)
+            certify_ideal_map(mp, images, face_poset_outerplane(G))
         # every cover away from the two swapped matchings still maps to a cover
         witness = str(exc.value)
         assert repr(mp.matchings[s]) in witness or repr(mp.matchings[r]) in witness
@@ -519,8 +520,6 @@ class TestLinkedLattice:
         )
         L = matching_lattice(linked.graph)
         assert L.n == 2 * 3 * 2
-        from matchlat.lattice import central_elements, irreducible_decomposition
-
         dec = irreducible_decomposition(L)
         assert sorted(F.n for F in dec.factors) == [2, 2, 3]
         assert len(central_elements(L)) == 3
@@ -538,3 +537,23 @@ def test_derived_data_dies_with_its_graph():
     del G, L
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["irreducible", "linked"])
+def test_decomposition_leaves_no_cyclic_garbage(linked):
+    """With the cyclic collector off, G and L die by reference counts alone:
+    no factor of the decomposition memoised on L may be L itself."""
+    gc.collect()
+    gc.disable()
+    try:
+        G = load_graph(c6_description())
+        if linked:
+            G = link_components([G, parse_spec("P(2,1)").graph]).graph
+        L = matching_lattice(G)
+        assert len(irreducible_decomposition(L).factors) == 1 + linked
+        assert len(central_elements(L)) == 2 * linked
+        refs = [weakref.ref(G), weakref.ref(L)]
+        del G, L
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
