@@ -1,20 +1,22 @@
 """Finite posets and distributive lattices.
 
 Elements are indexed 0..n-1 with opaque labels; the order is stored as an
-irredundant cover relation.  A lattice's meet and join are methods, one
-lookup of ``down[x] & down[y]`` (``up[x] & up[y]``) among the principal
-down-sets (up-sets); :func:`lattice_from_poset` certifies that no lookup
-misses: a distributive lattice by its Birkhoff coordinates in O(n |Irr|),
-any other poset by the pair loop, which with :func:`is_distributive`'s
-triple loop is also the oracle.  :func:`ideal_iso_refusal` is the one
-proof that a map x -> d[x] is an isomorphism onto an ideal lattice J(Q),
-by covers alone; it certifies lattices (Q = Irr, d = D) and ideal maps,
-and the product decomposition reads its factors off D as intervals of L.
-Lattice isomorphism is one depth-first search on the principal down-sets,
-whose maps :func:`order_iso_refusal` certifies.  Everything here is
-exhaustive and exact: explicit complement search, order-ideal enumeration
-with bitmask encoding, and factorization through connected components of
-the join-irreducible subposet.
+irredundant cover relation.  A lattice is its irreducible coordinates D[x],
+the mask of join-irreducibles below x: x <= y when D[x] lies in D[y], the
+meet is one lookup of ``D[x] & D[y]`` and the join is the dual's meet.
+:func:`lattice_from_poset` builds every lattice so, once certified: a
+distributive lattice by its Birkhoff coordinates in O(n |Irr|), any other
+poset by the pair loop, which with :func:`is_distributive`'s triple loop is
+also the oracle.  :func:`ideal_iso_refusal` is the one proof that a map
+x -> d[x] is an isomorphism onto an ideal lattice J(Q), by covers alone; it
+certifies lattices (Q = Irr, d = D) and ideal maps, and the product
+decomposition reads its factors off D as intervals of L.  Lattice
+isomorphism is one depth-first search on the principal down-sets, whose
+maps :func:`order_iso_refusal` certifies.  Everything here is exhaustive
+and exact: explicit complement search, order-ideal enumeration with bitmask
+encoding, and factorization through connected components of the
+join-irreducible subposet.  n-bit reachability masks serve only callers
+that need them on an arbitrary poset; a graded one builds none.
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ class FinitePoset:
         if len(set(self.covers)) != len(self.covers):
             raise ParseError("duplicate cover pair")
         self.topo_order  # raises on a directed cycle
-        # irredundancy: no cover implied by a chain of two covers
-        up = self.up_covers
-        reach_without = self._strict_up_masks
+        # irredundancy: no cover implied by a chain of two or more covers,
+        # which raises the height by 2 at least; a graded poset tests none
+        height = self.height
         for lo, hi in self.covers:
-            for mid in up[lo]:
-                if mid != hi and reach_without[mid] >> hi & 1:
-                    raise ParseError(f"cover ({lo}, {hi}) is implied by transitivity")
+            if height[hi] - height[lo] > 1 and any(
+                mid != hi and self.up_masks[mid] >> hi & 1 for mid in self.up_covers[lo]
+            ):
+                raise ParseError(f"cover ({lo}, {hi}) is implied by transitivity")
 
     @property
     def n(self) -> int:
@@ -98,19 +101,22 @@ class FinitePoset:
         return tuple(order)
 
     @cached_property
-    def _strict_up_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for x in reversed(self.topo_order):
-            m = 0
+    def height(self) -> tuple[int, ...]:
+        """Per x the length of the longest chain from x down to a minimal element."""
+        h = [0] * self.n
+        for x in self.topo_order:
             for y in self.up_covers[x]:
-                m |= masks[y] | (1 << y)
-            masks[x] = m
-        return tuple(masks)
+                h[y] = max(h[y], h[x] + 1)
+        return tuple(h)
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """Bitmask of {y : x <= y} per element x."""
-        return tuple(m | (1 << x) for x, m in enumerate(self._strict_up_masks))
+        masks = [1 << x for x in range(self.n)]
+        for x in reversed(self.topo_order):
+            for y in self.up_covers[x]:
+                masks[x] |= masks[y]
+        return tuple(masks)
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -251,13 +257,14 @@ def grid_poset(m: int, n: int) -> FinitePoset:
 
 @dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """Finite lattice: a poset with 0/1 elements and mask-lookup meet/join."""
+    """Finite lattice: a poset with 0/1 elements, read off the mask D[x] of
+    join-irreducibles below x.  In any finite lattice j <= x ^ y exactly when
+    j <= x and j <= y, and x is the join of D[x], so D is injective and
+    D[x ^ y] = D[x] & D[y].  The join is the meet of the dual lattice."""
 
     poset: FinitePoset
     bottom: int
     top: int
-    by_down: dict[int, int]  # principal down-set mask -> element
-    by_up: dict[int, int]  # principal up-set mask -> element
 
     @property
     def n(self) -> int:
@@ -267,41 +274,40 @@ class FiniteLattice:
     def labels(self) -> tuple:
         return self.poset.labels
 
-    def leq(self, x: int, y: int) -> bool:
-        return self.poset.leq(x, y)
-
-    def meet(self, x: int, y: int) -> int:
-        down = self.poset.down_masks
-        return self.by_down[down[x] & down[y]]
-
-    def join(self, x: int, y: int) -> int:
-        up = self.poset.up_masks
-        return self.by_up[up[x] & up[y]]
+    @cached_property
+    def _by_coordinates(self) -> dict[int, int]:
+        return {m: x for x, m in enumerate(self.poset.irreducible_coordinates[1])}
 
     @cached_property
+    def _dual(self) -> "FiniteLattice":
+        # the dual holds no reference to self, so the two form no reference cycle
+        return FiniteLattice(self.poset.dual(), self.top, self.bottom)
+
+    def leq(self, x: int, y: int) -> bool:
+        D = self.poset.irreducible_coordinates[1]
+        return D[x] & ~D[y] == 0
+
+    def meet(self, x: int, y: int) -> int:
+        D = self.poset.irreducible_coordinates[1]
+        return self._by_coordinates[D[x] & D[y]]
+
+    def join(self, x: int, y: int) -> int:
+        return self._dual.meet(x, y)
+
+    @property
     def rank(self) -> tuple[int, ...]:
         """Longest-chain height from the bottom element."""
-        rho = [0] * self.n
-        for x in self.poset.topo_order:
-            for y in self.poset.up_covers[x]:
-                rho[y] = max(rho[y], rho[x] + 1)
-        return tuple(rho)
+        return self.poset.height
 
 
 def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
-    """Certify that every pair has a meet and a join; raise NotALattice with
-    a witness pair.  A distributive lattice passes its Birkhoff certificate
-    (``P.birkhoff_refusal`` is None); any other poset runs the pair loop."""
+    """P as a lattice, the one way every lattice is built; raise NotALattice
+    with a witness pair if it is none.  A distributive lattice passes its
+    Birkhoff certificate (``P.birkhoff_refusal`` is None); any other poset
+    must first pass the pair loop."""
     if P.birkhoff_refusal is not None:
-        return _lattice_by_pairs(P)
-    return _mask_lattice(P)
-
-
-def _mask_lattice(P: FinitePoset) -> FiniteLattice:
-    """P with the mask lookups of meet and join; P must be a lattice."""
-    by_down = {m: z for z, m in enumerate(P.down_masks)}
-    by_up = {m: w for w, m in enumerate(P.up_masks)}
-    return FiniteLattice(P, P.topo_order[0], P.topo_order[-1], by_down, by_up)
+        _lattice_by_pairs(P)
+    return FiniteLattice(P, P.topo_order[0], P.topo_order[-1])
 
 
 def ideal_iso_refusal(
@@ -338,36 +344,29 @@ def ideal_iso_refusal(
     return None
 
 
-def _lattice_by_pairs(P: FinitePoset) -> FiniteLattice:
-    """The pair loop, for posets the certificate refuses.  The common lower
-    bounds of x and y form the down-set of some z exactly when z = x ^ y,
-    so the meet exists when ``down[x] & down[y]`` is a principal down-set,
-    and is the element it belongs to; joins likewise with up-sets.  The
-    lattice keeps the two lookups, not a table.
+def _lattice_by_pairs(P: FinitePoset) -> None:
+    """The pair loop, for posets the certificate refuses: raise NotALattice
+    unless every pair has a meet and a join.  The common lower bounds of x
+    and y form the down-set of some z exactly when z = x ^ y, so the meet
+    exists when ``down[x] & down[y]`` is a principal down-set; joins
+    likewise with up-sets.
     """
-    down = P.down_masks
-    up = P.up_masks
-    by_down = {m: z for z, m in enumerate(down)}
-    by_up = {m: w for w, m in enumerate(up)}
+    down, up = P.down_masks, P.up_masks
+    principal_down, principal_up = set(down), set(up)
+
+    def missing(x: int, y: int, bounds: int, what: str) -> NotALattice:
+        unique = "unique " if bounds else ""  # no principal set is empty
+        return NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no {unique}{what}")
+
     for x in range(P.n):
         for y in range(x, P.n):
-            lower = down[x] & down[y]
-            if not lower:
-                raise NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no meet")
-            if lower not in by_down:
-                raise NotALattice(
-                    f"elements {P.labels[x]!r}, {P.labels[y]!r} have no unique meet"
-                )
-            upper = up[x] & up[y]
-            if not upper:
-                raise NotALattice(f"elements {P.labels[x]!r}, {P.labels[y]!r} have no join")
-            if upper not in by_up:
-                raise NotALattice(
-                    f"elements {P.labels[x]!r}, {P.labels[y]!r} have no unique join"
-                )
+            lower, upper = down[x] & down[y], up[x] & up[y]
+            if lower not in principal_down:
+                raise missing(x, y, lower, "meet")
+            if upper not in principal_up:
+                raise missing(x, y, upper, "join")
     if len(P.minimal_elements) != 1 or len(P.maximal_elements) != 1:
         raise NotALattice("lattice must have unique minimal and maximal elements")
-    return FiniteLattice(P, P.topo_order[0], P.topo_order[-1], by_down, by_up)
 
 
 def is_distributive(L: FiniteLattice) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -513,7 +512,7 @@ def order_ideal_lattice(
     for k, m in enumerate(masks):
         # remove one maximal element of the ideal for each lower cover
         for x in range(P.n):
-            if m >> x & 1 and not (m & P._strict_up_masks[x]):
+            if m & P.up_masks[x] == 1 << x:
                 covers.append((index[m & ~(1 << x)], k))
     poset = FinitePoset(tuple(masks), tuple(sorted(set(covers))))
     return lattice_from_poset(poset), masks
@@ -575,7 +574,7 @@ def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
     irr_labels = tuple(tuple(P.labels[p] for p in comp) for comp in comps)
     if len(comps) == 1:
         # a fresh lattice object: L itself here would put L in its own memo
-        F = FiniteLattice(L.poset, L.bottom, L.top, L.by_down, L.by_up)
+        F = FiniteLattice(L.poset, L.bottom, L.top)
         return Decomposition((F,), tuple((x,) for x in range(L.n)), irr_labels)
 
     D = L.poset.irreducible_coordinates[1]
@@ -593,7 +592,7 @@ def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
             (k, pos[D[y]]) for k, x in enumerate(xs) for y in up[x] if D[y] in pos
         )
         interval = FinitePoset(tuple(L.labels[x] for x in xs), tuple(covers))
-        factors.append(_mask_lattice(interval))
+        factors.append(FiniteLattice(interval, 0, len(xs) - 1))
         coordinate.append(pos)
     iso = tuple(tuple(pos[d & m] for pos, m in zip(coordinate, masks)) for d in D)
     return Decomposition(tuple(factors), iso, irr_labels)

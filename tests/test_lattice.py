@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from matchlat.errors import (
     NotALattice,
     NotComplementary,
     NotGraded,
+    ParseError,
     ProductMismatch,
     SizeCapExceeded,
 )
@@ -89,6 +91,10 @@ SEVEN = FinitePoset(
 )
 
 
+# the zigzag fence tree on 16 faces: a graded matching lattice of 2584 elements
+FENCE_16 = "tree:" + ",".join(f"{k}>{k + 1}" if k % 2 else f"{k + 1}>{k}" for k in range(1, 16))
+
+
 def pentagon():
     return lattice_from_poset(N5)
 
@@ -129,9 +135,26 @@ class TestLatticeFromPoset:
             lattice_from_poset(FinitePoset(tuple(labels), covers))
 
 
+def mask_lattice(P):
+    """A reference lattice on P: meet and join looked up among the principal
+    down-sets and up-sets, the bounds the pair loop certifies."""
+    down, up = P.down_masks, P.up_masks
+    by_down = {m: z for z, m in enumerate(down)}
+    by_up = {m: w for w, m in enumerate(up)}
+    (bottom,), (top,) = P.minimal_elements, P.maximal_elements
+    return SimpleNamespace(
+        n=P.n, bottom=bottom, top=top, leq=P.leq,
+        meet=lambda x, y: by_down[down[x] & down[y]],
+        join=lambda x, y: by_up[up[x] & up[y]],
+    )
+
+
 def assert_same_lattice(L1, L2):
-    assert (L1.bottom, L1.top) == (L2.bottom, L2.top)
-    assert L1.by_down == L2.by_down and L1.by_up == L2.by_up
+    """Same bottom and top, and the same meet, join and order on all pairs."""
+    assert (L1.n, L1.bottom, L1.top) == (L2.n, L2.bottom, L2.top)
+    for x, y in itertools.product(range(L1.n), repeat=2):
+        assert (L1.meet(x, y), L1.join(x, y)) == (L2.meet(x, y), L2.join(x, y))
+        assert L1.leq(x, y) == L2.leq(x, y)
 
 
 def assert_irreducibles_match_subposet(L):
@@ -150,22 +173,23 @@ class TestBirkhoffCertificate:
     def test_agrees_with_the_pair_loop(self, P):
         Q = with_bottom_and_top(P)
         try:
-            want = _lattice_by_pairs(Q)
+            _lattice_by_pairs(Q)
         except NotALattice as exc:
             assert Q.birkhoff_refusal is not None
             with pytest.raises(NotALattice) as got:
                 lattice_from_poset(Q)
             assert str(got.value) == str(exc)
             return
-        assert_same_lattice(lattice_from_poset(Q), want)
-        assert (Q.birkhoff_refusal is None) == is_distributive(want)[0]
-        assert_irreducibles_match_subposet(want)
+        L = lattice_from_poset(Q)
+        assert_same_lattice(L, mask_lattice(Q))
+        assert (Q.birkhoff_refusal is None) == is_distributive(L)[0]
+        assert_irreducibles_match_subposet(L)
 
     @pytest.mark.parametrize("P", [N5, M3, SEVEN], ids=["N5", "M3", "seven"])
     def test_non_distributive_lattices_fall_back(self, P):
         assert P.birkhoff_refusal is not None
         L = lattice_from_poset(P)
-        assert_same_lattice(L, _lattice_by_pairs(P))
+        assert_same_lattice(L, mask_lattice(P))
         assert not is_distributive(L)[0]
 
     @pytest.mark.parametrize(
@@ -186,10 +210,7 @@ class TestBirkhoffCertificate:
             raise AssertionError("pair loop ran")
 
         monkeypatch.setattr(lattice_module, "_lattice_by_pairs", refuse)
-        fence_16 = "tree:" + ",".join(
-            f"{k}>{k + 1}" if k % 2 else f"{k + 1}>{k}" for k in range(1, 16)
-        )
-        for spec, n in (("P(4,4)", 70), (fence_16, 2584)):
+        for spec, n in (("P(4,4)", 70), (FENCE_16, 2584)):
             assert matching_lattice(parse_spec(spec).graph).n == n
         assert order_ideal_lattice(grid_poset(3, 3))[0].n == 20
         assert direct_product(chain(3), chain(4)).n == 12
@@ -198,6 +219,57 @@ class TestBirkhoffCertificate:
 
     def test_irreducibles_of_a_matching_lattice_match_subposet(self):
         assert_irreducibles_match_subposet(matching_lattice(parse_spec("P(4,4)").graph))
+
+    def test_graded_lattices_build_no_reachability_masks(self):
+        L = matching_lattice(parse_spec(FENCE_16).graph)
+        assert len(irreducible_decomposition(L).factors) == 1
+        assert central_elements(L) == ()
+        mid = L.n // 2
+        assert L.meet(L.bottom, mid) == L.bottom and L.join(mid, L.top) == L.top
+        assert L.meet(mid, mid) == L.join(mid, mid) == mid
+        assert L.leq(L.bottom, mid) and L.leq(mid, L.top) and not L.leq(L.top, mid)
+        assert (L.rank[L.bottom], L.rank[L.top]) == (0, 16)
+        assert "up_masks" not in vars(L.poset) and "down_masks" not in vars(L.poset)
+
+
+@st.composite
+def shuffled_dag_arcs(draw, max_n=7):
+    """Arcs i -> j, i < j, over n nodes, relabelled by a permutation and shuffled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    g = draw(st.permutations(range(n)))
+    arcs = [(g[i], g[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return n, draw(st.permutations(arcs))
+
+
+class TestIrredundancy:
+    @given(shuffled_dag_arcs())
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_the_first_cover_implied_by_a_longer_path(self, drawn):
+        n, arcs = drawn
+        succ = {x: [b for a, b in arcs if a == x] for x in range(n)}
+
+        def reach(x):  # every y at the end of a path of one or more arcs
+            seen, todo = set(), list(succ[x])
+            while todo:
+                y = todo.pop()
+                if y not in seen:
+                    seen.add(y)
+                    todo.extend(succ[y])
+            return seen
+
+        implied = [(a, b) for a, b in arcs if any(c != b and b in reach(c) for c in succ[a])]
+        if implied:
+            lo, hi = implied[0]
+            with pytest.raises(ParseError) as got:
+                FinitePoset(tuple(range(n)), tuple(arcs))
+            assert str(got.value) == f"cover ({lo}, {hi}) is implied by transitivity"
+        else:
+            assert FinitePoset(tuple(range(n)), tuple(arcs)).covers == tuple(arcs)
+
+    def test_cover_raising_the_height_by_two(self):
+        # 0 < a < b with the implied cover 0 < b, whose ends differ in height by 2
+        with pytest.raises(ParseError, match=r"^cover \(0, 2\) is implied by transitivity$"):
+            FinitePoset(tuple("0ab"), ((0, 1), (1, 2), (0, 2)))
 
 
 def strictly_below(Q):
@@ -680,6 +752,8 @@ class TestPosetProperties:
             for (x, y), z in glb.items():
                 assert L.meet(x, y) == z
                 assert L.join(x, y) == lub[x, y]
+                # the order on D is Q's order, also on non-distributive draws like N5
+                assert L.leq(x, y) == Q.leq(x, y)
             assert all(Q.leq(L.bottom, z) and Q.leq(z, L.top) for z in range(Q.n))
 
     @given(small_posets())

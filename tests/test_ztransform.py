@@ -552,6 +552,7 @@ def test_decomposition_leaves_no_cyclic_garbage(linked):
         L = matching_lattice(G)
         assert len(irreducible_decomposition(L).factors) == 1 + linked
         assert len(central_elements(L)) == 2 * linked
+        assert L.join(L.bottom, L.top) == L.top  # caches the dual lattice too
         refs = [weakref.ref(G), weakref.ref(L)]
         del G, L
         assert [ref() for ref in refs] == [None, None]
