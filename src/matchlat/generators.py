@@ -50,6 +50,7 @@ from .plane_graph import (
     _trace_rotation,
     build_graph,
     faces_inside_cycle,
+    is_elementary,
     oriented_dual,
 )
 from .ztransform import certify_ideal_map, matching_lattice, matching_poset
@@ -274,11 +275,7 @@ def truncated_parallelogram(
             "root matching has no alternating face or a proper one; the "
             "clockwise convention is broken"
         )
-    matchings = enumerate_perfect_matchings(G)
-    used = set()
-    for M in matchings:
-        used.update(M.edge_ids)
-    if len(used) != G.n_edges:
+    if not is_elementary(G, H.root_edges):
         raise EmbeddingConflict("generated hexagonal system is not elementary")
     return H
 

@@ -140,13 +140,54 @@ class FinitePoset:
         return irr, tuple(D)
 
     @cached_property
+    def irreducible_lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Per irreducible k, its lower covers in Irr ordered by D, as bit
+        positions.
+
+        The irreducibles strictly below irr[k] are D[y], y its one lower
+        cover.  Each lower cover z of y lacks one irreducible of D[y], and
+        in a distributive lattice these are its maximal ones, so they are
+        read off P's covers.  That is checked: each lack is one bit, the
+        bits are distinct and pairwise incomparable, and with what lies
+        below them they make up D[y], so they are the maximal elements of
+        D[y] in any poset.  If the check fails, P is no distributive
+        lattice, and the covers come from the transitive reduction.
+        """
+        irr, D = self.irreducible_coordinates
+        below = [D[self.down_covers[x][0]] for x in irr]
+        lower: list[tuple[int, ...]] = []
+        for x, b in zip(irr, below):
+            lacks = [b & ~D[z] for z in self.down_covers[self.down_covers[x][0]]]
+            tops = sum(lacks)
+            if any(m.bit_count() != 1 for m in lacks) or tops.bit_count() != len(lacks):
+                break
+            ks = tuple(sorted(m.bit_length() - 1 for m in lacks))
+            reach = 0
+            for k in ks:
+                reach |= below[k] | 1 << k
+            if reach != b or any(below[k] & tops for k in ks):
+                break
+            lower.append(ks)
+        else:
+            return tuple(lower)
+        reduced: list[list[int]] = [[] for _ in irr]
+        for k, i in _reduction(below):  # i covers k in the reversed order
+            reduced[k].append(i)
+        return tuple(tuple(ks) for ks in reduced)
+
+    @cached_property
     def birkhoff_refusal(self) -> Optional[str]:
         """Why x -> D[x] is not an isomorphism onto J(Irr); None when it is,
         and then P is a distributive lattice (Birkhoff).  Irr is ordered by
-        D, so the irreducibles strictly below i are D of i's lower cover."""
+        D, so the irreducibles strictly below i are D of i's lower cover;
+        its covers are :attr:`irreducible_lower_covers`."""
         irr, D = self.irreducible_coordinates
         below = [D[self.down_covers[x][0]] for x in irr]
-        return ideal_iso_refusal(self, D, below)
+        up: list[list[int]] = [[] for _ in irr]
+        for k, ks in enumerate(self.irreducible_lower_covers):
+            for i in ks:
+                up[i].append(k)
+        return ideal_iso_refusal(self, D, below, up)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up_masks[x] >> y & 1)
@@ -311,10 +352,14 @@ def lattice_from_poset(P: FinitePoset) -> FiniteLattice:
 
 
 def ideal_iso_refusal(
-    P: FinitePoset, d: Sequence[int], below: Sequence[int]
+    P: FinitePoset,
+    d: Sequence[int],
+    below: Sequence[int],
+    up: Sequence[Sequence[int]],
 ) -> Optional[str]:
     """Why x -> d[x] (a mask over Q) is not an isomorphism of P onto J(Q),
-    where below[q] masks the elements strictly below q; None if it is.
+    where below[q] masks the elements strictly below q and up[q] lists the
+    upper covers of q; None if it is.
 
     Accepts when each cover adds to d one q whose below[q] it holds, P's one
     minimal element goes to the empty ideal, d is injective, and each x has
@@ -322,6 +367,12 @@ def ideal_iso_refusal(
     the empty ideal each d[x] is then an ideal, each ideal is some d[x] (less
     a maximal q it is some d[x'], and x' has a cover per q it can gain), and
     both orders have as many covers, so d^-1 sends covers to covers too.
+
+    The count of q that d[x] can gain is carried along one lower cover lo
+    of x, which adds q: d[x] gains what d[lo] gains but q, and the upper
+    covers r of q with below[r] inside d[x].  No other r is new, since an
+    r above q that covers some s > q would need s, so q, in d[lo].  That
+    is O(n deg Q) in all.
     """
     for lo, hi in P.covers:
         add = d[hi] ^ d[lo]
@@ -336,11 +387,16 @@ def ideal_iso_refusal(
     for x, m in enumerate(d):
         if first.setdefault(m, x) != x:
             return f"elements {P.labels[first[m]]!r} and {P.labels[x]!r} have one image"
-    for x, (m, up) in enumerate(zip(d, P.up_covers)):
-        # d[x] is an ideal, so the q it holds are among those with below[q] in it
-        gains = sum(b & ~m == 0 for b in below) - m.bit_count()
-        if len(up) != gains:
-            return f"element {P.labels[x]!r} has {len(up)} upper covers, its ideal {gains}"
+    gains = [0] * P.n
+    gains[least] = sum(b == 0 for b in below)
+    for x in P.topo_order[1:]:  # the least comes first
+        lo = P.down_covers[x][0]
+        m = d[x]
+        q = (m ^ d[lo]).bit_length() - 1
+        gains[x] = gains[lo] - 1 + sum(below[r] & ~m == 0 for r in up[q])
+    for x, (g, ups) in enumerate(zip(gains, P.up_covers)):
+        if len(ups) != g:
+            return f"element {P.labels[x]!r} has {len(ups)} upper covers, its ideal {g}"
     return None
 
 
@@ -488,12 +544,12 @@ def join_irreducibles(L: FiniteLattice) -> tuple[FinitePoset, tuple[int, ...]]:
     """Subposet of non-bottom elements with exactly one lower cover.
 
     Returns the subposet and the lattice indices of its elements (in the
-    subposet's element order).  The order is read off the coordinates:
-    irr[i] < irr[j] exactly when bit i is in D[irr[j]].
+    subposet's element order).  The covers are
+    :attr:`FinitePoset.irreducible_lower_covers` of L's poset.
     """
-    irr, D = L.poset.irreducible_coordinates
-    strictly_below = [D[x] ^ 1 << k for k, x in enumerate(irr)]
-    covers = sorted((i, j) for j, i in _reduction(strictly_below))
+    irr = L.poset.irreducible_coordinates[0]
+    lower = L.poset.irreducible_lower_covers
+    covers = sorted((i, k) for k, ks in enumerate(lower) for i in ks)
     return FinitePoset(tuple(L.labels[x] for x in irr), tuple(covers)), irr
 
 

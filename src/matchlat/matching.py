@@ -1,11 +1,21 @@
 """Perfect matching enumeration and alternating-cycle classification.
 
-Enumeration is oracle-grade: deterministic branch-and-prune over
-vertices, complete and duplicate-free, gated by the size caps.  The
-search is iterative, over an explicit stack, and picks each branch
-vertex by the popcount of its free-neighbour mask; its tree is that of a
-search which rescans every vertex per node.  Counting shortcuts
-(transfer matrices, Pfaffians) are deliberately out of scope.
+Enumeration is exact and certified.  The flip route counts the matchings
+first, as |det K| for a Kasteleyn signing K of the host (Kasteleyn 1967;
+Kuperberg, arXiv math/9810091), which refuses a host over the cap before
+any search.  It then walks face flips from one matching, the first leaf
+of the branch search, and keeps the result only when it reached exactly
+|det K| matchings.  The route is sound because any signing gives
+|det K| <= #PM, a flip walk finds perfect matchings only, and a signing
+that passes every inner face's sign test gives equality.  On a weakly
+elementary host the flip digraph is connected (the lattice's Hasse
+diagram), so the walk is complete.  A host with an inner face that is
+no simple cycle, or one whose walk stops short, goes to the branch route:
+a deterministic branch-and-prune over vertices, complete and
+duplicate-free, over an explicit stack, picking each branch vertex by the
+popcount of its free-neighbour mask; its tree is that of a search which
+rescans every vertex per node.  The branch route is also the test oracle
+of the flip route.
 
 Alternating cycles run on the edge masks of ``plane_graph``: a symmetric
 difference is split into cycles by walks from each cycle's smallest
@@ -18,14 +28,16 @@ interiors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .derive import per_object
-from .errors import NoPerfectMatching, NotAMatching, SizeCapExceeded
+from .errors import CycleDetected, NoPerfectMatching, NotAMatching, SizeCapExceeded
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
     clockwise_cycle,
+    dual_tree,
     edge_ends,
     edge_mask,
     is_two_regular,
@@ -142,12 +154,230 @@ def _search_tree(
 
 @per_object
 def enumerate_perfect_matchings(G: PlaneBipartiteGraph) -> tuple[Matching, ...]:
-    """Complete, canonically ordered tuple of perfect matchings of G."""
+    """Complete, canonically ordered tuple of perfect matchings of G.
+
+    More than ``G.caps.max_matchings`` raise :class:`SizeCapExceeded`; on
+    the flip route that is decided by the Kasteleyn count, before any
+    search.  The flip route leaves its edge masks for
+    :func:`take_matching_masks`.
+    """
     G.caps.check_vertices(G.n_vertices)
     if sum(G.colors) * 2 != G.n_vertices:
         return ()
-    raw = _enumerate_on_edges(G.n_vertices, G.edges, G.caps.max_matchings)
+    cap = G.caps.max_matchings
+    count = kasteleyn_count(G)
+    if count is not None:
+        if count > cap:
+            raise SizeCapExceeded(f"more than {cap} matchings")
+        if count == 0:
+            return ()
+        masks = _flip_walk(G, count)
+        if masks is not None:
+            # canonical tuple order: the lowest edge in which two matchings
+            # differ is in the earlier one, so sort by the bit-reversed mask
+            width = f"0{G.n_edges}b"
+            masks.sort(key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
+            G.__dict__[_MASKS_KEY] = masks
+            ids = list(range(G.n_edges))  # one int object per edge id
+            return tuple(Matching(_edge_ids(ids, m)) for m in masks)
+    raw = _enumerate_on_edges(G.n_vertices, G.edges, cap)
     return tuple(Matching(t) for t in raw)
+
+
+_MASKS_KEY = "_flip_route_masks"
+
+
+def take_matching_masks(G: PlaneBipartiteGraph) -> list[int]:
+    """Edge masks of ``enumerate_perfect_matchings(G)``, in its order.
+
+    The flip route's masks are handed over once, so no second copy lives
+    as long as G; face flips from a checked matching reached each.  The
+    branch route's matchings are masked by :func:`_matching_mask`, with
+    the checks of :func:`check_matching`.
+    """
+    matchings = enumerate_perfect_matchings(G)
+    masks = G.__dict__.pop(_MASKS_KEY, None)
+    if masks is None:
+        ends = edge_ends(G)
+        masks = [_matching_mask(G, M, ends) for M in matchings]
+    return masks
+
+
+def _edge_ids(ids: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending, as the objects of ``ids``: the
+    binary digits, lowest first, select from ids, with the zeros made falsy.
+
+    The list makes the tuple its exact size.  A tuple built straight from
+    the iterator is over-allocated and shrunk, which on many small hosts
+    left the interpreter's small-object heap measurably larger.
+    """
+    return tuple(list(compress(ids, bin(mask)[:1:-1].encode().replace(b"0", b"\0"))))
+
+
+@per_object
+def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
+    """(face id, boundary mask, white-tail mask) of each simple-cycle inner
+    face: ``white`` holds the steps of its clockwise walk whose tail is
+    white.  A matching m alternates around the face exactly when
+    ``m & face`` is ``white`` or ``face ^ white``."""
+    return tuple(
+        (fid, sum(1 << eid for eid, _, _ in walk.steps),
+         sum(1 << eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE))
+        for fid in G.inner_face_ids
+        if (walk := G.faces[fid]).is_simple_cycle
+    )
+
+
+def _flip_walk(G: PlaneBipartiteGraph, count: int) -> Optional[list[int]]:
+    """The matchings that improper face flips reach up from the bottom below
+    the branch search's first leaf, as edge masks; None unless there are
+    exactly ``count``.
+
+    Flipping a proper face moves down the order and an improper one up.
+    The walk descends from the leaf while some face is proper, then runs a
+    BFS up from that bottom, so each cover is tested from one end only; on
+    a weakly elementary host the bottom is below every matching.  More
+    than ``count`` matchings is a bug and raises.
+    """
+    leaf = next(_search_tree(G.n_vertices, G.edges), None)
+    if leaf is None:
+        raise AssertionError("no perfect matching, but a nonzero Kasteleyn count")
+    m = _matching_mask(G, Matching(leaf), edge_ends(G))
+    faces = [(face, white, face ^ white) for _, face, white in flip_faces(G)]
+    for _ in range(count):  # a descent has fewer than count steps
+        down = next((face for face, white, _ in faces if m & face == white), 0)
+        if not down:
+            break
+        m ^= down
+    else:
+        raise CycleDetected("flip digraph has a directed cycle (orientation bug)")
+    seen = {m}
+    queue = [m]
+    for m in queue:
+        for face, _, black in faces:
+            if m & face == black:
+                up = m ^ face
+                if up not in seen:
+                    seen.add(up)
+                    queue.append(up)
+        if len(queue) > count:
+            raise AssertionError("face flips reached more matchings than |det K|")
+    return queue if len(queue) == count else None
+
+
+def _kasteleyn_signs(G: PlaneBipartiteGraph) -> Optional[int]:
+    """The edges signed -1 in a Kasteleyn signing of G, as a mask; None when
+    an inner face is no simple cycle.
+
+    A signing is Kasteleyn when each inner face of length 2l has sign
+    product (-1)^(l+1), an odd count of -1 edges exactly when 4 divides the
+    length.  Edges off the dual BFS tree stay +1; each face from the leaves
+    to the root sets its parent tree edge, the one edge of it no later
+    face touches, and every face is tested again.
+    """
+    faces = {fid: face for fid, face, _ in flip_faces(G)}
+    if len(faces) != len(G.inner_face_ids):
+        return None
+    order, parent = dual_tree(G)
+    neg = 0
+    for f in reversed(order[1:]):  # order[0] is the outer face
+        if (neg & faces[f]).bit_count() % 2 != (faces[f].bit_count() % 4 == 0):
+            neg ^= 1 << parent[f]
+    for face in faces.values():
+        if (neg & face).bit_count() % 2 != (face.bit_count() % 4 == 0):
+            raise AssertionError("Kasteleyn signing fails a face it has set")
+    return neg
+
+
+def kasteleyn_count(G: PlaneBipartiteGraph) -> Optional[int]:
+    """The number of perfect matchings of G, as |det K| for the Kasteleyn
+    matrix of :func:`_kasteleyn_signs`; None when that gives no signing.
+
+    K has a row per white and a column per black vertex, with the edge's
+    sign at each edge.  The columns are eliminated in the BFS order of the
+    black vertices, so the fill stays near a band.
+    """
+    neg = _kasteleyn_signs(G)
+    if neg is None:
+        return None
+    if sum(G.colors) * 2 != G.n_vertices:
+        return 0
+    rows: dict[int, dict[int, int]] = {
+        v: {} for v, c in enumerate(G.colors) if c == WHITE
+    }
+    for eid, (u, v) in enumerate(G.edges):
+        w, b = (u, v) if G.colors[u] == WHITE else (v, u)
+        rows[w][b] = -1 if neg >> eid & 1 else 1
+    seen = [False] * G.n_vertices
+    seen[0] = True
+    queue = [0]
+    for v in queue:
+        for eid in G.incident_edges[v]:
+            u = G.other_end(eid, v)
+            if not seen[u]:
+                seen[u] = True
+                queue.append(u)
+    return _abs_det(rows, [v for v in queue if G.colors[v] != WHITE])
+
+
+def _abs_det(rows: dict[int, dict[int, int]], columns: Sequence[int]) -> int:
+    """|det| of a square matrix given as sparse rows {column: nonzero entry},
+    by fraction-free (Bareiss) elimination over the columns in order.
+
+    Each step pivots on the row with the fewest entries among those that
+    hold the column, and clears the column from the others.  Bareiss
+    multiplies every row a step leaves alone by p_k / p_(k-1), p_k the
+    step's pivot and p_(-1) = 1; those factors telescope, so such a row is
+    rescaled once, by p_(k-1) / p_(s-1), when step k next touches it and
+    s is the first step it missed.  Every entry stays an integer minor of
+    the matrix, so each division is exact.  The rows are consumed.
+    """
+    pivots = [1]  # pivots[k] is p_(k-1)
+    fresh = dict.fromkeys(rows, 0)  # row -> the first step it missed
+    holding: dict[int, set[int]] = {c: set() for c in columns}
+    for r, row in rows.items():
+        for c in row:
+            holding[c].add(r)
+    for k, c in enumerate(columns):
+        candidates = holding.pop(c)
+        if not candidates:
+            return 0
+        prev = pivots[k]
+        for r in candidates:
+            s = fresh[r]
+            if s != k:
+                row = rows[r]
+                scale, div = prev, pivots[s]
+                for j in row:
+                    row[j] = row[j] * scale // div
+            fresh[r] = k + 1
+        pr = min(candidates, key=lambda r: (len(rows[r]), r))
+        candidates.discard(pr)
+        prow = rows.pop(pr)
+        p = prow.pop(c)
+        for j in prow:
+            holding[j].discard(pr)
+        for r in candidates:
+            row = rows[r]
+            a = row.pop(c)
+            for j, x in row.items():
+                row[j] = x * p
+            for j, y in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -a * y
+                    holding[j].add(r)
+                else:
+                    row[j] = x - a * y
+            for j in list(row):
+                x = row[j] // prev
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    holding[j].discard(r)
+        pivots.append(p)
+    return abs(pivots[-1])
 
 
 @per_object

@@ -476,23 +476,36 @@ def incident_edge_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
 
 
 @per_object
-def dual_tree_paths(G: PlaneBipartiteGraph) -> tuple[int, ...]:
-    """For each face, the edges its path crosses in a BFS tree of the dual.
-
-    The tree is rooted at the outer face, whose path is empty.  A face
-    lies inside a simple cycle exactly when any dual walk to it from the
-    outer face crosses the cycle an odd number of times (Jordan), so one
-    popcount of ``path & cycle`` decides it.
+def dual_tree(G: PlaneBipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A BFS tree of the dual rooted at the outer face: the faces in BFS
+    order, and per face the edge it crosses to its parent (-1 at the root).
     """
-    paths: list[Optional[int]] = [None] * len(G.faces)
-    paths[G.outer_face] = 0
-    queue = [G.outer_face]
-    for f in queue:
+    parent: list[Optional[int]] = [None] * len(G.faces)
+    parent[G.outer_face] = -1
+    order = [G.outer_face]
+    for f in order:
         for eid in G.faces[f].edge_ids:
             g = sum(G.edge_faces(eid)) - f
-            if paths[g] is None:
-                paths[g] = paths[f] | 1 << eid
-                queue.append(g)
+            if parent[g] is None:
+                parent[g] = eid
+                order.append(g)
+    return tuple(order), tuple(parent)
+
+
+@per_object
+def dual_tree_paths(G: PlaneBipartiteGraph) -> tuple[int, ...]:
+    """For each face, the edges its path crosses in :func:`dual_tree`.
+
+    The outer face's path is empty.  A face lies inside a simple cycle
+    exactly when any dual walk to it from the outer face crosses the cycle
+    an odd number of times (Jordan), so one popcount of ``path & cycle``
+    decides it.
+    """
+    order, parent = dual_tree(G)
+    paths = [0] * len(G.faces)
+    for g in order[1:]:
+        eid = parent[g]
+        paths[g] = paths[sum(G.edge_faces(eid)) - g] | 1 << eid
     return tuple(paths)
 
 
@@ -604,6 +617,41 @@ def clockwise_cycle(
 
 
 # --- elementary structure ---------------------------------------------------
+
+
+def is_elementary(G: PlaneBipartiteGraph, matching: Iterable[int]) -> bool:
+    """Whether every edge of G lies in some perfect matching, given one.
+
+    Orient the matching's edges white to black and the others black to
+    white.  An edge outside the matching lies in another perfect matching
+    exactly when it lies on an alternating cycle, which is a directed
+    cycle.  Every arc lies on a directed cycle exactly when each weakly
+    connected piece is strongly connected, and G is connected, so when
+    vertex 0 reaches every vertex both along the arcs and against them.
+    ``elementary_structure`` decides the same by enumeration.
+    """
+    chosen = frozenset(matching)
+    along = [0] * G.n_vertices  # vertex masks of each vertex's out-neighbours
+    against = [0] * G.n_vertices
+    for eid, (u, v) in enumerate(G.edges):
+        white, black = (u, v) if G.colors[u] == WHITE else (v, u)
+        tail, head = (white, black) if eid in chosen else (black, white)
+        along[tail] |= 1 << head
+        against[head] |= 1 << tail
+    everyone = (1 << G.n_vertices) - 1
+    for adj in (along, against):
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= reach
+        if seen != everyone:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

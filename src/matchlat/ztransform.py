@@ -52,15 +52,14 @@ from .matching import (
     PROPER,
     Matching,
     _difference_cycles,
-    _matching_mask,
     all_alternating_cycles,
     enumerate_perfect_matchings,
+    flip_faces,
     matching_index,
+    take_matching_masks,
 )
 from .plane_graph import (
-    WHITE,
     PlaneBipartiteGraph,
-    edge_ends,
     is_outerplane_2connected,
     oriented_dual,
 )
@@ -92,25 +91,20 @@ class ZDigraph:
 def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
     """Build the flip digraph from edge masks and certify it acyclic.
 
-    Each matching m and each simple-cycle inner face f are edge masks;
-    ``white`` holds the steps of f's clockwise walk whose tail is white.
-    The tails of a bipartite simple cycle alternate in colour, so
-    ``m & face == white`` says that m takes every other edge of f, each
-    running white to black: f is proper m-alternating, and the arc leads
-    to ``m ^ face``.  Faces that are not simple cycles never alternate.
-    Each matching's mask comes with the checks of ``check_matching``.
+    Each matching m and each simple-cycle inner face f are edge masks
+    (:func:`matching.flip_faces`); ``white`` holds the steps of f's
+    clockwise walk whose tail is white.  The tails of a bipartite simple
+    cycle alternate in colour, so ``m & face == white`` says that m takes
+    every other edge of f, each running white to black: f is proper
+    m-alternating, and the arc leads to ``m ^ face``.  Faces that are not
+    simple cycles never alternate.  The masks come from the enumeration
+    (:func:`matching.take_matching_masks`), each a checked matching.
     """
     matchings = enumerate_perfect_matchings(G)
     if not matchings:
         raise NoPerfectMatching("graph has no perfect matching")
-    faces = [
-        (fid, sum(1 << eid for eid, _, _ in walk.steps),
-         sum(1 << eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE))
-        for fid in G.inner_face_ids
-        if (walk := G.faces[fid]).is_simple_cycle
-    ]
-    ends = edge_ends(G)
-    masks = [_matching_mask(G, M, ends) for M in matchings]
+    faces = flip_faces(G)
+    masks = take_matching_masks(G)
     index = {m: i for i, m in enumerate(masks)}
     arcs = sorted(
         (i, index[m ^ face], fid)
@@ -356,7 +350,7 @@ def certify_ideal_map(
     pos = {label: i for i, label in enumerate(F.labels)}
     d = [sum(1 << pos[x] for x in image) for image in images]
     below = [m ^ 1 << q for q, m in enumerate(F.down_masks)]
-    refusal = ideal_iso_refusal(mp.poset, d, below)
+    refusal = ideal_iso_refusal(mp.poset, d, below, F.up_covers)
     if refusal is not None:
         raise IsoFailure(refusal)
 

@@ -158,6 +158,23 @@ class TestAnalyze:
         )
         assert code == 3
 
+    def test_cap_is_decided_before_any_search(self, tmp_path, capsys, monkeypatch):
+        # the Kasteleyn count refuses P(3,3)'s 20 matchings; the branch
+        # search never starts
+        from matchlat import matching
+
+        path = tmp_path / "p33.json"
+        run_cli(["gen", "P(3,3)", "--out", str(path)], capsys)
+
+        def refuse(n, edges):
+            raise AssertionError("branch search ran")
+
+        monkeypatch.setattr(matching, "_search_tree", refuse)
+        code, _, err = run_cli(
+            ["--cap-matchings", "5", "analyze", str(path), "matchings"], capsys
+        )
+        assert (code, err) == (3, "error: more than 5 matchings\n")
+
     def test_missing_graph_file_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["analyze", str(tmp_path / "absent.json"), "matchings"], capsys

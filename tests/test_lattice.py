@@ -172,6 +172,9 @@ class TestBirkhoffCertificate:
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_the_pair_loop(self, P):
         Q = with_bottom_and_top(P)
+        irr, D = Q.irreducible_coordinates
+        below = [D[x] ^ 1 << k for k, x in enumerate(irr)]
+        assert Q.birkhoff_refusal == refusal_by_rescans(Q, D, below)
         try:
             _lattice_by_pairs(Q)
         except NotALattice as exc:
@@ -276,6 +279,32 @@ def strictly_below(Q):
     return [m ^ 1 << q for q, m in enumerate(Q.down_masks)]
 
 
+def refusal_onto(P, d, Q):
+    return ideal_iso_refusal(P, d, strictly_below(Q), Q.up_covers)
+
+
+def refusal_by_rescans(P, d, below):
+    """ideal_iso_refusal with each element's gains counted over all of Q."""
+    for lo, hi in P.covers:
+        add = d[hi] ^ d[lo]
+        if add & d[lo] or add.bit_count() != 1 or below[add.bit_length() - 1] & ~d[lo]:
+            return f"cover {P.labels[lo]!r} < {P.labels[hi]!r} does not map to a cover"
+    if len(P.minimal_elements) != 1:
+        return f"{len(P.minimal_elements)} minimal elements, not one"
+    least = P.minimal_elements[0]
+    if d[least]:
+        return f"least element {P.labels[least]!r} does not map to the empty ideal"
+    first = {}
+    for x, m in enumerate(d):
+        if first.setdefault(m, x) != x:
+            return f"elements {P.labels[first[m]]!r} and {P.labels[x]!r} have one image"
+    for x, (m, up) in enumerate(zip(d, P.up_covers)):
+        gains = sum(b & ~m == 0 for b in below) - m.bit_count()
+        if len(up) != gains:
+            return f"element {P.labels[x]!r} has {len(up)} upper covers, its ideal {gains}"
+    return None
+
+
 class TestIdealIsoRefusal:
     @given(small_posets(max_n=4), st.data())
     @settings(max_examples=150, deadline=None)
@@ -294,7 +323,8 @@ class TestIdealIsoRefusal:
         iso = sorted(d) == sorted(ideals) and all(
             P.leq(x, y) == (d[x] & ~d[y] == 0) for x in range(P.n) for y in range(P.n)
         )
-        assert (ideal_iso_refusal(P, d, strictly_below(Q)) is None) == iso
+        assert (refusal_onto(P, d, Q) is None) == iso
+        assert refusal_onto(P, d, Q) == refusal_by_rescans(P, d, strictly_below(Q))
 
     @pytest.mark.parametrize(
         "P, Q, d, refusal",
@@ -314,7 +344,7 @@ class TestIdealIsoRefusal:
              "missing ideal"],
     )
     def test_each_refusal(self, P, Q, d, refusal):
-        assert ideal_iso_refusal(P, d, strictly_below(Q)) == refusal
+        assert refusal_onto(P, d, Q) == refusal
 
 
 class TestDistributivity:

@@ -1,7 +1,8 @@
 import itertools
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matchlat import (
     Matching,
@@ -10,29 +11,50 @@ from matchlat import (
     enumerate_perfect_matchings,
     forcing_edges,
     link_components,
+    load_graph,
+    parse_spec,
     symmetric_difference_cycles,
     truncated_parallelogram,
 )
-from matchlat.errors import NotAMatching, SizeCapExceeded
-from matchlat.generators import TruncatedParallelogramSpec, parallelogram_spec
+from matchlat import matching
+from matchlat.caps import SizeCaps
+from matchlat.errors import Disconnected, NotAMatching, SizeCapExceeded
+from matchlat.generators import (
+    TruncatedParallelogramSpec,
+    parallelogram_spec,
+    prolate_triangle_spec,
+)
 from matchlat.matching import (
     IMPROPER,
     PROPER,
     AlternatingCycleReport,
+    _abs_det,
     _cycles_of_edge_set,
+    _edge_ids,
     _enumerate_on_edges,
+    _flip_walk,
     _search_tree,
     classify_cycle,
+    kasteleyn_count,
+    take_matching_masks,
 )
 from matchlat.oracles import (
     alternating_cycles_dfs,
     count_matchings_bruteforce,
     faces_inside_cycle_by_flood,
 )
-from matchlat.plane_graph import WHITE, clockwise_cycle, faces_inside_cycle
+from matchlat.plane_graph import (
+    WHITE,
+    _trace_rotation,
+    build_graph,
+    clockwise_cycle,
+    elementary_structure,
+    faces_inside_cycle,
+    is_elementary,
+)
 from matchlat.ztransform import extremal_matchings
 
-from conftest import cycle_oracle_hosts
+from conftest import cycle_oracle_hosts, pendant_description
 
 
 class TestEnumeration:
@@ -365,3 +387,178 @@ class TestAllAlternatingCycles:
             for M in enumerate_perfect_matchings(G):
                 got = {r.edge_set for r in all_alternating_cycles(G, M)}
                 assert got == alternating_cycles_dfs(G, M)
+
+
+def fence(k):
+    """The zigzag fence tree on nodes 1..k; it has Fibonacci F(k+2) matchings."""
+    if k == 1:
+        return "tree:1"
+    return "tree:" + ",".join(
+        f"{i}>{i + 1}" if i % 2 else f"{i + 1}>{i}" for i in range(1, k)
+    )
+
+
+def branch_route(G):
+    return _enumerate_on_edges(G.n_vertices, G.edges, 10**9)
+
+
+def without_edges(G, dropped):
+    """G less some edges, its outer face the one that keeps a step of G's."""
+    keep = [e for e in range(G.n_edges) if e not in dropped]
+    new_id = {e: k for k, e in enumerate(keep)}
+    edges = [G.edges[e] for e in keep]
+    rotation = [[new_id[e] for e in rot if e in new_id] for rot in G.rotation]
+    step = next(
+        (new_id[e], t, h) for e, t, h in G.faces[G.outer_face].steps if e in new_id
+    )
+    outer = next(i for i, w in enumerate(_trace_rotation(edges, rotation)) if step in w)
+    return build_graph(G.colors, edges, rotation, outer, G.caps)
+
+
+def nested_squares():
+    """A square inside a square, joined top to top and bottom to bottom.
+
+    Both joining edges lie in no perfect matching, and each face between
+    the squares has one, so no face flip turns the outer square: the four
+    matchings fall into two flip components, though every face is a
+    simple cycle.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+             (0, 4), (2, 6)]
+    rotation = [(0, 8, 3), (0, 1), (2, 9, 1), (2, 3), (8, 4, 7), (4, 5),
+                (9, 6, 5), (6, 7)]
+    colors = (WHITE, 1, WHITE, 1, 1, WHITE, 1, WHITE)
+    outer = next(
+        i for i, w in enumerate(_trace_rotation(edges, rotation))
+        if {t for _, t, _ in w} == {0, 1, 2, 3}
+    )
+    return build_graph(colors, edges, rotation, outer)
+
+
+def edited_hosts():
+    C6 = parse_spec("L(1)").graph
+    return [
+        parse_spec(spec).graph
+        for spec in ("P(2,2)", "P(2,3)", "P(3,3)", "T(3)", "L(3,2,2)", "L(4,2,1)",
+                     fence(8), "tree:1>2,1>3,1>4")
+    ] + [
+        link_components([C6, C6, C6]).graph,
+        link_components([C6, load_graph(pendant_description()), C6]).graph,
+        nested_squares(),
+    ]
+
+
+EDITED_HOSTS = edited_hosts()
+
+
+class TestKasteleyn:
+    def test_parallelograms_are_binomial(self):
+        caps = SizeCaps(max_vertices=300, max_inner_faces=100)
+        for m in range(1, 11):
+            for n in range(m, 11):
+                G = truncated_parallelogram(parallelogram_spec(m, n), caps).graph
+                assert kasteleyn_count(G) == comb(m + n, m), (m, n)
+
+    def test_staircases_are_catalan(self):
+        caps = SizeCaps(max_vertices=300, max_inner_faces=100)
+        for m in range(1, 9):
+            G = truncated_parallelogram(prolate_triangle_spec(m), caps).graph
+            assert kasteleyn_count(G) == comb(2 * m + 2, m + 1) // (m + 2)
+
+    def test_fences_are_fibonacci(self):
+        caps = SizeCaps(max_vertices=200, max_inner_faces=30)
+        fib = [0, 1]
+        while len(fib) < 33:
+            fib.append(fib[-1] + fib[-2])
+        for k in range(1, 31):
+            assert kasteleyn_count(parse_spec(fence(k), caps).graph) == fib[k + 2]
+
+    def test_small_hosts_agree_with_brute_force(self):
+        for G in cycle_oracle_hosts():
+            count = kasteleyn_count(G)
+            simple = all(G.faces[f].is_simple_cycle for f in G.inner_face_ids)
+            assert (count is None) == (not simple)
+            if simple:
+                assert count == count_matchings_bruteforce(G)
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3) | st.just(0), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.permutations(range(n)),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_determinant_is_the_permutation_expansion(self, case):
+        matrix, columns = case
+        n = len(matrix)
+        expansion = sum(
+            (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            * prod(matrix[i][p[i]] for i in range(n))
+            for p in itertools.permutations(range(n))
+        )
+        rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(matrix)}
+        assert _abs_det(rows, columns) == abs(expansion)
+
+
+class TestFlipRoute:
+    @given(st.sampled_from(range(len(EDITED_HOSTS))), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_branch_route_with_edges_deleted(self, k, data):
+        G = EDITED_HOSTS[k]
+        dropped = data.draw(st.sets(st.integers(0, G.n_edges - 1), min_size=1, max_size=3))
+        try:
+            H = without_edges(G, dropped)
+        except (Disconnected, StopIteration):
+            assume(False)
+        branch = branch_route(H)
+        count = kasteleyn_count(H)
+        assert count in (None, len(branch))
+        if count:
+            walk = _flip_walk(H, count)
+            if walk is not None:
+                ids = list(range(H.n_edges))
+                assert sorted(_edge_ids(ids, m) for m in walk) == branch
+        got = enumerate_perfect_matchings(H)
+        assert [M.edge_ids for M in got] == branch
+        assert take_matching_masks(H) == [sum(1 << e for e in t) for t in branch]
+        if branch:
+            used = set().union(*branch)
+            assert is_elementary(H, branch[0]) == (len(used) == H.n_edges)
+
+    def test_a_short_walk_falls_back_to_the_branch_route(self):
+        G = nested_squares()
+        assert all(G.faces[f].is_simple_cycle for f in G.inner_face_ids)
+        assert kasteleyn_count(G) == 4
+        assert _flip_walk(G, 4) is None
+        assert [M.edge_ids for M in enumerate_perfect_matchings(G)] == branch_route(G)
+        assert take_matching_masks(G) == [
+            sum(1 << e for e in t) for t in branch_route(G)
+        ]
+
+    def test_is_elementary_agrees_with_enumeration(self):
+        for G in cycle_oracle_hosts():
+            ms = branch_route(G)
+            if ms:
+                want = elementary_structure(G, check_weak=False).is_elementary
+                assert all(is_elementary(G, M) == want for M in ms)
+
+    @pytest.mark.parametrize("host, count", [
+        ("P(4,4)", 70), ("C6x8", 256), ("fence-16", 2584), ("P(1,200)", 201),
+    ])
+    def test_takes_at_most_one_search_leaf(self, monkeypatch, host, count):
+        if host == "C6x8":
+            G = link_components([parse_spec("L(1)").graph] * 8).graph
+        elif host == "fence-16":
+            G = parse_spec(fence(16)).graph
+        else:
+            G = parse_spec(host, SizeCaps(max_vertices=1000, max_inner_faces=200)).graph
+        leaves = []
+        search = matching._search_tree
+
+        def counted(n, edges):
+            for leaf in search(n, edges):
+                leaves.append(leaf)
+                yield leaf
+
+        monkeypatch.setattr(matching, "_search_tree", counted)
+        assert len(enumerate_perfect_matchings(G)) == count
+        assert len(leaves) <= 1

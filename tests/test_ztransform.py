@@ -160,12 +160,11 @@ class TestMaskRoute:
         ((0, 3, 99), "unknown edge id 99"),
     ])
     def test_non_matching_is_refused(self, monkeypatch, edge_ids, message):
-        from matchlat import ztransform
+        # the flip route starts from the branch search's first leaf
+        from matchlat import matching
 
         G = load_graph(c6_description())
-        good = enumerate_perfect_matchings(G)
-        monkeypatch.setattr(ztransform, "enumerate_perfect_matchings",
-                            lambda G: good + (Matching(edge_ids),))
+        monkeypatch.setattr(matching, "_search_tree", lambda n, edges: iter([edge_ids]))
         with pytest.raises(NotAMatching, match=message):
             build_z_digraph(G)
 
