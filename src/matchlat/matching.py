@@ -14,8 +14,10 @@ no simple cycle, or one whose walk stops short, goes to the branch route:
 a deterministic branch-and-prune over vertices, complete and
 duplicate-free, over an explicit stack, picking each branch vertex by the
 popcount of its free-neighbour mask; its tree is that of a search which
-rescans every vertex per node.  The branch route is also the test oracle
-of the flip route.
+rescans every vertex per node, and the walk restarts from each leaf not
+yet reached.  It is also the test oracle of the flip route.  On both
+routes the walk records each cover it crosses as an arc of the flip
+digraph, and its order certifies the digraph acyclic.
 
 Alternating cycles run on the edge masks of ``plane_graph``: a symmetric
 difference is split into cycles by walks from each cycle's smallest
@@ -152,55 +154,15 @@ def _search_tree(
         )
 
 
-@per_object
 def enumerate_perfect_matchings(G: PlaneBipartiteGraph) -> tuple[Matching, ...]:
     """Complete, canonically ordered tuple of perfect matchings of G.
 
     More than ``G.caps.max_matchings`` raise :class:`SizeCapExceeded`; on
     the flip route that is decided by the Kasteleyn count, before any
-    search.  The flip route leaves its edge masks for
-    :func:`take_matching_masks`.
+    search.  These are the matchings of :func:`_flip_walk`, which records
+    the flip digraph's arcs on the same pass.
     """
-    G.caps.check_vertices(G.n_vertices)
-    if sum(G.colors) * 2 != G.n_vertices:
-        return ()
-    cap = G.caps.max_matchings
-    count = kasteleyn_count(G)
-    if count is not None:
-        if count > cap:
-            raise SizeCapExceeded(f"more than {cap} matchings")
-        if count == 0:
-            return ()
-        masks = _flip_walk(G, count)
-        if masks is not None:
-            # canonical tuple order: the lowest edge in which two matchings
-            # differ is in the earlier one, so sort by the bit-reversed mask
-            width = f"0{G.n_edges}b"
-            masks.sort(key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
-            G.__dict__[_MASKS_KEY] = masks
-            ids = list(range(G.n_edges))  # one int object per edge id
-            return tuple(Matching(_edge_ids(ids, m)) for m in masks)
-    raw = _enumerate_on_edges(G.n_vertices, G.edges, cap)
-    return tuple(Matching(t) for t in raw)
-
-
-_MASKS_KEY = "_flip_route_masks"
-
-
-def take_matching_masks(G: PlaneBipartiteGraph) -> list[int]:
-    """Edge masks of ``enumerate_perfect_matchings(G)``, in its order.
-
-    The flip route's masks are handed over once, so no second copy lives
-    as long as G; face flips from a checked matching reached each.  The
-    branch route's matchings are masked by :func:`_matching_mask`, with
-    the checks of :func:`check_matching`.
-    """
-    matchings = enumerate_perfect_matchings(G)
-    masks = G.__dict__.pop(_MASKS_KEY, None)
-    if masks is None:
-        ends = edge_ends(G)
-        masks = [_matching_mask(G, M, ends) for M in matchings]
-    return masks
+    return _flip_walk(G)[0]
 
 
 def _edge_ids(ids: Sequence[int], mask: int) -> tuple[int, ...]:
@@ -228,41 +190,101 @@ def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _flip_walk(G: PlaneBipartiteGraph, count: int) -> Optional[list[int]]:
-    """The matchings that improper face flips reach up from the bottom below
-    the branch search's first leaf, as edge masks; None unless there are
-    exactly ``count``.
+@per_object
+def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple]:
+    """The perfect matchings of G in canonical order, and the arcs (upper,
+    lower, inner face id) of its flip digraph, sorted and certified acyclic.
+
+    The flip route walks (:func:`_climb`) from the branch search's first
+    leaf and is complete when it reached |det K| matchings.  Otherwise the
+    branch enumerator lists every matching, and the walk starts again from
+    each leaf it has not reached.  Each start is checked by
+    :func:`_matching_mask`; face flips keep a perfect matching perfect.
+    """
+    G.caps.check_vertices(G.n_vertices)
+    if sum(G.colors) * 2 != G.n_vertices:
+        return (), ()
+    cap = G.caps.max_matchings
+    count = kasteleyn_count(G)
+    if count is not None and count > cap:
+        raise SizeCapExceeded(f"more than {cap} matchings")
+    if count == 0:
+        return (), ()
+    ends = edge_ends(G)
+    faces = [(fid, face, white, face ^ white) for fid, face, white in flip_faces(G)]
+    index: dict[int, int] = {}  # matching mask -> walk index
+    arcs: list[int] = []  # upper, lower, face id, ... in walk indices
+    if count is not None:
+        leaf = next(_search_tree(G.n_vertices, G.edges), None)
+        if leaf is None:
+            raise AssertionError("no perfect matching, but a nonzero Kasteleyn count")
+        _climb(_matching_mask(G, Matching(leaf), ends), faces, index, arcs, count)
+    if len(index) != count:
+        leaves = _enumerate_on_edges(G.n_vertices, G.edges, cap)
+        for leaf in leaves:
+            m = _matching_mask(G, Matching(leaf), ends)
+            if m not in index:
+                _climb(m, faces, index, arcs, len(leaves))
+    # canonical tuple order: the lowest edge in which two matchings differ
+    # is in the earlier one, so sort by the bit-reversed mask
+    width = f"0{G.n_edges}b"
+    masks = sorted(index, key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
+    n, nf = len(masks), len(G.faces)
+    pos = list(range(n))  # one int object per canonical index
+    rank = [0] * n  # walk index -> canonical index
+    for p, m in zip(pos, masks):
+        rank[index[m]] = p
+    ids = list(range(G.n_edges))  # one int object per edge id
+    matchings = tuple(Matching(_edge_ids(ids, m)) for m in masks)
+    # each arc sorts as one int; the walk's list goes before the tuples are
+    # made, in order, so their readers (poset, exporters) read memory in order
+    it = iter(arcs)
+    keys = sorted((rank[hi] * n + rank[lo]) * nf + fid for hi, lo, fid in zip(it, it, it))
+    del arcs, it
+    return matchings, tuple((pos[k // nf // n], pos[k // nf % n], k % nf) for k in keys)
+
+
+def _climb(
+    m: int, faces: list, index: dict[int, int], arcs: list, limit: int
+) -> None:
+    """Walk the flip component of the matching mask m, not yet in ``index``.
 
     Flipping a proper face moves down the order and an improper one up.
-    The walk descends from the leaf while some face is proper, then runs a
-    BFS up from that bottom, so each cover is tested from one end only; on
-    a weakly elementary host the bottom is below every matching.  More
-    than ``count`` matchings is a bug and raises.
+    The walk descends from m while some face is proper, then climbs from
+    that bottom breadth first by improper flips, giving each new matching
+    the next walk index.  Each cover is tested once, from its lower end,
+    and its arc appended to ``arcs`` as three ints: upper, lower (walk
+    indices) and face id.  Every upper end must come later in the walk
+    than its lower end, so the walk order is a linear extension: the
+    digraph is acyclic.  Each flip
+    component of a plane bipartite host is a distributive lattice with one
+    bottom (Propp, arXiv math/0209005), so the climb reaches all of it.
+    More than ``limit`` matchings is a bug and raises.
     """
-    leaf = next(_search_tree(G.n_vertices, G.edges), None)
-    if leaf is None:
-        raise AssertionError("no perfect matching, but a nonzero Kasteleyn count")
-    m = _matching_mask(G, Matching(leaf), edge_ends(G))
-    faces = [(face, white, face ^ white) for _, face, white in flip_faces(G)]
-    for _ in range(count):  # a descent has fewer than count steps
-        down = next((face for face, white, _ in faces if m & face == white), 0)
+    for _ in range(limit):  # a descent has fewer than limit steps
+        down = next((face for _, face, white, _ in faces if m & face == white), 0)
         if not down:
             break
         m ^= down
     else:
         raise CycleDetected("flip digraph has a directed cycle (orientation bug)")
-    seen = {m}
+    first = index[m] = len(index)
     queue = [m]
-    for m in queue:
-        for face, _, black in faces:
+    for i, m in enumerate(queue, first):
+        for fid, face, _, black in faces:
             if m & face == black:
                 up = m ^ face
-                if up not in seen:
-                    seen.add(up)
+                j = index.get(up)
+                if j is None:
+                    j = index[up] = len(index)
                     queue.append(up)
-        if len(queue) > count:
-            raise AssertionError("face flips reached more matchings than |det K|")
-    return queue if len(queue) == count else None
+                elif j < i:
+                    raise CycleDetected(
+                        "flip digraph has a directed cycle (orientation bug)"
+                    )
+                arcs.extend((j, i, fid))
+        if len(index) > limit:
+            raise AssertionError("face flips reached more matchings than were counted")
 
 
 def _kasteleyn_signs(G: PlaneBipartiteGraph) -> Optional[int]:
@@ -418,8 +440,8 @@ def classify_alternating_faces(
     An alternating face is proper when its matching edges run from white
     to black along the clockwise inner-face walk.  Faces whose boundary is
     not a simple cycle can never alternate and are skipped.  This is the
-    per-matching reference route; ``ztransform.build_z_digraph`` makes the
-    same test for every matching at once on edge masks.
+    per-matching reference route; the enumeration's walk makes the same
+    test on edge masks, from each cover's lower end.
     """
     check_matching(G, M)
     out: list[tuple[int, str]] = []

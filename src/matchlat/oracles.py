@@ -36,25 +36,26 @@ def count_matchings_bruteforce(G: PlaneBipartiteGraph) -> int:
         last_touch[u] = eid
         last_touch[v] = eid
 
+    # an explicit stack, include branch first: a recursive closure is a
+    # reference cycle that every call leaves for the cyclic collector
+    full = (1 << n) - 1
     count = 0
-
-    def rec(idx: int, covered: int) -> None:
-        nonlocal count
-        if covered == (1 << n) - 1:
+    stack = [(0, 0)]
+    while stack:
+        idx, covered = stack.pop()
+        if covered == full:
             count += 1
-            return
+            continue
         if idx == len(edges):
-            return
+            continue
         # the smallest uncovered vertex must still be reachable
         low = ((covered + 1) & ~covered).bit_length() - 1
         if last_touch[low] < idx:
-            return
+            continue
+        stack.append((idx + 1, covered))
         u, v = edges[idx]
         if not (covered >> u & 1) and not (covered >> v & 1):
-            rec(idx + 1, covered | 1 << u | 1 << v)
-        rec(idx + 1, covered)
-
-    rec(0, 0)
+            stack.append((idx + 1, covered | 1 << u | 1 << v))
     return count
 
 
@@ -82,19 +83,24 @@ def alternating_cycles_dfs(
     cycle is found from its smallest vertex by leaving along the matched
     edge and closing along an unmatched one.
     """
-    mate_edge: dict[int, int] = {}
-    for eid in M.edge_ids:
-        u, v = G.edges[eid]
-        mate_edge[u] = eid
-        mate_edge[v] = eid
-
+    # an explicit stack of (vertex, edge iterator), one per path vertex
+    mset = M.edge_set
     found: set[frozenset[int]] = set()
-
-    def extend(start: int, here: int, need_matched: bool,
-               visited: set[int], path_edges: list[int]) -> None:
-        for eid in G.incident_edges[here]:
-            in_m = eid in M.edge_set
-            if in_m != need_matched:
+    for start in range(G.n_vertices):
+        visited = {start}
+        path_edges: list[int] = []
+        todo = [(start, iter(G.incident_edges[start]))]
+        while todo:
+            here, edges = todo[-1]
+            eid = next(edges, None)
+            if eid is None:
+                todo.pop()
+                if path_edges:
+                    path_edges.pop()
+                    visited.remove(here)
+                continue
+            need_matched = len(path_edges) % 2 == 0
+            if (eid in mset) != need_matched:
                 continue
             nxt = G.other_end(eid, here)
             if nxt == start and not need_matched and len(path_edges) >= 3:
@@ -104,12 +110,7 @@ def alternating_cycles_dfs(
                 continue
             visited.add(nxt)
             path_edges.append(eid)
-            extend(start, nxt, not need_matched, visited, path_edges)
-            path_edges.pop()
-            visited.remove(nxt)
-
-    for v in range(G.n_vertices):
-        extend(v, v, True, {v}, [])
+            todo.append((nxt, iter(G.incident_edges[nxt])))
     return found
 
 

@@ -168,16 +168,13 @@ def _small_fixtures(caps: SizeCaps) -> list[tuple[str, PlaneBipartiteGraph]]:
 def _all_profiles(max_hexagons: int) -> list[tuple[int, ...]]:
     """All non-increasing positive row profiles with at most the given total."""
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, limit: int) -> None:
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         if prefix:
-            out.append(tuple(prefix))
-        for r in range(min(limit, remaining), 0, -1):
-            prefix.append(r)
-            rec(prefix, remaining - r, r)
-            prefix.pop()
-
-    rec([], max_hexagons, max_hexagons)
+            out.append(prefix)
+        top = min(prefix[-1] if prefix else max_hexagons, max_hexagons - sum(prefix))
+        stack.extend(prefix + (r,) for r in range(1, top + 1))  # largest popped first
     out.sort(key=lambda rows: (sum(rows), rows))
     return out
 
@@ -462,17 +459,14 @@ def check_grid_sublattice(report: VerificationReport, caps: SizeCaps) -> None:
 def _saturated_chains(L: FiniteLattice, x: int, limit: int) -> list[list[int]]:
     """Some saturated chains from the bottom to x (all of them if few)."""
     chains: list[list[int]] = []
-
-    def rec(here: int, acc: list[int]) -> None:
-        if len(chains) >= limit:
-            return
+    stack: list[tuple[int, list[int]]] = [(x, [])]  # (element, chain above it)
+    while stack and len(chains) < limit:
+        here, acc = stack.pop()
+        acc = acc + [here]
         if here == L.bottom:
-            chains.append(list(reversed(acc + [here])))
-            return
-        for lo in L.poset.down_covers[here]:
-            rec(lo, acc + [here])
-
-    rec(x, [])
+            chains.append(acc[::-1])
+        else:
+            stack.extend((lo, acc) for lo in reversed(L.poset.down_covers[here]))
     return chains
 
 

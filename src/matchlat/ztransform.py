@@ -8,12 +8,15 @@ lattice whose Hasse diagram is the digraph itself, and for 2-connected
 outerplane graphs the lattice is isomorphic to the ideal lattice of the
 face poset carried by the oriented inner dual.
 
-The digraph is built on integer edge masks.  For a simple-cycle inner
-face f, ``face`` is its boundary and ``white`` the steps of its clockwise
-walk whose tail is white; a matching m has an arc across f exactly when
-``m & face == white``.  The tails of a bipartite simple cycle alternate in
-colour, so this holds exactly when m takes every other boundary edge, each
-from its white end to its black end: the boundary is proper m-alternating.
+The digraph is recorded on integer edge masks by the walk that
+enumerates the matchings (``matching._flip_walk``).  For a simple-cycle
+inner face f, ``face`` is its boundary and ``white`` the steps of its
+clockwise walk whose tail is white; a matching m has an arc across f
+exactly when ``m & face == white``.  The tails of a bipartite simple
+cycle alternate in colour, so this holds exactly when m takes every other
+boundary edge, each from its white end to its black end: the boundary is
+proper m-alternating.  The walk makes the test at the arc's lower end,
+``m ^ face``, and certifies the arcs acyclic by its order.
 ``matching.classify_alternating_faces`` is the per-matching reference for
 the same test.
 """
@@ -26,7 +29,6 @@ from typing import Sequence
 
 from .derive import per_object
 from .errors import (
-    CycleDetected,
     DirectedCycleInInnerDual,
     HasseMismatch,
     IsoFailure,
@@ -52,11 +54,10 @@ from .matching import (
     PROPER,
     Matching,
     _difference_cycles,
+    _flip_walk,
     all_alternating_cycles,
     enumerate_perfect_matchings,
-    flip_faces,
     matching_index,
-    take_matching_masks,
 )
 from .plane_graph import (
     PlaneBipartiteGraph,
@@ -89,50 +90,16 @@ class ZDigraph:
 
 @per_object
 def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
-    """Build the flip digraph from edge masks and certify it acyclic.
+    """The flip digraph, as the enumeration's walk recorded it.
 
-    Each matching m and each simple-cycle inner face f are edge masks
-    (:func:`matching.flip_faces`); ``white`` holds the steps of f's
-    clockwise walk whose tail is white.  The tails of a bipartite simple
-    cycle alternate in colour, so ``m & face == white`` says that m takes
-    every other edge of f, each running white to black: f is proper
-    m-alternating, and the arc leads to ``m ^ face``.  Faces that are not
-    simple cycles never alternate.  The masks come from the enumeration
-    (:func:`matching.take_matching_masks`), each a checked matching.
+    The walk (:func:`matching._flip_walk`) tests each cover once, from its
+    lower end, and certifies the arcs acyclic: its walk order is a linear
+    extension.  Faces that are not simple cycles never alternate.
     """
     matchings = enumerate_perfect_matchings(G)
     if not matchings:
         raise NoPerfectMatching("graph has no perfect matching")
-    faces = flip_faces(G)
-    masks = take_matching_masks(G)
-    index = {m: i for i, m in enumerate(masks)}
-    arcs = sorted(
-        (i, index[m ^ face], fid)
-        for i, m in enumerate(masks)
-        for fid, face, white in faces
-        if m & face == white
-    )
-    dig = ZDigraph(matchings=matchings, arcs=tuple(arcs))
-    _topological_order(dig)  # raises CycleDetected
-    return dig
-
-
-def _topological_order(Z: ZDigraph) -> list[int]:
-    indeg = [0] * Z.n
-    for _, b, _ in Z.arcs:
-        indeg[b] += 1
-    stack = sorted((i for i in range(Z.n) if indeg[i] == 0), reverse=True)
-    order: list[int] = []
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for _, b, _ in Z.out_arcs(x):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                stack.append(b)
-    if len(order) != Z.n:
-        raise CycleDetected("flip digraph has a directed cycle (orientation bug)")
-    return order
+    return ZDigraph(matchings=matchings, arcs=_flip_walk(G)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +107,17 @@ class MatchingPoset:
     """Reachability order on matchings, with certified cover relation.
 
     ``poset`` orders all matchings (M' below M when the digraph walks
-    from M down to M'); ``components`` lists the weakly connected pieces,
-    each of which carries its own lattice for weakly elementary hosts.
+    from M down to M').
     """
 
     digraph: ZDigraph
     poset: FinitePoset
-    components: tuple[tuple[int, ...], ...]
+
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The weakly connected pieces, each of which carries its own
+        lattice for weakly elementary hosts."""
+        return self.poset.components
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -166,7 +137,7 @@ def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
         poset = FinitePoset(tuple(Z.matchings), covers)
     except ParseError as exc:
         raise HasseMismatch(f"flip digraph is not a Hasse diagram: {exc}") from exc
-    return MatchingPoset(digraph=Z, poset=poset, components=poset.components)
+    return MatchingPoset(digraph=Z, poset=poset)
 
 
 @per_object

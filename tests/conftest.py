@@ -11,6 +11,12 @@ from matchlat import (
     truncated_parallelogram,
 )
 from matchlat.caps import DEFAULT_CAPS
+from matchlat.matching import (
+    PROPER,
+    classify_alternating_faces,
+    enumerate_perfect_matchings,
+    matching_index,
+)
 from matchlat.verify import _TREES_UP_TO_6, _orientations, _small_fixtures
 
 # Derandomised: a failure under `pytest --hypothesis-profile=ci` replays
@@ -150,3 +156,14 @@ def cycle_oracle_hosts():
                 hosts.append(tree_to_outerplane(tree).graph)
     hosts.append(load_graph(pendant_description()))
     return hosts
+
+
+def reference_arcs(G):
+    """The per-matching route: flip each face classified proper, then sort."""
+    index = matching_index(G)
+    return tuple(sorted(
+        (i, index[M.flip(G.faces[fid].edge_set)], fid)
+        for i, M in enumerate(enumerate_perfect_matchings(G))
+        for fid, cls in classify_alternating_faces(G, M)
+        if cls == PROPER
+    ))

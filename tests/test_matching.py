@@ -1,3 +1,4 @@
+import gc
 import itertools
 from math import comb, prod
 
@@ -24,19 +25,17 @@ from matchlat.generators import (
     parallelogram_spec,
     prolate_triangle_spec,
 )
+from matchlat.lattice import grid_poset, order_ideal_lattice
 from matchlat.matching import (
     IMPROPER,
     PROPER,
     AlternatingCycleReport,
     _abs_det,
     _cycles_of_edge_set,
-    _edge_ids,
     _enumerate_on_edges,
-    _flip_walk,
     _search_tree,
     classify_cycle,
     kasteleyn_count,
-    take_matching_masks,
 )
 from matchlat.oracles import (
     alternating_cycles_dfs,
@@ -52,9 +51,10 @@ from matchlat.plane_graph import (
     faces_inside_cycle,
     is_elementary,
 )
-from matchlat.ztransform import extremal_matchings
+from matchlat.verify import _all_profiles, _saturated_chains
+from matchlat.ztransform import build_z_digraph, extremal_matchings, matching_poset
 
-from conftest import cycle_oracle_hosts, pendant_description
+from conftest import cycle_oracle_hosts, pendant_description, reference_arcs
 
 
 class TestEnumeration:
@@ -499,6 +499,16 @@ class TestKasteleyn:
         assert _abs_det(rows, columns) == abs(expansion)
 
 
+def assert_walk_matches_the_references(H):
+    """The walk's arcs are those of the per-matching route, and each flip
+    component has one bottom and one top."""
+    assert build_z_digraph(H).arcs == reference_arcs(H)
+    P = matching_poset(H).poset
+    for comp in P.components:
+        assert sum(not P.down_covers[x] for x in comp) == 1
+        assert sum(not P.up_covers[x] for x in comp) == 1
+
+
 class TestFlipRoute:
     @given(st.sampled_from(range(len(EDITED_HOSTS))), st.data())
     @settings(max_examples=300, deadline=None)
@@ -510,29 +520,28 @@ class TestFlipRoute:
         except (Disconnected, StopIteration):
             assume(False)
         branch = branch_route(H)
-        count = kasteleyn_count(H)
-        assert count in (None, len(branch))
-        if count:
-            walk = _flip_walk(H, count)
-            if walk is not None:
-                ids = list(range(H.n_edges))
-                assert sorted(_edge_ids(ids, m) for m in walk) == branch
-        got = enumerate_perfect_matchings(H)
-        assert [M.edge_ids for M in got] == branch
-        assert take_matching_masks(H) == [sum(1 << e for e in t) for t in branch]
+        assert kasteleyn_count(H) in (None, len(branch))
+        assert [M.edge_ids for M in enumerate_perfect_matchings(H)] == branch
         if branch:
+            assert_walk_matches_the_references(H)
             used = set().union(*branch)
             assert is_elementary(H, branch[0]) == (len(used) == H.n_edges)
 
-    def test_a_short_walk_falls_back_to_the_branch_route(self):
+    def test_a_short_walk_falls_back_to_the_branch_route(self, monkeypatch):
         G = nested_squares()
         assert all(G.faces[f].is_simple_cycle for f in G.inner_face_ids)
         assert kasteleyn_count(G) == 4
-        assert _flip_walk(G, 4) is None
+        starts = []
+        climb = matching._climb
+
+        def counted(m, *rest):
+            starts.append(m)
+            climb(m, *rest)
+
+        monkeypatch.setattr(matching, "_climb", counted)
         assert [M.edge_ids for M in enumerate_perfect_matchings(G)] == branch_route(G)
-        assert take_matching_masks(G) == [
-            sum(1 << e for e in t) for t in branch_route(G)
-        ]
+        assert len(starts) == 2  # one walk per flip component
+        assert_walk_matches_the_references(G)
 
     def test_is_elementary_agrees_with_enumeration(self):
         for G in cycle_oracle_hosts():
@@ -562,3 +571,25 @@ class TestFlipRoute:
         monkeypatch.setattr(matching, "_search_tree", counted)
         assert len(enumerate_perfect_matchings(G)) == count
         assert len(leaves) <= 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_matchings_bruteforce(parse_spec("P(2,2)").graph),
+    lambda: alternating_cycles_dfs(
+        G := parse_spec("P(2,2)").graph, enumerate_perfect_matchings(G)[0]
+    ),
+    lambda: _saturated_chains(L := order_ideal_lattice(grid_poset(2, 2))[0], L.top, 6),
+    lambda: _all_profiles(4),
+], ids=["count_matchings_bruteforce", "alternating_cycles_dfs",
+        "_saturated_chains", "_all_profiles"])
+def test_recursive_searches_leave_no_cyclic_garbage(call):
+    """Each search runs over an explicit stack, so a call is freed by
+    reference counting alone; a recursive closure is a reference cycle."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -21,6 +21,7 @@ from matchlat import (
     verify_iso_matchings_ideals,
 )
 from matchlat.errors import (
+    CycleDetected,
     DirectedCycleInInnerDual,
     IsoFailure,
     MultipleSinks,
@@ -54,7 +55,7 @@ from matchlat.matching import (
 )
 from matchlat.ztransform import certify_ideal_map, directed_paths
 
-from conftest import c6_description, pendant_description
+from conftest import c6_description, pendant_description, reference_arcs
 
 
 class TestZDigraph:
@@ -116,17 +117,6 @@ class TestZDigraph:
                 assert rep.enclosed_faces == frozenset({fid})
 
 
-def reference_arcs(G):
-    """The per-matching route: flip each face classified proper, then sort."""
-    index = matching_index(G)
-    return tuple(sorted(
-        (i, index[M.flip(G.faces[fid].edge_set)], fid)
-        for i, M in enumerate(enumerate_perfect_matchings(G))
-        for fid, cls in classify_alternating_faces(G, M)
-        if cls == PROPER
-    ))
-
-
 def reference_host(name):
     C6 = parse_spec("L(1)").graph
     if name == "linked C6x3":
@@ -167,6 +157,22 @@ class TestMaskRoute:
         monkeypatch.setattr(matching, "_search_tree", lambda n, edges: iter([edge_ids]))
         with pytest.raises(NotAMatching, match=message):
             build_z_digraph(G)
+
+    @pytest.mark.parametrize("spec", ["L(1)", "P(2,2)", "T(3)"])
+    def test_a_directed_two_cycle_is_refused(self, monkeypatch, spec):
+        """One face listed again with white and black swapped: its flips
+        then run both ways, and the walk must not take them for covers."""
+        from matchlat import matching
+
+        faces = matching.flip_faces
+
+        def doubled(G):
+            fid, face, white = faces(G)[0]
+            return faces(G) + ((fid, face, face ^ white),)
+
+        monkeypatch.setattr(matching, "flip_faces", doubled)
+        with pytest.raises(CycleDetected, match="directed cycle"):
+            build_z_digraph(parse_spec(spec).graph)
 
 
 class TestMatchingPoset:
