@@ -65,6 +65,12 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise ParseError(f"cannot write output file: {exc}") from exc
 
 
+# rows of one int-row payload filled by one ``%`` each: large enough that
+# the C formatting dominates, small enough that no piece nears the
+# payload's size (one piece for the whole payload raises the peak memory)
+ROWS_PER_PIECE = 4096
+
+
 def _dump_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
@@ -72,45 +78,70 @@ def _dump_json(obj) -> str:
     same bytes faster.  It recurses over dicts (keys sorted, every CLI
     payload has str keys) and over lists and tuples, and encodes every
     scalar with ``json.dumps``.  A list of non-empty int rows (matchings,
-    arcs, covers) takes a fast path: it goes once through the C encoder,
-    whose row breaks one ``str.replace`` indents.
+    arcs, covers) takes a fast path: one ``%d`` template per row length,
+    and ``ROWS_PER_PIECE`` rows filled by one ``%`` of the piece's
+    template with its flattened ints.  Every piece goes to one list,
+    joined once.
+
+    It returns one ``str``, not the pieces or a generator: ``_emit`` writes
+    it whole, and perfbench times ``_dump_json`` with ``_emit`` as its
+    export span and counts ``len`` of ``_emit``'s argument as the bytes
+    written, which a generator would break and a list would miscount.
     """
-    return _indented(obj, "\n") + "\n"
+    pieces: list[str] = []
+    _indented(obj, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
-def _indented(obj, inner: str) -> str:
-    """obj as indented JSON; ``inner`` is the newline and indent of its level."""
+def _indented(obj, inner: str, out: list[str]) -> None:
+    """Append obj as indented JSON to out; ``inner`` is the newline and
+    indent of its level."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         deeper = inner + "  "
-        return (
-            "{" + deeper
-            + ("," + deeper).join(
-                json.dumps(k) + ": " + _indented(v, deeper)
-                for k, v in sorted(obj.items())
-            )
-            + inner + "}"
-        )
+        sep = "{" + deeper
+        for k, v in sorted(obj.items()):
+            out.append(sep + json.dumps(k) + ": ")
+            _indented(v, deeper, out)
+            sep = "," + deeper
+        out.append(inner + "}")
+        return
     if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
+        out.append(json.dumps(obj))
+        return
     if not obj:
-        return "[]"
+        out.append("[]")
+        return
     deeper = inner + "  "
+    between = "," + deeper
+    out.append("[" + deeper)
     if (
         set(map(type, obj)) <= {list, tuple}
         and all(obj)
         and set(map(type, chain.from_iterable(obj))) == {int}
     ):
-        # compact rows with the element break as separator, then split rows
         cell = deeper + "  "
-        flat = json.dumps(obj, separators=("," + cell, ":"))
-        body = "[" + cell + flat[2:-2].replace(
-            "]," + cell + "[", deeper + "]," + deeper + "[" + cell
-        ) + deeper + "]"
+        row = {
+            k: "[" + cell + ("%d," + cell) * (k - 1) + "%d" + deeper + "]"
+            for k in set(map(len, obj))
+        }
+        for start in range(0, len(obj), ROWS_PER_PIECE):
+            piece = obj[start:start + ROWS_PER_PIECE]
+            if start:
+                out.append(between)
+            out.append(
+                between.join([row[len(r)] for r in piece])
+                % tuple(chain.from_iterable(piece))
+            )
     else:
-        body = ("," + deeper).join(_indented(v, deeper) for v in obj)
-    return "[" + deeper + body + inner + "]"
+        for i, v in enumerate(obj):
+            if i:
+                out.append(between)
+            _indented(v, deeper, out)
+    out.append(inner + "]")
 
 
 def cmd_generate(args) -> int:

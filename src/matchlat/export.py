@@ -76,6 +76,10 @@ def lattice_to_dot(L: FiniteLattice, name: str = "lattice") -> str:
     return "\n".join(lines) + "\n"
 
 
-def matchings_to_json(matchings: Sequence) -> list[list[int]]:
-    """Matchings as sorted edge-id arrays, in canonical order."""
-    return [list(M.edge_ids) for M in matchings]
+def matchings_to_json(matchings: Sequence) -> list[tuple[int, ...]]:
+    """Matchings as sorted edge-id arrays, in canonical order.
+
+    Each row is the matching's own ``edge_ids`` tuple, not a copy: the
+    JSON writers encode tuples as arrays.
+    """
+    return [M.edge_ids for M in matchings]

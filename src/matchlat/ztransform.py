@@ -132,7 +132,9 @@ class MatchingPoset:
 def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
     """Order matchings by reachability; FinitePoset certifies the arcs as covers."""
     Z = build_z_digraph(G)
-    covers = tuple(sorted({(b, a) for a, b, _ in Z.arcs}))
+    # the walk records each cover once, so no set is needed; a repeated
+    # pair would make FinitePoset refuse, which becomes HasseMismatch
+    covers = tuple(sorted([(b, a) for a, b, _ in Z.arcs]))
     try:
         poset = FinitePoset(tuple(Z.matchings), covers)
     except ParseError as exc:

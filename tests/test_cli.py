@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchlat
+from matchlat import cli
 from matchlat.cli import _dump_json, main
 
 
@@ -283,5 +285,23 @@ class TestDumpJson:
     @given(int_rows)
     @settings(max_examples=200, deadline=None)
     def test_int_rows_match_indented_json_dumps(self, rows):
+        for value in (rows, {"rows": rows, "n": [rows]}):
+            assert _dump_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("piece", [1, 2])
+    @given(rows=int_rows)
+    @settings(max_examples=100, deadline=None)
+    def test_int_rows_across_pieces(self, piece, rows):
+        with patch.object(cli, "ROWS_PER_PIECE", piece):
+            for value in (rows, {"rows": rows, "n": [rows]}):
+                assert _dump_json(value) == reference_json(value)
+
+    def test_rows_past_two_pieces(self):
+        # 2·N + 1 rows: two full pieces and a one-row tail, with lengths
+        # 1 to 3 and lists and tuples mixed
+        rows = [
+            (list if i % 2 else tuple)(range(-i, -i + 1 + i % 3))
+            for i in range(2 * cli.ROWS_PER_PIECE + 1)
+        ]
         for value in (rows, {"rows": rows, "n": [rows]}):
             assert _dump_json(value) == reference_json(value)

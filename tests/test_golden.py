@@ -3,8 +3,9 @@
 `test_deterministic_bytes` only compares two runs of the same code; these
 digests pin the bytes of `gen` and of every `analyze` target and format
 on four small hosts, the JSON of the 12-node fence's matchings, flip
-digraph and lattice, and the JSON report of `verify all`, so a refactor
-that changes any output fails here.
+digraph and lattice, the JSON of the 18-node fence's matchings and flip
+digraph, and the JSON report of `verify all`, so a refactor that changes
+any output fails here.
 Regenerate the table only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -28,9 +29,15 @@ FORMATS = ("json", "dot", "text")
 # matchings (int rows, and the lattice's string elements), to keep the
 # suite quick
 FENCE_12 = "tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12"
+# the 18-node fence: 6,765 matchings and 34,690 flip arcs, int-row
+# payloads long enough to span several of the emitter's pieces
+FENCE_18 = FENCE_12 + ",13>12,13>14,15>14,15>16,17>16,17>18"
 LARGE_CASES = tuple(
     f"analyze {FENCE_12} {target} --format json"
     for target in ("zdig", "matchings", "lattice")
+) + tuple(
+    f"analyze {FENCE_18} {target} --format json"
+    for target in ("zdig", "matchings")
 ) + ("verify all --format json",)
 
 
@@ -47,7 +54,7 @@ def cases() -> list[str]:
 
 def write_hosts(directory) -> dict[str, str]:
     paths = {}
-    for host in HOSTS + (FENCE_12,):
+    for host in HOSTS + (FENCE_12, FENCE_18):
         if host == "C6+L(2,1)":
             parts = [parse_spec("L(1)").graph, parse_spec("P(2,1)").graph]
             G = link_components(parts).graph
@@ -173,6 +180,8 @@ GOLDEN = {
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 zdig --format json': '0 b042656305eb701be78c7522ff72118d13e45e0e0a42d8455682020a7651a61d',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 matchings --format json': '0 eb7d5a5971da1405c41256128b7ee882df81d8622579f9d078394340609c6311',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 lattice --format json': '0 807fccf40dba4932cb07f632c85e6108565b7bca3c77e6132dfc18eb26aa4dcd',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18 zdig --format json': '0 c128943bc6a50d8237ca3a4e14b5f647c6695118dc67ee1eff2fb9a5baf3af43',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18 matchings --format json': '0 47d58336bd83081807acb14e6adfeadfa98befff469cc7f6e8c3fe7eb114ff16',
     'verify all --format json': '0 39920ecdff122e01e20f322891fc8ad73fa7958a899d3ef069245672379f935d',
 }
 
