@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -71,17 +72,27 @@ def _emit(text: str, out: Optional[str]) -> None:
 ROWS_PER_PIECE = 4096
 
 
+@dataclass(frozen=True)
+class IntTable:
+    """A flat tuple of ints read as rows of ``width`` ints; ``_dump_json``
+    writes it as the list of those rows, and no row is built as a tuple."""
+
+    ints: tuple[int, ...]
+    width: int
+
+
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    with each :class:`IntTable` in obj read as the list of its rows.
 
     CPython encodes with ``indent`` in pure Python; this emitter gets the
     same bytes faster.  It recurses over dicts (keys sorted, every CLI
     payload has str keys) and over lists and tuples, and encodes every
     scalar with ``json.dumps``.  A list of non-empty int rows (matchings,
-    arcs, covers) takes a fast path: one ``%d`` template per row length,
-    and ``ROWS_PER_PIECE`` rows filled by one ``%`` of the piece's
-    template with its flattened ints.  Every piece goes to one list,
-    joined once.
+    covers) and an ``IntTable`` (arcs) take a fast path: one ``%d``
+    template per row length, and ``ROWS_PER_PIECE`` rows filled by one
+    ``%`` of the piece's template with its flat ints.  Every piece goes to
+    one list, joined once.
 
     It returns one ``str``, not the pieces or a generator: ``_emit`` writes
     it whole, and perfbench times ``_dump_json`` with ``_emit`` as its
@@ -109,8 +120,18 @@ def _indented(obj, inner: str, out: list[str]) -> None:
             sep = "," + deeper
         out.append(inner + "}")
         return
+    if isinstance(obj, IntTable):
+        _int_rows(obj.ints, obj.width, inner, out)
+        return
     if not isinstance(obj, (list, tuple)):
         out.append(json.dumps(obj))
+        return
+    if (
+        set(map(type, obj)) <= {list, tuple}
+        and all(obj)
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        _int_rows(obj, None, inner, out)
         return
     if not obj:
         out.append("[]")
@@ -118,29 +139,41 @@ def _indented(obj, inner: str, out: list[str]) -> None:
     deeper = inner + "  "
     between = "," + deeper
     out.append("[" + deeper)
-    if (
-        set(map(type, obj)) <= {list, tuple}
-        and all(obj)
-        and set(map(type, chain.from_iterable(obj))) == {int}
-    ):
-        cell = deeper + "  "
-        row = {
-            k: "[" + cell + ("%d," + cell) * (k - 1) + "%d" + deeper + "]"
-            for k in set(map(len, obj))
-        }
-        for start in range(0, len(obj), ROWS_PER_PIECE):
-            piece = obj[start:start + ROWS_PER_PIECE]
-            if start:
-                out.append(between)
-            out.append(
-                between.join([row[len(r)] for r in piece])
-                % tuple(chain.from_iterable(piece))
-            )
-    else:
-        for i, v in enumerate(obj):
-            if i:
-                out.append(between)
-            _indented(v, deeper, out)
+    for i, v in enumerate(obj):
+        if i:
+            out.append(between)
+        _indented(v, deeper, out)
+    out.append(inner + "]")
+
+
+def _int_rows(rows, width: Optional[int], inner: str, out: list[str]) -> None:
+    """Append int rows as one indented JSON list to out: ``rows`` is a list
+    of non-empty int rows when ``width`` is None, and otherwise a flat
+    tuple of ints, ``width`` to a row."""
+    n = len(rows) if width is None else len(rows) // width
+    if not n:
+        out.append("[]")
+        return
+    deeper = inner + "  "
+    cell = deeper + "  "
+    between = "," + deeper
+    lengths = set(map(len, rows)) if width is None else {width}
+    row = {
+        k: "[" + cell + ("%d," + cell) * (k - 1) + "%d" + deeper + "]"
+        for k in lengths
+    }
+    out.append("[" + deeper)
+    for start in range(0, n, ROWS_PER_PIECE):
+        stop = min(start + ROWS_PER_PIECE, n)
+        if width is None:
+            piece = rows[start:stop]
+            sizes, ints = map(len, piece), tuple(chain.from_iterable(piece))
+        else:
+            sizes = repeat(width, stop - start)
+            ints = rows[start * width:stop * width]
+        if start:
+            out.append(between)
+        out.append(between.join([row[k] for k in sizes]) % ints)
     out.append(inner + "]")
 
 
@@ -171,13 +204,13 @@ def cmd_analyze(args) -> int:
         if fmt == "dot":
             _emit(zdigraph_to_dot(Z), args.out)
         elif fmt == "text":
-            _emit(f"{Z.n} matchings, {len(Z.arcs)} flip arcs\n", args.out)
+            _emit(f"{Z.n} matchings, {len(Z.arc_table) // 3} flip arcs\n", args.out)
         else:
             _emit(
                 _dump_json(
                     {
                         "matchings": matchings_to_json(Z.matchings),
-                        "arcs": Z.arcs,
+                        "arcs": IntTable(Z.arc_table, 3),
                     }
                 ),
                 args.out,

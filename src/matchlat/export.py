@@ -43,7 +43,8 @@ def zdigraph_to_dot(Z: ZDigraph, name: str = "flips") -> str:
     for i, M in enumerate(Z.matchings):
         label = ",".join(str(e) for e in M.edge_ids)
         lines.append(f'  m{i} [label="M{i}: {{{label}}}"];')
-    for a, b, f in Z.arcs:
+    it = iter(Z.arc_table)
+    for a, b, f in zip(it, it, it):
         lines.append(f'  m{a} -> m{b} [label="f{f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

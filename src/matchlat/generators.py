@@ -326,7 +326,8 @@ def matching_geometry(
     """
     G = H.graph
     check_matching(G, M)
-    diff = M.edge_set ^ H.root_edges
+    in_m = M.edge_set  # built once: Matching.edge_set makes a new frozenset
+    diff = in_m ^ H.root_edges
     lb = H.left_perimeter | H.bottom_perimeter
     if not diff:
         cycle: frozenset[int] = frozenset()
@@ -345,8 +346,8 @@ def matching_geometry(
         hexes = frozenset(H.face_hexagon[f] for f in inside)
         path = frozenset(lb ^ cycle)
 
-    _check_alternating_path(H, M, path)
-    for eid in M.edge_set - path:
+    _check_alternating_path(H, in_m, path)
+    for eid in in_m - path:
         if H.edge_kind[eid] != FALLING:
             raise IsoFailure(
                 f"matching edge {eid} off the path is not a falling slant"
@@ -358,8 +359,10 @@ def matching_geometry(
 
 
 def _check_alternating_path(
-    H: TruncatedParallelogram, M: Matching, path: frozenset[int]
+    H: TruncatedParallelogram, in_m: frozenset[int], path: frozenset[int]
 ) -> None:
+    """Check that path is a simple path alternating in the matching whose
+    edge set is in_m, with both end edges in it."""
     G = H.graph
     deg: dict[int, list[int]] = {}
     for eid in path:
@@ -377,7 +380,7 @@ def _check_alternating_path(
         if not nxt:
             break
         e = nxt[0]
-        inm = e in M.edge_set
+        inm = e in in_m
         if prev is None and not inm:
             raise IsoFailure("path end edge is not in the matching")
         if state is not None and inm == state:

@@ -191,9 +191,10 @@ def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
 
 
 @per_object
-def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple]:
-    """The perfect matchings of G in canonical order, and the arcs (upper,
-    lower, inner face id) of its flip digraph, sorted and certified acyclic.
+def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
+    """The perfect matchings of G in canonical order, and the arc table of
+    its flip digraph (``ztransform.ZDigraph.arc_table``), sorted and
+    certified acyclic.
 
     The flip route walks (:func:`_climb`) from the branch search's first
     leaf and is complete when it reached |det K| matchings.  Otherwise the
@@ -236,12 +237,17 @@ def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple]:
         rank[index[m]] = p
     ids = list(range(G.n_edges))  # one int object per edge id
     matchings = tuple(Matching(_edge_ids(ids, m)) for m in masks)
-    # each arc sorts as one int; the walk's list goes before the tuples are
-    # made, in order, so their readers (poset, exporters) read memory in order
+    # each arc sorts as one int, and the table is filled a column at a time
+    # into strided slices, so no arc becomes a tuple; the walk's list goes
+    # first, so the table's ints are made in order
     it = iter(arcs)
     keys = sorted((rank[hi] * n + rank[lo]) * nf + fid for hi, lo, fid in zip(it, it, it))
     del arcs, it
-    return matchings, tuple((pos[k // nf // n], pos[k // nf % n], k % nf) for k in keys)
+    table = [0] * (3 * len(keys))
+    table[0::3] = [pos[k // nf // n] for k in keys]
+    table[1::3] = [pos[k // nf % n] for k in keys]
+    table[2::3] = [k % nf for k in keys]
+    return matchings, tuple(table)
 
 
 def _climb(

@@ -68,14 +68,26 @@ from .plane_graph import (
 
 @dataclass(frozen=True, eq=False)
 class ZDigraph:
-    """Acyclic flip digraph: nodes are matchings, arcs are labeled by faces."""
+    """Acyclic flip digraph: nodes are matchings, arcs are labeled by faces.
+
+    ``arc_table`` holds the arcs as one flat tuple of ints, three per arc:
+    upper end, lower end (indices into ``matchings``) and inner face id,
+    ``upper, lower, face, upper, ...``, sorted by (upper, lower, face).
+    ``arcs`` is the same as one ``(upper, lower, face)`` tuple per arc,
+    built on first use; the JSON, text and DOT writers read the table.
+    """
 
     matchings: tuple[Matching, ...]
-    arcs: tuple[tuple[int, int, int], ...]  # (from, to, inner face id)
+    arc_table: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.matchings)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        it = iter(self.arc_table)
+        return tuple(zip(it, it, it))
 
     def out_arcs(self, i: int) -> tuple[tuple[int, int, int], ...]:
         return self._out[i]
@@ -99,7 +111,7 @@ def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
     matchings = enumerate_perfect_matchings(G)
     if not matchings:
         raise NoPerfectMatching("graph has no perfect matching")
-    return ZDigraph(matchings=matchings, arcs=_flip_walk(G)[1])
+    return ZDigraph(matchings=matchings, arc_table=_flip_walk(G)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +146,8 @@ def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
     Z = build_z_digraph(G)
     # the walk records each cover once, so no set is needed; a repeated
     # pair would make FinitePoset refuse, which becomes HasseMismatch
-    covers = tuple(sorted([(b, a) for a, b, _ in Z.arcs]))
+    t = Z.arc_table
+    covers = tuple(sorted(zip(t[1::3], t[0::3])))
     try:
         poset = FinitePoset(tuple(Z.matchings), covers)
     except ParseError as exc:

@@ -305,3 +305,30 @@ class TestDumpJson:
         ]
         for value in (rows, {"rows": rows, "n": [rows]}):
             assert _dump_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("piece", [1, 2])
+    @given(rows=st.lists(st.lists(row_ints, min_size=3, max_size=3), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_int_table_is_its_rows(self, piece, rows):
+        # the flat table of width 3 encodes as the list of its rows
+        table = cli.IntTable(tuple(x for row in rows for x in row), 3)
+        with patch.object(cli, "ROWS_PER_PIECE", piece):
+            for value, same in (
+                (table, rows),
+                ({"t": table, "n": [table]}, {"t": rows, "n": [rows]}),
+            ):
+                assert _dump_json(value) == reference_json(same)
+
+    def test_empty_int_table(self, tmp_path, capsys):
+        assert _dump_json(cli.IntTable((), 3)) == "[]\n"
+        # the one-edge host has one matching and no flip arcs
+        path = tmp_path / "k2.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "color": "white"}, {"id": 1, "color": "black"}],
+            "edges": [[0, 1]],
+            "rotation": {"0": [0], "1": [0]},
+        }))
+        code, stdout, _ = run_cli(["analyze", str(path), "zdig"], capsys)
+        assert code == 0
+        assert stdout == reference_json({"arcs": [], "matchings": [[0]]})
+        assert '"arcs": [],' in stdout

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import pytest
@@ -12,6 +13,7 @@ from matchlat import (
     find_e_cuts,
     link_components,
     load_graph,
+    load_graph_file,
     matching_lattice,
     matching_poset,
     parse_spec,
@@ -23,6 +25,7 @@ from matchlat import (
 from matchlat.errors import (
     CycleDetected,
     DirectedCycleInInnerDual,
+    HasseMismatch,
     IsoFailure,
     MultipleSinks,
     MultipleSources,
@@ -130,14 +133,44 @@ def reference_host(name):
     return parse_spec(name).graph
 
 
+REFERENCE_HOSTS = [
+    "P(2,3)", "P(3,3)", "T(3)", "T(4)", "L(3,2,2)", "L(4,2,1)",
+    "linked C6x3", "C6+pendant+C6", "pendant", "fence-12",
+]
+
+
 class TestMaskRoute:
-    @pytest.mark.parametrize("host", [
-        "P(2,3)", "P(3,3)", "T(3)", "T(4)", "L(3,2,2)", "L(4,2,1)",
-        "linked C6x3", "C6+pendant+C6", "pendant", "fence-12",
-    ])
+    @pytest.mark.parametrize("host", REFERENCE_HOSTS)
     def test_arcs_equal_the_per_matching_route(self, host):
         G = reference_host(host)
         assert build_z_digraph(G).arcs == reference_arcs(G)
+
+    @pytest.mark.parametrize("host", REFERENCE_HOSTS)
+    def test_arcs_are_the_table_in_threes(self, host):
+        Z = build_z_digraph(reference_host(host))
+        assert type(Z.arc_table) is tuple
+        assert Z.arcs == tuple(zip(*[iter(Z.arc_table)] * 3))
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+    def test_cli_writers_read_the_table(self, monkeypatch, tmp_path, fmt):
+        """The zdig writers never build the per-arc tuples."""
+        from matchlat import cli
+
+        loaded = []
+
+        def load(path, caps):
+            loaded.append(load_graph_file(path, caps))
+            return loaded[-1]
+
+        path = tmp_path / "t3.json"
+        path.write_text(json.dumps(parse_spec("T(3)").graph.to_json()))
+        monkeypatch.setattr(cli, "load_graph_file", load)
+        out = tmp_path / f"zdig.{fmt}"
+        assert cli.main(["analyze", str(path), "zdig", "--format", fmt,
+                         "--out", str(out)]) == 0
+        Z = build_z_digraph(loaded[0])
+        assert Z.arc_table
+        assert "arcs" not in vars(Z)
 
     def test_disconnected_host_has_arcs_in_both_components(self):
         mp = matching_poset(reference_host("C6+pendant+C6"))
@@ -173,6 +206,24 @@ class TestMaskRoute:
         monkeypatch.setattr(matching, "flip_faces", doubled)
         with pytest.raises(CycleDetected, match="directed cycle"):
             build_z_digraph(parse_spec(spec).graph)
+
+    @pytest.mark.parametrize("spec", ["L(1)", "P(2,2)", "T(3)"])
+    def test_a_repeated_cover_is_refused(self, monkeypatch, spec):
+        """One face listed twice: the walk records each of its covers
+        twice, and the poset must refuse the digraph as a Hasse diagram."""
+        from matchlat import matching
+
+        faces = matching.flip_faces
+
+        def doubled(G):
+            return faces(G) + faces(G)[:1]
+
+        monkeypatch.setattr(matching, "flip_faces", doubled)
+        G = parse_spec(spec).graph
+        t = build_z_digraph(G).arc_table
+        assert len(set(zip(t[0::3], t[1::3]))) < len(t) // 3
+        with pytest.raises(HasseMismatch, match="not a Hasse diagram"):
+            matching_poset(G)
 
 
 class TestMatchingPoset:
