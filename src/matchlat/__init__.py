@@ -55,7 +55,6 @@ from .plane_graph import (
 )
 from .ztransform import (
     ExtremalMatchings,
-    MatchingPoset,
     ZDigraph,
     build_z_digraph,
     delta_cycle_count,

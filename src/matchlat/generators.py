@@ -437,16 +437,16 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
     lattice isomorphism search against J(F), built for that alone.
     """
     G = H.graph
-    mp = matching_poset(G)
-    images = tuple(matching_geometry(H, M).hexagons for M in mp.matchings)
+    order = matching_poset(G)
+    images = tuple(matching_geometry(H, M).hexagons for M in order.labels)
     P = hexagon_poset(H.spec)
-    certify_ideal_map(mp, images, P)
+    certify_ideal_map(order, images, P)
 
     # join-irreducible matchings carry a unique maximal hexagon, which is
     # also their unique proper alternating face
     pos = {lab: k for k, lab in enumerate(P.labels)}
     for i, image in enumerate(images):
-        if len(mp.poset.down_covers[i]) != 1:
+        if len(order.down_covers[i]) != 1:
             continue
         maxima = [
             hx for hx in image
@@ -454,7 +454,7 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
         ]
         proper = [
             H.face_hexagon[fid]
-            for fid, cls in classify_alternating_faces(G, mp.matchings[i])
+            for fid, cls in classify_alternating_faces(G, order.labels[i])
             if cls == PROPER
         ]
         if len(maxima) != 1 or proper != maxima:

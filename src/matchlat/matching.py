@@ -60,9 +60,6 @@ class Matching:
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edge_ids)
 
-    def __contains__(self, edge_id: int) -> bool:
-        return edge_id in self.edge_set
-
     def flip(self, cycle_edges: Iterable[int]) -> "Matching":
         return Matching(tuple(sorted(self.edge_set ^ frozenset(cycle_edges))))
 

@@ -18,6 +18,7 @@ from .errors import SizeCapExceeded
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    _bits,
     join_irreducibles,
     lattice_isomorphic,
     order_ideal_lattice,
@@ -179,13 +180,6 @@ def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
         if len(banks) == 1:
             out.add(frozenset(_bits(mask)))
     return out
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def distributive_by_birkhoff(L: FiniteLattice) -> bool:

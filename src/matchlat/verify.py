@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .errors import MatchlatError
+from .errors import MatchlatError, SizeCapExceeded
 from .generators import (
     OrientedTree,
     TruncatedParallelogram,
@@ -43,7 +43,12 @@ from .lattice import (
     order_ideal_lattice,
     rank_check,
 )
-from .matching import all_alternating_cycles, enumerate_perfect_matchings
+from .matching import (
+    IMPROPER,
+    PROPER,
+    all_alternating_cycles,
+    enumerate_perfect_matchings,
+)
 from .oracles import (
     alternating_cycles_dfs,
     count_matchings_bruteforce,
@@ -119,9 +124,14 @@ class VerificationReport:
 
 
 def _checked(claim_id: str, fn: Callable[[], Optional[str]]) -> CheckResult:
-    """Run one check; a raised error or returned message is a failure witness."""
+    """Run one check; a raised error or returned message is a failure witness.
+
+    A size cap that binds is no failure of the claim: it propagates.
+    """
     try:
         witness = fn()
+    except SizeCapExceeded:
+        raise
     except MatchlatError as exc:
         witness = f"{type(exc).__name__}: {exc}"
     except AssertionError as exc:
@@ -334,20 +344,18 @@ def check_delta_path_invariance(report: VerificationReport, caps: SizeCaps) -> N
     """Face multiplicity along any flip path equals the signed cycle count."""
     for name, G in _small_fixtures(caps):
         def fn(G=G) -> Optional[str]:
-            mp = matching_poset(G)
-            Z = mp.digraph
-            n = Z.n
+            P = matching_poset(G)
             inner = G.inner_face_ids
-            for i in range(n):
-                for j in range(n):
-                    if i == j or not mp.leq(j, i):
+            for i in range(P.n):
+                for j in range(P.n):
+                    if i == j or not P.leq(j, i):
                         continue
-                    Mi, Mj = Z.matchings[i], Z.matchings[j]
+                    Mi, Mj = P.labels[i], P.labels[j]
                     deltas = {
                         f: delta_cycle_count(G, Mi, Mj, f) for f in inner
                     }
                     for path in directed_paths(G, i, j, cap=MAX_FLIP_PATHS):
-                        ms = [Z.matchings[k] for k in path]
+                        ms = [P.labels[k] for k in path]
                         for f in inner:
                             if path_face_multiplicity(G, ms, f) != deltas[f]:
                                 return (
@@ -372,6 +380,8 @@ def check_outerplane(report: VerificationReport, caps: SizeCaps) -> None:
                     try:
                         realization = tree_to_outerplane(tree, caps=caps)
                         msg = _outerplane_case(realization.graph, caps)
+                    except SizeCapExceeded:
+                        raise
                     except MatchlatError as exc:
                         msg = f"{type(exc).__name__}: {exc}"
                     if msg is not None:
@@ -392,9 +402,14 @@ def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
             if hits != 1:
                 return f"e-cut {sorted(cut.edges)} meets a matching {hits} times"
     ext = extremal_matchings(G)
-    Z = build_z_digraph(G)
+    # the extremes' certificate: the source has no improper alternating
+    # cycle and the root no proper one
+    extremes = (("source", ext.source, IMPROPER), ("root", ext.root, PROPER))
+    for name, M, wrong in extremes:
+        if any(r.orientation_class == wrong for r in all_alternating_cycles(G, M)):
+            return f"{name} matching has a {wrong} alternating cycle"
+    face_of = build_z_digraph(G).face_of
     inner = set(G.inner_face_ids)
-    label_of = {(a, b): f for a, b, f in Z.arcs}
     iso = verify_iso_matchings_ideals(G)
     F = iso.face_poset
     pos = {f: i for i, f in enumerate(F.labels)}
@@ -405,7 +420,7 @@ def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
         if f != g and F.leq(pos[f], pos[g])
     ]
     for path in directed_paths(G, ext.source_index, ext.root_index, cap=20_000):
-        faces = [label_of[(a, b)] for a, b in zip(path, path[1:])]
+        faces = [face_of[(a, b)] for a, b in zip(path, path[1:])]
         if sorted(faces) != sorted(inner):
             return "maximal path does not flip each face exactly once"
         when = {f: k for k, f in enumerate(faces)}
@@ -560,15 +575,10 @@ SUITES = {
 
 
 def run_suite(name: str, caps: SizeCaps = DEFAULT_CAPS) -> VerificationReport:
-    if name == "all":
-        report = VerificationReport(suite="all")
-        for suite in ("core", "parallelogram", "outerplane", "decomposition"):
-            for check in SUITES[suite]:
-                check(report, caps)
-        return report
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise MatchlatError(f"unknown suite {name!r}")
     report = VerificationReport(suite=name)
-    for check in SUITES[name]:
-        check(report, caps)
+    for suite in SUITES if name == "all" else (name,):
+        for check in SUITES[suite]:
+            check(report, caps)
     return report

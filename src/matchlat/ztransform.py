@@ -50,12 +50,10 @@ from .lattice import (
     poset_from_relation,
 )
 from .matching import (
-    IMPROPER,
     PROPER,
     Matching,
     _difference_cycles,
     _flip_walk,
-    all_alternating_cycles,
     enumerate_perfect_matchings,
     matching_index,
 )
@@ -73,8 +71,9 @@ class ZDigraph:
     ``arc_table`` holds the arcs as one flat tuple of ints, three per arc:
     upper end, lower end (indices into ``matchings``) and inner face id,
     ``upper, lower, face, upper, ...``, sorted by (upper, lower, face).
-    ``arcs`` is the same as one ``(upper, lower, face)`` tuple per arc,
-    built on first use; the JSON, text and DOT writers read the table.
+    ``arcs`` is the same as one ``(upper, lower, face)`` tuple per arc and
+    ``face_of`` maps each ``(upper, lower)`` pair to its face, each built
+    on first use; the JSON, text and DOT writers read the table.
     """
 
     matchings: tuple[Matching, ...]
@@ -89,15 +88,10 @@ class ZDigraph:
         it = iter(self.arc_table)
         return tuple(zip(it, it, it))
 
-    def out_arcs(self, i: int) -> tuple[tuple[int, int, int], ...]:
-        return self._out[i]
-
     @cached_property
-    def _out(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for a in self.arcs:
-            adj[a[0]].append(a)
-        return tuple(tuple(lst) for lst in adj)
+    def face_of(self) -> dict[tuple[int, int], int]:
+        t = self.arc_table
+        return dict(zip(zip(t[0::3], t[1::3]), t[2::3]))
 
 
 @per_object
@@ -114,51 +108,26 @@ def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
     return ZDigraph(matchings=matchings, arc_table=_flip_walk(G)[1])
 
 
-@dataclass(frozen=True, eq=False)
-class MatchingPoset:
-    """Reachability order on matchings, with certified cover relation.
-
-    ``poset`` orders all matchings (M' below M when the digraph walks
-    from M down to M').
-    """
-
-    digraph: ZDigraph
-    poset: FinitePoset
-
-    @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """The weakly connected pieces, each of which carries its own
-        lattice for weakly elementary hosts."""
-        return self.poset.components
-
-    @property
-    def matchings(self) -> tuple[Matching, ...]:
-        return self.digraph.matchings
-
-    def leq(self, i: int, j: int) -> bool:
-        """True when matching i is below matching j."""
-        return self.poset.leq(i, j)
-
-
 @per_object
-def matching_poset(G: PlaneBipartiteGraph) -> MatchingPoset:
-    """Order matchings by reachability; FinitePoset certifies the arcs as covers."""
+def matching_poset(G: PlaneBipartiteGraph) -> FinitePoset:
+    """Order matchings by reachability (M' below M when the digraph walks
+    from M down to M'), labelled by ``build_z_digraph(G).matchings``;
+    FinitePoset certifies the arcs as its covers."""
     Z = build_z_digraph(G)
     # the walk records each cover once, so no set is needed; a repeated
     # pair would make FinitePoset refuse, which becomes HasseMismatch
     t = Z.arc_table
     covers = tuple(sorted(zip(t[1::3], t[0::3])))
     try:
-        poset = FinitePoset(tuple(Z.matchings), covers)
+        return FinitePoset(Z.matchings, covers)
     except ParseError as exc:
         raise HasseMismatch(f"flip digraph is not a Hasse diagram: {exc}") from exc
-    return MatchingPoset(digraph=Z, poset=poset)
 
 
 @per_object
 def matching_lattice(G: PlaneBipartiteGraph) -> FiniteLattice:
     """The full matching lattice; fails if the host is not weakly elementary."""
-    return lattice_from_poset(matching_poset(G).poset)
+    return lattice_from_poset(matching_poset(G))
 
 
 @dataclass(frozen=True)
@@ -171,33 +140,26 @@ class ExtremalMatchings:
 
 @per_object
 def extremal_matchings(G: PlaneBipartiteGraph) -> ExtremalMatchings:
-    """Unique source and sink of the flip digraph, exhaustively verified.
+    """Unique source and sink of the flip digraph: the top and bottom of
+    the certified matching order.
 
-    Verification enumerates every alternating cycle of the source (none
-    may be improper) and of the root (none may be proper).  For a
-    non-weakly-elementary host with several components the error carries
-    the per-component breakdown.
+    For a non-weakly-elementary host with several components the error
+    carries the per-component breakdown.
     """
-    mp = matching_poset(G)
+    P = matching_poset(G)
     # arcs point down the order: sources are maximal, sinks minimal
-    sources = mp.poset.maximal_elements
-    sinks = mp.poset.minimal_elements
+    sources = P.maximal_elements
+    sinks = P.minimal_elements
     if len(sources) > 1:
         raise MultipleSources(
-            f"{len(sources)} sources across components {mp.components}"
+            f"{len(sources)} sources across components {P.components}"
         )
     if len(sinks) > 1:
-        raise MultipleSinks(f"{len(sinks)} sinks across components {mp.components}")
+        raise MultipleSinks(f"{len(sinks)} sinks across components {P.components}")
     src, snk = sources[0], sinks[0]
-    for rep in all_alternating_cycles(G, mp.matchings[src]):
-        if rep.orientation_class == IMPROPER:
-            raise AssertionError("source matching has an improper alternating cycle")
-    for rep in all_alternating_cycles(G, mp.matchings[snk]):
-        if rep.orientation_class == PROPER:
-            raise AssertionError("root matching has a proper alternating cycle")
     return ExtremalMatchings(
-        source=mp.matchings[src],
-        root=mp.matchings[snk],
+        source=P.labels[src],
+        root=P.labels[snk],
         source_index=src,
         root_index=snk,
     )
@@ -214,13 +176,12 @@ def delta_cycle_count(
     Cycles proper with respect to M count +1, improper ones -1; requires
     M2 below M in the matching order, which forces the count to be >= 0.
     """
-    mp = matching_poset(G)
     idx = matching_index(G)
     try:
         i, j = idx[M], idx[M2]
     except KeyError as exc:
         raise NotAMatching(f"{exc} is not a perfect matching of the graph") from None
-    if not mp.leq(j, i):
+    if not matching_poset(G).leq(j, i):
         raise NotComparable("second matching is not below the first")
     total = 0
     for rep in _difference_cycles(G, M, M2):
@@ -235,7 +196,7 @@ def path_face_multiplicity(
     G: PlaneBipartiteGraph, path: Sequence[Matching], face_id: int
 ) -> int:
     """Multiplicity of a face among the arc labels of a directed flip path."""
-    Z = build_z_digraph(G)
+    face_of = build_z_digraph(G).face_of
     idx = matching_index(G)
     try:
         nodes = [idx[M] for M in path]
@@ -243,7 +204,7 @@ def path_face_multiplicity(
         raise NotAPath(f"unknown matching {exc}") from exc
     count = 0
     for a, b in zip(nodes, nodes[1:]):
-        label = next((f for _, to, f in Z.out_arcs(a) if to == b), None)
+        label = face_of.get((a, b))
         if label is None:
             raise NotAPath(f"no arc between consecutive matchings {a} -> {b}")
         if label == face_id:
@@ -257,13 +218,16 @@ def directed_paths(
     """All directed paths from start to end; more than cap raise SizeCapExceeded.
 
     Depth-first over an explicit stack of successor iterators, one more
-    than the nodes on the path.  A recursive closure would be a reference
-    cycle holding every path found until the cyclic collector ran.
+    than the nodes on the path, entering only matchings above end, so the
+    work is that of the paths found.  A recursive closure would be a
+    reference cycle holding every path found until the cyclic collector ran.
     """
-    Z = build_z_digraph(G)
+    P = matching_poset(G)
+    above = P.up_masks[end]
+    down = P.down_covers
     out: list[tuple[int, ...]] = []
     path: list[int] = []
-    todo = [iter((start,))]
+    todo = [iter((start,) if above >> start & 1 else ())]
     while todo:
         here = next(todo[-1], None)
         if here is None:
@@ -278,7 +242,7 @@ def directed_paths(
             out.append(tuple(path))
             path.pop()
         else:
-            todo.append(b for _, b, _ in Z.out_arcs(here))
+            todo.append(b for b in down[here] if above >> b & 1)
     return out
 
 
@@ -328,7 +292,7 @@ class MatchingIdealIso:
 
 
 def certify_ideal_map(
-    mp: MatchingPoset, images: Sequence[frozenset], F: FinitePoset
+    P: FinitePoset, images: Sequence[frozenset], F: FinitePoset
 ) -> None:
     """Certify matching i -> images[i] (a set of F's labels) as an isomorphism
     onto J(F), by its covers (:func:`lattice.ideal_iso_refusal`); raise
@@ -336,7 +300,7 @@ def certify_ideal_map(
     pos = {label: i for i, label in enumerate(F.labels)}
     d = [sum(1 << pos[x] for x in image) for image in images]
     below = [m ^ 1 << q for q, m in enumerate(F.down_masks)]
-    refusal = ideal_iso_refusal(mp.poset, d, below, F.up_covers)
+    refusal = ideal_iso_refusal(P, d, below, F.up_covers)
     if refusal is not None:
         raise IsoFailure(refusal)
 
@@ -344,7 +308,7 @@ def certify_ideal_map(
 def verify_iso_matchings_ideals(G: PlaneBipartiteGraph) -> MatchingIdealIso:
     """Check that sigma is an order isomorphism onto the ideals of F(G)."""
     F = face_poset_outerplane(G)
-    mp = matching_poset(G)
-    images = tuple(sigma(G, M) for M in mp.matchings)
-    certify_ideal_map(mp, images, F)
+    P = matching_poset(G)
+    images = tuple(sigma(G, M) for M in P.labels)
+    certify_ideal_map(P, images, F)
     return MatchingIdealIso(face_poset=F, ideal_of=images)

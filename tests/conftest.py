@@ -4,8 +4,10 @@ from hypothesis import settings
 from matchlat import (
     OrientedTree,
     TruncatedParallelogramSpec,
+    link_components,
     load_graph,
     parallelogram_spec,
+    parse_spec,
     prolate_triangle_spec,
     tree_to_outerplane,
     truncated_parallelogram,
@@ -17,6 +19,7 @@ from matchlat.matching import (
     enumerate_perfect_matchings,
     matching_index,
 )
+from matchlat.plane_graph import WHITE, _trace_rotation, build_graph
 from matchlat.verify import _TREES_UP_TO_6, _orientations, _small_fixtures
 
 # Derandomised: a failure under `pytest --hypothesis-profile=ci` replays
@@ -167,3 +170,58 @@ def reference_arcs(G):
         for fid, cls in classify_alternating_faces(G, M)
         if cls == PROPER
     ))
+
+
+def fence(k):
+    """The zigzag fence tree on nodes 1..k; it has Fibonacci F(k+2) matchings."""
+    if k == 1:
+        return "tree:1"
+    return "tree:" + ",".join(
+        f"{i}>{i + 1}" if i % 2 else f"{i + 1}>{i}" for i in range(1, k)
+    )
+
+
+def without_edges(G, dropped):
+    """G less some edges, its outer face the one that keeps a step of G's."""
+    keep = [e for e in range(G.n_edges) if e not in dropped]
+    new_id = {e: k for k, e in enumerate(keep)}
+    edges = [G.edges[e] for e in keep]
+    rotation = [[new_id[e] for e in rot if e in new_id] for rot in G.rotation]
+    step = next(
+        (new_id[e], t, h) for e, t, h in G.faces[G.outer_face].steps if e in new_id
+    )
+    outer = next(i for i, w in enumerate(_trace_rotation(edges, rotation)) if step in w)
+    return build_graph(G.colors, edges, rotation, outer, G.caps)
+
+
+def nested_squares():
+    """A square inside a square, joined top to top and bottom to bottom.
+
+    Both joining edges lie in no perfect matching, and each face between
+    the squares has one, so no face flip turns the outer square: the four
+    matchings fall into two flip components, though every face is a
+    simple cycle.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+             (0, 4), (2, 6)]
+    rotation = [(0, 8, 3), (0, 1), (2, 9, 1), (2, 3), (8, 4, 7), (4, 5),
+                (9, 6, 5), (6, 7)]
+    colors = (WHITE, 1, WHITE, 1, 1, WHITE, 1, WHITE)
+    outer = next(
+        i for i, w in enumerate(_trace_rotation(edges, rotation))
+        if {t for _, t, _ in w} == {0, 1, 2, 3}
+    )
+    return build_graph(colors, edges, rotation, outer)
+
+
+def edited_hosts():
+    C6 = parse_spec("L(1)").graph
+    return [
+        parse_spec(spec).graph
+        for spec in ("P(2,2)", "P(2,3)", "P(3,3)", "T(3)", "L(3,2,2)", "L(4,2,1)",
+                     fence(8), "tree:1>2,1>3,1>4")
+    ] + [
+        link_components([C6, C6, C6]).graph,
+        link_components([C6, load_graph(pendant_description()), C6]).graph,
+        nested_squares(),
+    ]

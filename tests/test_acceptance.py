@@ -12,7 +12,7 @@ from pathlib import Path
 import matchlat
 from matchlat import verify
 from matchlat.caps import DEFAULT_CAPS
-from matchlat.errors import SizeCapExceeded
+from matchlat.errors import EmbeddingConflict
 from matchlat.verify import (
     VerificationReport,
     check_counting,
@@ -98,14 +98,14 @@ def test_failed_build_fails_both_claims(monkeypatch):
 
     def refuse_pyrene(spec, caps):
         if spec.rows == (2, 2):
-            raise SizeCapExceeded("4 inner faces exceeds cap 3")
+            raise EmbeddingConflict("pyrene refused")
         return build(spec, caps)
 
     monkeypatch.setattr(verify, "truncated_parallelogram", refuse_pyrene)
     report = VerificationReport(suite="parallelogram profiles")
     check_parallelogram_profiles(report, DEFAULT_CAPS)
     failed = [(c.claim_id, c.witness) for c in report.checks if not c.passed]
-    witness = "SizeCapExceeded: 4 inner faces exceeds cap 3"
+    witness = "EmbeddingConflict: pyrene refused"
     assert failed == [
         ("iso M(H) = J(F(H)) for rows (2, 2)", witness),
         ("irreducible M(H) for rows (2, 2)", witness),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,6 +12,11 @@ from hypothesis import given, settings, strategies as st
 import matchlat
 from matchlat import cli
 from matchlat.cli import _dump_json, main
+from matchlat.errors import Disconnected
+
+from conftest import edited_hosts, without_edges
+
+EDITED_HOSTS = edited_hosts()
 
 
 def run_cli(args, capsys):
@@ -210,6 +216,28 @@ class TestAnalyze:
         assert code == 0
         assert stdout.startswith("graph")
 
+    @given(st.sampled_from(range(len(EDITED_HOSTS))), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_edited_hosts_exit_0_2_or_3(self, k, data):
+        """A host with 1-3 edges deleted is answered, refused as input or
+        capped by every target in every format: never a failed check (1)
+        or an internal error (4)."""
+        G = EDITED_HOSTS[k]
+        dropped = data.draw(st.sets(st.integers(0, G.n_edges - 1), min_size=1, max_size=3))
+        try:
+            H = without_edges(G, dropped)
+        except (Disconnected, StopIteration):
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "host.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(H.to_json(), f)
+            for target in ("matchings", "zdig", "lattice", "decompose", "faceposet",
+                           "dual", "graph"):
+                for fmt in ("json", "dot", "text"):
+                    argv = ["analyze", path, target, "--format", fmt, "--out", os.devnull]
+                    assert main(argv) in (0, 2, 3), argv
+
 
 class TestVerify:
     def test_core_passes(self, capsys):
@@ -227,6 +255,18 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert "0 failed" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["--cap-matchings", "3", "verify", "core"],
+        ["--cap-inner-faces", "3", "verify", "parallelogram"],
+        ["--cap-matchings", "5", "verify", "outerplane"],
+        ["--cap-matchings", "3", "verify", "decomposition"],
+    ])
+    def test_cap_binding_inside_a_check_exits_3(self, argv, capsys):
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: ")
 
     def test_json_report(self, capsys):
         code, stdout, _ = run_cli(

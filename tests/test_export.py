@@ -43,14 +43,13 @@ def test_lattice_dot_ranks(pyrene):
 
 
 def test_poset_dot(t2):
-    mp = matching_poset(t2.graph)
-    dot = poset_to_dot(mp.poset)
-    assert dot.count("->") == len(mp.poset.covers)
+    P = matching_poset(t2.graph)
+    dot = poset_to_dot(P)
+    assert dot.count("->") == len(P.covers)
 
 
 def test_poset_json_round_trip(t2):
-    mp = matching_poset(t2.graph)
-    data = mp.poset.to_json()
+    data = matching_poset(t2.graph).to_json()
     assert len(data["elements"]) == 5
     assert all(len(pair) == 2 for pair in data["covers"])
 

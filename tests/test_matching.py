@@ -12,7 +12,6 @@ from matchlat import (
     enumerate_perfect_matchings,
     forcing_edges,
     link_components,
-    load_graph,
     parse_spec,
     symmetric_difference_cycles,
     truncated_parallelogram,
@@ -44,8 +43,6 @@ from matchlat.oracles import (
 )
 from matchlat.plane_graph import (
     WHITE,
-    _trace_rotation,
-    build_graph,
     clockwise_cycle,
     elementary_structure,
     faces_inside_cycle,
@@ -54,7 +51,14 @@ from matchlat.plane_graph import (
 from matchlat.verify import _all_profiles, _saturated_chains
 from matchlat.ztransform import build_z_digraph, extremal_matchings, matching_poset
 
-from conftest import cycle_oracle_hosts, pendant_description, reference_arcs
+from conftest import (
+    cycle_oracle_hosts,
+    edited_hosts,
+    fence,
+    nested_squares,
+    reference_arcs,
+    without_edges,
+)
 
 
 class TestEnumeration:
@@ -389,63 +393,8 @@ class TestAllAlternatingCycles:
                 assert got == alternating_cycles_dfs(G, M)
 
 
-def fence(k):
-    """The zigzag fence tree on nodes 1..k; it has Fibonacci F(k+2) matchings."""
-    if k == 1:
-        return "tree:1"
-    return "tree:" + ",".join(
-        f"{i}>{i + 1}" if i % 2 else f"{i + 1}>{i}" for i in range(1, k)
-    )
-
-
 def branch_route(G):
     return _enumerate_on_edges(G.n_vertices, G.edges, 10**9)
-
-
-def without_edges(G, dropped):
-    """G less some edges, its outer face the one that keeps a step of G's."""
-    keep = [e for e in range(G.n_edges) if e not in dropped]
-    new_id = {e: k for k, e in enumerate(keep)}
-    edges = [G.edges[e] for e in keep]
-    rotation = [[new_id[e] for e in rot if e in new_id] for rot in G.rotation]
-    step = next(
-        (new_id[e], t, h) for e, t, h in G.faces[G.outer_face].steps if e in new_id
-    )
-    outer = next(i for i, w in enumerate(_trace_rotation(edges, rotation)) if step in w)
-    return build_graph(G.colors, edges, rotation, outer, G.caps)
-
-
-def nested_squares():
-    """A square inside a square, joined top to top and bottom to bottom.
-
-    Both joining edges lie in no perfect matching, and each face between
-    the squares has one, so no face flip turns the outer square: the four
-    matchings fall into two flip components, though every face is a
-    simple cycle.
-    """
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-             (0, 4), (2, 6)]
-    rotation = [(0, 8, 3), (0, 1), (2, 9, 1), (2, 3), (8, 4, 7), (4, 5),
-                (9, 6, 5), (6, 7)]
-    colors = (WHITE, 1, WHITE, 1, 1, WHITE, 1, WHITE)
-    outer = next(
-        i for i, w in enumerate(_trace_rotation(edges, rotation))
-        if {t for _, t, _ in w} == {0, 1, 2, 3}
-    )
-    return build_graph(colors, edges, rotation, outer)
-
-
-def edited_hosts():
-    C6 = parse_spec("L(1)").graph
-    return [
-        parse_spec(spec).graph
-        for spec in ("P(2,2)", "P(2,3)", "P(3,3)", "T(3)", "L(3,2,2)", "L(4,2,1)",
-                     fence(8), "tree:1>2,1>3,1>4")
-    ] + [
-        link_components([C6, C6, C6]).graph,
-        link_components([C6, load_graph(pendant_description()), C6]).graph,
-        nested_squares(),
-    ]
 
 
 EDITED_HOSTS = edited_hosts()
@@ -503,7 +452,7 @@ def assert_walk_matches_the_references(H):
     """The walk's arcs are those of the per-matching route, and each flip
     component has one bottom and one top."""
     assert build_z_digraph(H).arcs == reference_arcs(H)
-    P = matching_poset(H).poset
+    P = matching_poset(H)
     for comp in P.components:
         assert sum(not P.down_covers[x] for x in comp) == 1
         assert sum(not P.up_covers[x] for x in comp) == 1

@@ -1,10 +1,12 @@
 import gc
 import json
 import weakref
+from functools import cache
 
 import pytest
 
 from matchlat import (
+    all_alternating_cycles,
     build_z_digraph,
     delta_cycle_count,
     enumerate_perfect_matchings,
@@ -41,6 +43,7 @@ from matchlat.generators import (
     tree_to_outerplane,
 )
 from matchlat.lattice import (
+    FinitePoset,
     central_elements,
     grid_poset,
     irreducible_decomposition,
@@ -56,6 +59,7 @@ from matchlat.matching import (
     classify_alternating_faces,
     matching_index,
 )
+from matchlat.verify import MAX_FLIP_PATHS, _outerplane_case
 from matchlat.ztransform import certify_ideal_map, directed_paths
 
 from conftest import c6_description, pendant_description, reference_arcs
@@ -151,6 +155,44 @@ class TestMaskRoute:
         assert type(Z.arc_table) is tuple
         assert Z.arcs == tuple(zip(*[iter(Z.arc_table)] * 3))
 
+    @pytest.mark.parametrize("host", REFERENCE_HOSTS)
+    def test_face_of_is_the_table_by_pair(self, host):
+        Z = build_z_digraph(reference_host(host))
+        assert Z.face_of == {(a, b): f for a, b, f in Z.arcs}
+
+    def test_face_of_builds_no_arc_tuples(self):
+        Z = build_z_digraph(parse_spec("T(3)").graph)
+        assert Z.face_of
+        assert "arcs" not in vars(Z)
+
+    @pytest.mark.parametrize("host", REFERENCE_HOSTS)
+    def test_directed_paths_equal_a_search_over_the_arcs(self, host):
+        """Every pair with at most MAX_FLIP_PATHS paths between them (at
+        most 100 on fence-12, whose 3.8 million paths under the full cap
+        take about 15 s) against a recursive search over ``Z.arcs``."""
+        G = reference_host(host)
+        Z = build_z_digraph(G)
+        limit = 100 if host == "fence-12" else MAX_FLIP_PATHS
+        succ = [[] for _ in range(Z.n)]
+        for a, b, _ in Z.arcs:
+            succ[a].append(b)
+        for end in range(Z.n):
+            @cache
+            def ways(x):
+                return 1 if x == end else sum(ways(y) for y in succ[x])
+
+            def walk(path):
+                if path[-1] == end:
+                    yield tuple(path)
+                    return
+                for b in succ[path[-1]]:
+                    if ways(b):
+                        yield from walk(path + [b])
+
+            for start in range(Z.n):
+                if ways(start) <= limit:
+                    assert directed_paths(G, start, end) == list(walk([start]))
+
     @pytest.mark.parametrize("fmt", ["json", "text", "dot"])
     def test_cli_writers_read_the_table(self, monkeypatch, tmp_path, fmt):
         """The zdig writers never build the per-arc tuples."""
@@ -173,9 +215,9 @@ class TestMaskRoute:
         assert "arcs" not in vars(Z)
 
     def test_disconnected_host_has_arcs_in_both_components(self):
-        mp = matching_poset(reference_host("C6+pendant+C6"))
-        assert len(mp.components) == 2
-        assert len(mp.digraph.arcs) == 8
+        G = reference_host("C6+pendant+C6")
+        assert len(matching_poset(G).components) == 2
+        assert len(build_z_digraph(G).arcs) == 8
 
     @pytest.mark.parametrize("edge_ids, message", [
         ((0, 1, 3), "edges share vertex at edge 1"),
@@ -227,16 +269,21 @@ class TestMaskRoute:
 
 
 class TestMatchingPoset:
+    def test_is_one_poset_on_the_digraphs_matchings(self, t2):
+        P = matching_poset(t2.graph)
+        assert type(P) is FinitePoset
+        assert P.labels is build_z_digraph(t2.graph).matchings
+
     def test_c6_two_chain(self, c6):
-        mp = matching_poset(c6)
-        assert mp.poset.n == 2
-        assert len(mp.poset.covers) == 1
-        assert len(mp.components) == 1
+        P = matching_poset(c6)
+        assert P.n == 2
+        assert len(P.covers) == 1
+        assert len(P.components) == 1
 
     def test_pendant_components(self, pendant):
-        mp = matching_poset(pendant)
-        assert len(mp.components) == 2
-        lattices = [lattice_from_poset(mp.poset.subposet(c)) for c in mp.components]
+        P = matching_poset(pendant)
+        assert len(P.components) == 2
+        lattices = [lattice_from_poset(P.subposet(c)) for c in P.components]
         assert [L.n for L in lattices] == [1, 1]
 
     def test_t2_is_j_r2(self, t2):
@@ -249,9 +296,17 @@ class TestMatchingPoset:
 
     def test_cover_equals_arc_set(self, pyrene, t2):
         for G in (pyrene.graph, t2.graph):
-            mp = matching_poset(G)
-            covers = {(b, a) for a, b, _ in mp.digraph.arcs}
-            assert covers == set(mp.poset.covers)
+            covers = {(b, a) for a, b, _ in build_z_digraph(G).arcs}
+            assert covers == set(matching_poset(G).covers)
+
+
+def assert_extremes_certified(G):
+    """The source has no improper alternating cycle, the root no proper one."""
+    ext = extremal_matchings(G)
+    source = all_alternating_cycles(G, ext.source)
+    root = all_alternating_cycles(G, ext.root)
+    assert all(r.orientation_class == PROPER for r in source)
+    assert all(r.orientation_class == IMPROPER for r in root)
 
 
 class TestExtremalMatchings:
@@ -264,6 +319,43 @@ class TestExtremalMatchings:
             H = truncated_parallelogram(TruncatedParallelogramSpec(rows))
             ext = extremal_matchings(H.graph)
             assert ext.root == H.root_matching()
+            assert_extremes_certified(H.graph)
+
+    @pytest.mark.parametrize("host", REFERENCE_HOSTS)
+    def test_extremes_are_certified(self, host):
+        G = reference_host(host)
+        P = matching_poset(G)
+        if len(P.maximal_elements) == len(P.minimal_elements) == 1:
+            assert_extremes_certified(G)
+        else:
+            with pytest.raises((MultipleSources, MultipleSinks)):
+                extremal_matchings(G)
+
+    def test_production_reads_no_alternating_cycles(self, monkeypatch, naphthalene):
+        """The extremes are read off the certified order; their cycle
+        certificate belongs to the outerplane suite."""
+        from matchlat import matching, ztransform
+
+        def refuse(G, M):
+            raise AssertionError("all_alternating_cycles called")
+
+        monkeypatch.setattr(matching, "all_alternating_cycles", refuse)
+        assert "all_alternating_cycles" not in vars(ztransform)
+        G = naphthalene.graph
+        ext = extremal_matchings(G)
+        assert sigma(G, ext.source) == frozenset(G.inner_face_ids)
+
+    def test_outerplane_suite_reports_a_proper_root_cycle(self, monkeypatch):
+        from matchlat import verify
+        from matchlat.matching import AlternatingCycleReport
+
+        G = tree_to_outerplane(OrientedTree((1, 2, 3), ((1, 2), (3, 2)))).graph
+        assert _outerplane_case(G, G.caps) is None
+        fake = AlternatingCycleReport((0,), PROPER, frozenset())
+        monkeypatch.setattr(verify, "all_alternating_cycles", lambda G, M: [fake])
+        assert _outerplane_case(G, G.caps) == (
+            "root matching has a proper alternating cycle"
+        )
 
     def test_boundary_alternating_for_elementary(self, pyrene):
         # the outer boundary is proper for the source, improper for the root
@@ -301,17 +393,17 @@ class TestDeltaAndPaths:
 
     def test_not_comparable(self, pyrene):
         G = pyrene.graph
-        mp = matching_poset(G)
+        P = matching_poset(G)
         incomparable = [
             (i, j)
-            for i in range(mp.poset.n)
-            for j in range(mp.poset.n)
-            if i != j and not mp.leq(i, j) and not mp.leq(j, i)
+            for i in range(P.n)
+            for j in range(P.n)
+            if i != j and not P.leq(i, j) and not P.leq(j, i)
         ]
         i, j = incomparable[0]
         with pytest.raises(NotComparable):
             delta_cycle_count(
-                G, mp.matchings[i], mp.matchings[j], G.inner_face_ids[0]
+                G, P.labels[i], P.labels[j], G.inner_face_ids[0]
             )
 
     def test_non_matching_is_refused(self, pyrene):
@@ -325,12 +417,12 @@ class TestDeltaAndPaths:
 
     def test_path_multiplicity_matches_delta(self, pyrene):
         G = pyrene.graph
-        mp = matching_poset(G)
+        P = matching_poset(G)
         ext = extremal_matchings(G)
         paths = directed_paths(G, ext.source_index, ext.root_index)
         assert paths
         for path in paths:
-            ms = [mp.matchings[k] for k in path]
+            ms = [P.labels[k] for k in path]
             for f in G.inner_face_ids:
                 assert path_face_multiplicity(G, ms, f) == delta_cycle_count(
                     G, ext.source, ext.root, f
@@ -483,7 +575,7 @@ class TestSigma:
         from matchlat import matching
 
         G = t2.graph
-        ext = extremal_matchings(G)  # certifies its own two matchings, once
+        ext = extremal_matchings(G)
 
         def refuse(G, M):
             raise AssertionError("check_matching called")
@@ -506,16 +598,16 @@ class TestIdealIso:
 
     def test_swapped_images_give_a_cover_witness(self, t2):
         G = t2.graph
-        mp = matching_poset(G)
+        P = matching_poset(G)
         images = list(verify_iso_matchings_ideals(G).ideal_of)
         ext = extremal_matchings(G)
         s, r = ext.source_index, ext.root_index
         images[s], images[r] = images[r], images[s]
         with pytest.raises(IsoFailure, match="does not map to a cover") as exc:
-            certify_ideal_map(mp, images, face_poset_outerplane(G))
+            certify_ideal_map(P, images, face_poset_outerplane(G))
         # every cover away from the two swapped matchings still maps to a cover
         witness = str(exc.value)
-        assert repr(mp.matchings[s]) in witness or repr(mp.matchings[r]) in witness
+        assert repr(P.labels[s]) in witness or repr(P.labels[r]) in witness
 
     def test_random_tree_orientations(self):
         import itertools
