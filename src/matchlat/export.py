@@ -9,9 +9,9 @@ from .plane_graph import BLACK, DualDigraph, PlaneBipartiteGraph
 from .ztransform import ZDigraph
 
 
-def graph_to_dot(G: PlaneBipartiteGraph, name: str = "G") -> str:
+def graph_to_dot(G: PlaneBipartiteGraph) -> str:
     """Undirected drawing; vertex fill encodes the 2-coloring."""
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph G {", "  node [shape=circle];"]
     for v in range(G.n_vertices):
         fill = "black" if G.colors[v] == BLACK else "white"
         font = "white" if G.colors[v] == BLACK else "black"
@@ -24,10 +24,9 @@ def graph_to_dot(G: PlaneBipartiteGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def dual_to_dot(D: DualDigraph, outer_face: Optional[int] = None,
-                name: str = "dual") -> str:
+def dual_to_dot(D: DualDigraph, outer_face: Optional[int] = None) -> str:
     """Oriented (inner) dual; arcs carry the shared primal edge id."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph dual {"]
     for f in D.nodes:
         shape = "doublecircle" if f == outer_face else "circle"
         lines.append(f'  f{f} [label="f{f}", shape={shape}];')
@@ -37,9 +36,9 @@ def dual_to_dot(D: DualDigraph, outer_face: Optional[int] = None,
     return "\n".join(lines) + "\n"
 
 
-def zdigraph_to_dot(Z: ZDigraph, name: str = "flips") -> str:
+def zdigraph_to_dot(Z: ZDigraph) -> str:
     """Flip digraph with inner-face labels on the arcs."""
-    lines = [f"digraph {name} {{", "  node [shape=box];"]
+    lines = ["digraph flips {", "  node [shape=box];"]
     for i, M in enumerate(Z.matchings):
         label = ",".join(str(e) for e in M.edge_ids)
         lines.append(f'  m{i} [label="M{i}: {{{label}}}"];')
@@ -50,8 +49,8 @@ def zdigraph_to_dot(Z: ZDigraph, name: str = "flips") -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_to_dot(P: FinitePoset, name: str = "poset") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=ellipse];"]
+def poset_to_dot(P: FinitePoset) -> str:
+    lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=ellipse];"]
     for i, lab in enumerate(P.labels):
         lines.append(f'  p{i} [label="{lab}"];')
     for lo, hi in sorted(P.covers):
@@ -60,9 +59,9 @@ def poset_to_dot(P: FinitePoset, name: str = "poset") -> str:
     return "\n".join(lines) + "\n"
 
 
-def lattice_to_dot(L: FiniteLattice, name: str = "lattice") -> str:
+def lattice_to_dot(L: FiniteLattice) -> str:
     """Hasse diagram; elements of equal rank share a rank group."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=ellipse];"]
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=ellipse];"]
     for i, lab in enumerate(L.labels):
         lines.append(f'  x{i} [label="{lab}"];')
     by_rank: dict[int, list[int]] = {}

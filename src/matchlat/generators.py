@@ -34,6 +34,7 @@ from .lattice import (
     IsoResult,
     lattice_isomorphic,
     order_ideal_lattice,
+    young_poset,
 )
 from .matching import (
     PROPER,
@@ -41,15 +42,15 @@ from .matching import (
     check_matching,
     classify_alternating_faces,
     enumerate_perfect_matchings,
-    _cycles_of_edge_set,
 )
 from .plane_graph import (
     BLACK,
     WHITE,
     PlaneBipartiteGraph,
+    _faces_inside,
+    _split_cycles,
     _trace_rotation,
     build_graph,
-    faces_inside_cycle,
     is_elementary,
     oriented_dual,
 )
@@ -281,24 +282,9 @@ def truncated_parallelogram(
 
 
 def hexagon_poset(spec: TruncatedParallelogramSpec) -> FinitePoset:
-    """Hexagons ordered componentwise: (i,j) <= (k,l) iff i <= k and j <= l.
-
-    Always an order ideal of the full grid on m rows by r_1 columns, so
-    its covers are the grid's unit steps that stay inside it.
-    """
-    labels = [
-        (i, j)
-        for i in range(1, len(spec.rows) + 1)
-        for j in range(1, spec.rows[i - 1] + 1)
-    ]
-    pos = {lab: k for k, lab in enumerate(labels)}
-    covers = [
-        (pos[(i, j)], pos[up])
-        for i, j in labels
-        for up in ((i + 1, j), (i, j + 1))
-        if up in pos
-    ]
-    return FinitePoset(tuple(labels), tuple(sorted(covers)))
+    """Hexagons ordered componentwise: (i,j) <= (k,l) iff i <= k and j <= l,
+    the Young-shape poset of the row lengths."""
+    return young_poset(spec.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,16 +320,16 @@ def matching_geometry(
         hexes: frozenset = frozenset()
         path = frozenset(lb)
     else:
-        cycles = _cycles_of_edge_set(G, diff)
+        cycles = _split_cycles(G, diff)
         if len(cycles) != 1:
             raise NotAMatching(
                 "difference with the root matching is not a single cycle"
             )
-        cycle = cycles[0]
+        ((mask, steps),) = cycles
+        cycle = frozenset(eid for eid, _, _ in steps)
         if H.forcing_edge not in cycle:
             raise IsoFailure("root-difference cycle misses the forcing edge")
-        inside = faces_inside_cycle(G, cycle)
-        hexes = frozenset(H.face_hexagon[f] for f in inside)
+        hexes = frozenset(H.face_hexagon[f] for f in _faces_inside(G, mask))
         path = frozenset(lb ^ cycle)
 
     _check_alternating_path(H, in_m, path)

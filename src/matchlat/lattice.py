@@ -281,15 +281,25 @@ def chain_poset(k: int) -> FinitePoset:
 
 def grid_poset(m: int, n: int) -> FinitePoset:
     """Product of an m-chain and an n-chain on labels (i, j), 1-based."""
-    labels = tuple((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
+    return young_poset((n,) * m)
+
+
+def young_poset(rows: Sequence[int]) -> FinitePoset:
+    """Cells (i, j), 1-based, j <= rows[i - 1], ordered componentwise.
+
+    With non-increasing rows the shape is an order ideal of the full grid,
+    so its covers are the grid's unit steps that stay inside it.
+    """
+    labels = tuple(
+        (i, j) for i, r in enumerate(rows, 1) for j in range(1, r + 1)
+    )
     pos = {lab: k for k, lab in enumerate(labels)}
-    covers = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if i < m:
-                covers.append((pos[(i, j)], pos[(i + 1, j)]))
-            if j < n:
-                covers.append((pos[(i, j)], pos[(i, j + 1)]))
+    covers = [
+        (pos[(i, j)], pos[up])
+        for i, j in labels
+        for up in ((i + 1, j), (i, j + 1))
+        if up in pos
+    ]
     return FinitePoset(labels, tuple(sorted(covers)))
 
 

@@ -19,10 +19,12 @@ yet reached.  It is also the test oracle of the flip route.  On both
 routes the walk records each cover it crosses as an arc of the flip
 digraph, and its order certifies the digraph acyclic.
 
-Alternating cycles run on the edge masks of ``plane_graph``: a symmetric
-difference is split into cycles by walks from each cycle's smallest
-edge, and ``classify_cycle`` takes a cycle's canonical edge sequence from
-that walk and its interior and clockwise steps from Jordan parity.
+Alternating cycles are checked and split in one place,
+``plane_graph._split_cycles``: it refuses an edge set that is not
+2-regular and walks each cycle once, from its smallest edge, giving its
+mask and canonical edge sequence.  ``classify_cycle`` and the difference
+routes classify those walks as they are: Jordan parity on the mask gives
+the interior and each edge's clockwise step.
 ``oracles.faces_inside_cycle_by_flood`` is the independent route to the
 interiors.
 """
@@ -38,12 +40,12 @@ from .errors import CycleDetected, NoPerfectMatching, NotAMatching, SizeCapExcee
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
-    clockwise_cycle,
+    Step,
+    _checked_walk,
+    _clockwise,
+    _split_cycles,
     dual_tree,
     edge_ends,
-    edge_mask,
-    is_two_regular,
-    walk_cycle,
 )
 
 PROPER = "proper"
@@ -470,28 +472,6 @@ def classify_alternating_faces(
     return out
 
 
-def _cycles_of_edge_set(
-    G: PlaneBipartiteGraph, edge_set: frozenset[int]
-) -> list[frozenset[int]]:
-    """Split a 2-regular edge set into its vertex-disjoint cycles.
-
-    Each cycle is a set of edge ids, walked on the edge mask from the
-    smallest edge not yet taken, so the list is ordered by each cycle's
-    smallest edge.  :func:`classify_cycle` gives a cycle's canonical edge
-    sequence.
-    """
-    rest = edge_mask(G, edge_set)
-    if not is_two_regular(G, edge_set):
-        raise NotAMatching("symmetric difference is not a disjoint union of cycles")
-    cycles: list[frozenset[int]] = []
-    while rest:
-        steps = walk_cycle(G, rest, (rest & -rest).bit_length() - 1)
-        cycle = frozenset(eid for eid, _, _ in steps)
-        cycles.append(cycle)
-        rest ^= sum(1 << eid for eid in cycle)
-    return cycles
-
-
 def classify_cycle(
     G: PlaneBipartiteGraph, M: Matching, cycle_edges: Iterable[int]
 ) -> AlternatingCycleReport:
@@ -500,8 +480,15 @@ def classify_cycle(
     One walk checks the cycle and gives its canonical edge sequence; Jordan
     parity gives its interior, and with it each edge's clockwise step.
     """
-    steps, inside = clockwise_cycle(G, cycle_edges)
-    mset = M.edge_set
+    return _classified(G, M.edge_set, *_checked_walk(G, cycle_edges))
+
+
+def _classified(
+    G: PlaneBipartiteGraph, mset: frozenset[int], mask: int, steps: list[Step]
+) -> AlternatingCycleReport:
+    """:func:`classify_cycle` of a cycle already walked by
+    ``plane_graph._split_cycles``, for the matching with edge set mset."""
+    steps, inside = _clockwise(G, mask, steps)
     classes = {
         PROPER if G.colors[tail] == WHITE else IMPROPER
         for eid, tail, _ in steps
@@ -529,8 +516,11 @@ def symmetric_difference_cycles(
 
 def _difference_cycles(G: PlaneBipartiteGraph, M1: Matching, M2: Matching) -> list:
     """The same, for two matchings known to be perfect matchings of G."""
-    diff = M1.edge_set ^ M2.edge_set
-    return [classify_cycle(G, M1, cyc) for cyc in _cycles_of_edge_set(G, diff)]
+    mset = M1.edge_set
+    return [
+        _classified(G, mset, mask, steps)
+        for mask, steps in _split_cycles(G, mset ^ M2.edge_set)
+    ]
 
 
 def forcing_edges(G: PlaneBipartiteGraph) -> frozenset[int]:
@@ -556,13 +546,13 @@ def all_alternating_cycles(
     differences M xor M'.
     """
     check_matching(G, M)
+    mset = M.edge_set
     reports: list[AlternatingCycleReport] = []
     for M2 in enumerate_perfect_matchings(G):
         if M2 == M:
             continue
-        diff = M.edge_set ^ M2.edge_set
-        cycles = _cycles_of_edge_set(G, diff)
+        cycles = _split_cycles(G, mset ^ M2.edge_set)
         if len(cycles) == 1:
-            reports.append(classify_cycle(G, M, cycles[0]))
+            reports.append(_classified(G, mset, *cycles[0]))
     reports.sort(key=lambda r: r.cycle)
     return reports

@@ -12,12 +12,16 @@ its black end to its white end.
 
 Cycles are integer edge masks, read through two tables kept per graph:
 each vertex's incident-edge mask, and each face's path in a BFS tree of
-the dual rooted at the outer face.  A cycle is checked by a degree test
-and one walk from its smallest edge; a face lies inside it when its path
-crosses the cycle an odd number of times (Jordan parity), and the inside
-face of each cycle edge gives that edge's clockwise step.  All of it is
-O(|C| + F) per cycle.  ``oracles.faces_inside_cycle_by_flood`` finds the
-same interiors by flooding the dual.
+the dual rooted at the outer face.  Every edge set, from outside or from
+a symmetric difference of two matchings, is checked and split into
+cycles by ``_split_cycles`` alone: a degree test, then one walk per cycle
+from its smallest edge.  Internal callers keep that walk; the public
+cycle functions check that it is exactly one cycle.  A face lies inside
+a cycle when its path crosses the cycle an odd number of times (Jordan
+parity), and the inside face of each cycle edge gives that edge's
+clockwise step.  All of it is O(|C| + F) per cycle.
+``oracles.faces_inside_cycle_by_flood`` finds the same interiors by
+flooding the dual.
 """
 
 from __future__ import annotations
@@ -373,9 +377,12 @@ def build_graph(
 
 
 def load_graph_json(text: str, caps: SizeCaps = DEFAULT_CAPS) -> PlaneBipartiteGraph:
+    """Parse JSON text with :func:`load_graph`.  Malformed JSON, nesting
+    deeper than the decoder recurses and an integer over the interpreter's
+    digit limit are each a ParseError."""
     try:
         description = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     return load_graph(description, caps)
 
@@ -509,33 +516,6 @@ def dual_tree_paths(G: PlaneBipartiteGraph) -> tuple[int, ...]:
     return tuple(paths)
 
 
-def edge_mask(G: PlaneBipartiteGraph, edge_ids: Iterable[int]) -> int:
-    """Edge ids as a mask; an id that is no edge of G raises NotACycle."""
-    n_edges = len(G.edges)
-    mask = 0
-    for eid in edge_ids:
-        if not 0 <= eid < n_edges:
-            raise NotACycle(f"unknown edge id {eid}")
-        mask |= 1 << eid
-    return mask
-
-
-def is_two_regular(G: PlaneBipartiteGraph, edge_ids: Iterable[int]) -> bool:
-    """Every end of the given (known, distinct) edges meets exactly two of them.
-
-    ``once``, ``twice`` and ``thrice`` collect the vertices met at least
-    one, two and three times.
-    """
-    ends = edge_ends(G)
-    once = twice = thrice = 0
-    for eid in edge_ids:
-        x = ends[eid]
-        thrice |= twice & x
-        twice |= once & x
-        once |= x
-    return not thrice and once == twice
-
-
 def walk_cycle(G: PlaneBipartiteGraph, mask: int, start: int) -> list[Step]:
     """The cycle of a 2-regular edge mask through edge ``start``, walked in
     canonical order: from ``start`` toward its smaller-id neighbour edge."""
@@ -553,20 +533,47 @@ def walk_cycle(G: PlaneBipartiteGraph, mask: int, start: int) -> list[Step]:
     return steps
 
 
+def _split_cycles(
+    G: PlaneBipartiteGraph, edge_ids: Iterable[int]
+) -> list[tuple[int, list[Step]]]:
+    """Check an edge set and split it into its vertex-disjoint cycles.
+
+    One (mask, canonical walk) per cycle, ordered by smallest edge: each
+    walk starts at the smallest edge of the cycles not yet taken.  An
+    unknown edge id or a set that is not 2-regular raises NotACycle; an
+    empty set has no cycles.
+    """
+    n_edges, ends = G.n_edges, edge_ends(G)
+    rest = once = twice = thrice = 0  # vertices met at least 1, 2 and 3 times
+    for eid in frozenset(edge_ids):
+        if not 0 <= eid < n_edges:
+            raise NotACycle(f"unknown edge id {eid}")
+        rest |= 1 << eid
+        x = ends[eid]
+        thrice |= twice & x
+        twice |= once & x
+        once |= x
+    if thrice or once != twice:
+        raise NotACycle("edge set is not 2-regular")
+    cycles: list[tuple[int, list[Step]]] = []
+    while rest:
+        steps = walk_cycle(G, rest, (rest & -rest).bit_length() - 1)
+        mask = sum(1 << eid for eid, _, _ in steps)
+        cycles.append((mask, steps))
+        rest ^= mask
+    return cycles
+
+
 def _checked_walk(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> tuple[int, list[Step]]:
     """The mask and canonical walk of an edge set that must be one simple cycle."""
-    cyc = frozenset(cycle_edges)
-    mask = edge_mask(G, cyc)
-    if not mask:
+    cycles = _split_cycles(G, cycle_edges)
+    if not cycles:
         raise NotACycle("empty edge set")
-    if not is_two_regular(G, cyc):
-        raise NotACycle("edge set is not 2-regular")
-    steps = walk_cycle(G, mask, (mask & -mask).bit_length() - 1)
-    if len(steps) != mask.bit_count():
+    if len(cycles) > 1:
         raise NotACycle("edge set is a union of several cycles")
-    return mask, steps
+    return cycles[0]
 
 
 def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
@@ -586,22 +593,27 @@ def faces_inside_cycle(
     ``oracles.faces_inside_cycle_by_flood`` finds the same faces by
     flooding the dual.
     """
-    mask, _ = _checked_walk(G, cycle_edges)
-    return _faces_inside(G, mask)
+    return _faces_inside(G, _checked_walk(G, cycle_edges)[0])
 
 
 def clockwise_cycle(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> tuple[list[Step], frozenset[int]]:
     """A checked cycle's canonical walk with each step turned clockwise, and
-    the inner faces inside it.
+    the inner faces inside it."""
+    return _clockwise(G, *_checked_walk(G, cycle_edges))
+
+
+def _clockwise(
+    G: PlaneBipartiteGraph, mask: int, steps: list[Step]
+) -> tuple[list[Step], frozenset[int]]:
+    """:func:`clockwise_cycle` of a cycle already walked by :func:`_split_cycles`.
 
     The clockwise orientation of a cycle is the orientation its interior
     faces use: every cycle edge is traversed by exactly one face inside
     the cycle, and those traversals are coherent, so they either all
     follow the walk or all run against it.
     """
-    mask, steps = _checked_walk(G, cycle_edges)
     inside = _faces_inside(G, mask)
     senses: set[bool] = set()
     for eid, tail, _ in steps:
@@ -672,7 +684,7 @@ def elementary_structure(
     interior induces an elementary subgraph.  It is an exhaustive oracle
     gated by the size caps, not a scalable algorithm.
     """
-    from .matching import _cycles_of_edge_set, enumerate_perfect_matchings
+    from .matching import enumerate_perfect_matchings
 
     matchings = enumerate_perfect_matchings(G)
     if not matchings:
@@ -695,17 +707,15 @@ def elementary_structure(
 
     is_weak = True
     if check_weak:
-        seen_cycles: set[frozenset[int]] = set()
+        seen_cycles: set[int] = set()
         for i in range(len(matchings)):
             for j in range(i + 1, len(matchings)):
-                diff = frozenset(matchings[i].edge_ids) ^ frozenset(
-                    matchings[j].edge_ids
-                )
-                for cyc in _cycles_of_edge_set(G, diff):
-                    if cyc in seen_cycles:
+                diff = matchings[i].edge_set ^ matchings[j].edge_set
+                for mask, _ in _split_cycles(G, diff):
+                    if mask in seen_cycles:
                         continue
-                    seen_cycles.add(cyc)
-                    if not _cycle_plus_interior_elementary(G, cyc):
+                    seen_cycles.add(mask)
+                    if not _cycle_plus_interior_elementary(G, mask):
                         is_weak = False
         if is_elementary and not is_weak:
             raise AssertionError(
@@ -720,27 +730,17 @@ def elementary_structure(
     )
 
 
-def interior_edges_of_cycle(
-    G: PlaneBipartiteGraph, cycle_edges: frozenset[int]
-) -> frozenset[int]:
-    """Edges strictly inside a cycle: all their incident faces lie inside."""
-    inside = faces_inside_cycle(G, cycle_edges)
-    out: set[int] = set()
-    for eid in range(G.n_edges):
-        if eid in cycle_edges:
-            continue
-        f1, f2 = G.edge_faces(eid)
-        if f1 in inside and f2 in inside:
-            out.add(eid)
-    return frozenset(out)
-
-
-def _cycle_plus_interior_elementary(
-    G: PlaneBipartiteGraph, cycle_edges: frozenset[int]
-) -> bool:
+def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
+    """Whether the cycle mask with the edges strictly inside it, those whose
+    two faces both lie inside, is an elementary graph."""
     from .matching import _enumerate_on_edges
 
-    sub_edges = sorted(cycle_edges | interior_edges_of_cycle(G, cycle_edges))
+    inside = _faces_inside(G, mask)
+    sub_edges = [
+        eid
+        for eid in range(G.n_edges)
+        if mask >> eid & 1 or all(f in inside for f in G.edge_faces(eid))
+    ]
     verts = sorted({v for eid in sub_edges for v in G.edges[eid]})
     index = {v: i for i, v in enumerate(verts)}
     pairs = [(index[G.edges[eid][0]], index[G.edges[eid][1]]) for eid in sub_edges]

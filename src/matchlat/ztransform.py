@@ -47,7 +47,6 @@ from .lattice import (
     FinitePoset,
     ideal_iso_refusal,
     lattice_from_poset,
-    poset_from_relation,
 )
 from .matching import (
     PROPER,
@@ -254,18 +253,20 @@ def face_poset_outerplane(G: PlaneBipartiteGraph) -> FinitePoset:
     """Order the inner faces by reachability in the oriented inner dual.
 
     A face is below another when the inner dual walks from the latter
-    down to the former.  Requires a 2-connected outerplane host; a
-    directed cycle in the inner dual is reported, never repaired.
+    down to the former.  Requires a 2-connected outerplane host, whose
+    inner dual is a tree: no arc is implied by a path of others, so the
+    arcs are the covers as they are, and :class:`FinitePoset` certifies
+    them.  A directed cycle in the inner dual is reported, never repaired.
     """
     if not is_outerplane_2connected(G):
         raise NotOuterplane("graph is not 2-connected outerplane")
     dual = oriented_dual(G, include_outer=False)
     pos = {f: i for i, f in enumerate(dual.nodes)}
     # each arc points from a face down to a face below it
-    below = [(pos[a.dst], pos[a.src]) for a in dual.arcs]
+    covers = sorted((pos[a.dst], pos[a.src]) for a in dual.arcs)
     try:
-        return poset_from_relation(dual.nodes, below)
-    except ParseError as exc:  # the relation's closure found a cycle
+        return FinitePoset(dual.nodes, tuple(covers))
+    except ParseError as exc:  # the covers hold a directed cycle
         raise DirectedCycleInInnerDual(
             "oriented inner dual has a directed cycle"
         ) from exc

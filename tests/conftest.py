@@ -20,7 +20,13 @@ from matchlat.matching import (
     matching_index,
 )
 from matchlat.plane_graph import WHITE, _trace_rotation, build_graph
-from matchlat.verify import _TREES_UP_TO_6, _orientations, _small_fixtures
+from matchlat.verify import (
+    MAX_ORIENTATIONS,
+    MAX_TREE_NODES,
+    _TREES_UP_TO_6,
+    _orientations,
+    _small_fixtures,
+)
 
 # Derandomised: a failure under `pytest --hypothesis-profile=ci` replays
 # with the same examples on any machine.
@@ -159,6 +165,15 @@ def cycle_oracle_hosts():
                 hosts.append(tree_to_outerplane(tree).graph)
     hosts.append(load_graph(pendant_description()))
     return hosts
+
+
+def outerplane_suite_hosts():
+    """Every tree realization the outerplane verification suite builds."""
+    for n in range(1, MAX_TREE_NODES + 1):
+        for edges in _TREES_UP_TO_6[n]:
+            for arcs in _orientations(edges, MAX_ORIENTATIONS):
+                tree = OrientedTree(tuple(range(1, n + 1)), arcs)
+                yield tree_to_outerplane(tree).graph
 
 
 def reference_arcs(G):

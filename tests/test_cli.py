@@ -190,6 +190,19 @@ class TestAnalyze:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000, '{"vertices": ' + "1" * 5000 + "}"],
+        ids=["nested-past-the-decoder-depth", "integer-past-the-digit-limit"],
+    )
+    def test_undecodable_graph_file_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        code, _, err = run_cli(["analyze", str(path), "graph"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["gen", "P(1,1)"], ["analyze", None, "graph"]])
     def test_unwritable_out_exit_2(self, argv, hexagon_file, tmp_path):
         argv = [hexagon_file if a is None else a for a in argv]

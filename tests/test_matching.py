@@ -16,9 +16,9 @@ from matchlat import (
     symmetric_difference_cycles,
     truncated_parallelogram,
 )
-from matchlat import matching
+from matchlat import generators, matching, plane_graph
 from matchlat.caps import SizeCaps
-from matchlat.errors import Disconnected, NotAMatching, SizeCapExceeded
+from matchlat.errors import Disconnected, NotACycle, NotAMatching, SizeCapExceeded
 from matchlat.generators import (
     TruncatedParallelogramSpec,
     parallelogram_spec,
@@ -30,7 +30,6 @@ from matchlat.matching import (
     PROPER,
     AlternatingCycleReport,
     _abs_det,
-    _cycles_of_edge_set,
     _enumerate_on_edges,
     _search_tree,
     classify_cycle,
@@ -43,6 +42,7 @@ from matchlat.oracles import (
 )
 from matchlat.plane_graph import (
     WHITE,
+    _split_cycles,
     clockwise_cycle,
     elementary_structure,
     faces_inside_cycle,
@@ -283,7 +283,9 @@ class TestSymmetricDifference:
             ms = enumerate_perfect_matchings(G)
             for M1, M2 in itertools.combinations(ms, 2):
                 diff = M1.edge_set ^ M2.edge_set
-                cycles = _cycles_of_edge_set(G, diff)
+                split = _split_cycles(G, diff)
+                cycles = [frozenset(eid for eid, _, _ in steps) for _, steps in split]
+                assert [mask for mask, _ in split] == [sum(1 << e for e in c) for c in cycles]
                 assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
                 assert sum(len(c) for c in cycles) == len(diff)
                 assert frozenset().union(*cycles) == diff
@@ -291,8 +293,14 @@ class TestSymmetricDifference:
                 assert cycles == [rep.edge_set for rep in reps]
 
     def test_cycles_of_edge_set_refuses_a_path(self, c6):
-        with pytest.raises(NotAMatching):
-            _cycles_of_edge_set(c6, frozenset(range(5)))
+        with pytest.raises(NotACycle, match="edge set is not 2-regular"):
+            _split_cycles(c6, frozenset(range(5)))
+        assert _split_cycles(c6, frozenset()) == []
+
+
+def cycle_sets(G, edge_ids):
+    """The cycles of a 2-regular edge set, as edge-id sets."""
+    return [frozenset(eid for eid, _, _ in steps) for _, steps in _split_cycles(G, edge_ids)]
 
 
 def classify_cycle_by_flood(G, M, cycle):
@@ -329,7 +337,7 @@ class TestCycleRoutesAgainstFlood:
         for G in cycle_oracle_hosts():
             ms = enumerate_perfect_matchings(G)
             for M1, M2 in itertools.permutations(ms, 2):
-                for cyc in _cycles_of_edge_set(G, M1.edge_set ^ M2.edge_set):
+                for cyc in cycle_sets(G, M1.edge_set ^ M2.edge_set):
                     inside = faces_inside_cycle_by_flood(G, cyc)
                     assert faces_inside_cycle(G, cyc) == inside
                     rep = classify_cycle(G, M1, cyc)
@@ -342,7 +350,7 @@ class TestCycleRoutesAgainstFlood:
             ms = enumerate_perfect_matchings(G)
             for M1, M2 in itertools.combinations(ms, 2):
                 diff = M1.edge_set ^ M2.edge_set
-                cycles = _cycles_of_edge_set(G, diff)
+                cycles = cycle_sets(G, diff)
                 if len(cycles) < 2:
                     continue
                 several += 1
@@ -353,6 +361,51 @@ class TestCycleRoutesAgainstFlood:
                     steps, _ = clockwise_cycle(G, c)
                     assert {eid for eid, _, _ in steps} == c
         assert several > 0
+
+
+class TestOneWalkPerCycle:
+    """The splitter's walk of each cycle is the one its classification
+    reads: no cycle is checked and walked a second time."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = plane_graph.walk_cycle
+
+        def counted(G, mask, start):
+            calls.append(start)
+            return walk(G, mask, start)
+
+        for module in (plane_graph, matching, generators):
+            if vars(module).get("walk_cycle") is walk:
+                monkeypatch.setattr(module, "walk_cycle", counted)
+        return calls
+
+    def test_symmetric_difference_cycles(self, walks, t2, pyrene):
+        for G in (t2.graph, pyrene.graph):
+            ms = enumerate_perfect_matchings(G)
+            for M1, M2 in itertools.permutations(ms, 2):
+                walks.clear()
+                reports = symmetric_difference_cycles(G, M1, M2)
+                assert len(walks) == len(reports) > 0
+
+    def test_all_alternating_cycles(self, walks, t2, pyrene):
+        for G in (t2.graph, pyrene.graph):
+            ms = enumerate_perfect_matchings(G)
+            for M in ms:
+                n_cycles = sum(
+                    len(symmetric_difference_cycles(G, M, M2)) for M2 in ms if M2 != M
+                )
+                walks.clear()
+                assert all_alternating_cycles(G, M)
+                assert len(walks) == n_cycles
+
+    def test_matching_geometry(self, walks, pyrene):
+        root = pyrene.root_matching()
+        for M in enumerate_perfect_matchings(pyrene.graph):
+            walks.clear()
+            generators.matching_geometry(pyrene, M)
+            assert len(walks) == (M != root)
 
 
 class TestForcingEdges:

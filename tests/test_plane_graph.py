@@ -30,15 +30,9 @@ from matchlat.generators import TruncatedParallelogramSpec
 from matchlat.matching import classify_cycle
 from matchlat.oracles import faces_inside_cycle_by_flood, minimal_cuts_with_white_bank
 from matchlat.plane_graph import ECut, clockwise_cycle
-from matchlat.verify import (
-    MAX_ORIENTATIONS,
-    MAX_TREE_NODES,
-    _TREES_UP_TO_6,
-    _orientations,
-    _outerplane_case,
-)
+from matchlat.verify import _outerplane_case
 
-from conftest import c6_description, cycle_oracle_hosts
+from conftest import c6_description, cycle_oracle_hosts, outerplane_suite_hosts
 
 
 class TestLoadGraph:
@@ -360,15 +354,6 @@ class TestElementaryStructure:
         assert 2 in es.forbidden_edges  # the edge into the pendant
 
 
-def _suite_tree_graphs():
-    """Every tree realization the outerplane verification suite builds."""
-    for n in range(1, MAX_TREE_NODES + 1):
-        for edges in _TREES_UP_TO_6[n]:
-            for arcs in _orientations(edges, MAX_ORIENTATIONS):
-                tree = OrientedTree(tuple(range(1, n + 1)), arcs)
-                yield tree_to_outerplane(tree).graph
-
-
 class TestECuts:
     def test_hexagon_nine_cuts(self, c6):
         cuts = find_e_cuts(c6)
@@ -403,7 +388,7 @@ class TestECuts:
 
     def test_banks_are_the_components_on_suite_trees(self):
         # the traversal the outer-walk route replaced, kept as its oracle
-        for G in _suite_tree_graphs():
+        for G in outerplane_suite_hosts():
             for cut in find_e_cuts(G):
                 comp = component_labels(
                     G.n_vertices,
@@ -420,7 +405,7 @@ class TestECuts:
                 }
 
     def test_cut_sets_match_definition_on_small_suite_trees(self):
-        small = [G for G in _suite_tree_graphs() if G.n_edges <= 13]
+        small = [G for G in outerplane_suite_hosts() if G.n_edges <= 13]
         assert len(small) == 15
         for G in small:
             got = {cut.edges for cut in find_e_cuts(G)}

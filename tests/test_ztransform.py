@@ -18,6 +18,7 @@ from matchlat import (
     load_graph_file,
     matching_lattice,
     matching_poset,
+    oriented_dual,
     parse_spec,
     path_face_multiplicity,
     sigma,
@@ -50,6 +51,7 @@ from matchlat.lattice import (
     lattice_from_poset,
     lattice_isomorphic,
     order_ideal_lattice,
+    poset_from_relation,
     poset_isomorphic,
 )
 from matchlat.matching import (
@@ -62,7 +64,12 @@ from matchlat.matching import (
 from matchlat.verify import MAX_FLIP_PATHS, _outerplane_case
 from matchlat.ztransform import certify_ideal_map, directed_paths
 
-from conftest import c6_description, pendant_description, reference_arcs
+from conftest import (
+    c6_description,
+    outerplane_suite_hosts,
+    pendant_description,
+    reference_arcs,
+)
 
 
 class TestZDigraph:
@@ -491,6 +498,31 @@ class TestFacePoset:
         monkeypatch.setattr(ztransform, "oriented_dual", lambda G, include_outer: cyclic)
         with pytest.raises(DirectedCycleInInnerDual):
             face_poset_outerplane(G)
+
+    def test_dual_arcs_are_the_covers_of_their_closure(self):
+        count = 0
+        for G in outerplane_suite_hosts():
+            count += 1
+            dual = oriented_dual(G, include_outer=False)
+            pos = {f: i for i, f in enumerate(dual.nodes)}
+            closed = poset_from_relation(
+                dual.nodes, [(pos[a.dst], pos[a.src]) for a in dual.arcs]
+            )
+            F = face_poset_outerplane(G)
+            assert (F.labels, F.covers) == (closed.labels, closed.covers)
+        assert count == 263
+
+    def test_no_transitive_closure(self, monkeypatch):
+        from matchlat import lattice, ztransform
+
+        def refuse(*args):
+            raise AssertionError("poset_from_relation called")
+
+        monkeypatch.setattr(lattice, "poset_from_relation", refuse)
+        monkeypatch.setattr(ztransform, "poset_from_relation", refuse, raising=False)
+        tree = OrientedTree((1, 2, 3, 4), ((1, 2), (3, 2), (3, 4)))
+        F = face_poset_outerplane(tree_to_outerplane(tree).graph)
+        assert (F.n, len(F.covers)) == (4, 3)
 
     def test_naphthalene_two_chain(self, naphthalene):
         F = face_poset_outerplane(naphthalene.graph)
