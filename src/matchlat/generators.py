@@ -39,9 +39,11 @@ from .lattice import (
 from .matching import (
     PROPER,
     Matching,
+    _alternating_faces,
     check_matching,
     classify_alternating_faces,
     enumerate_perfect_matchings,
+    kasteleyn_count,
 )
 from .plane_graph import (
     BLACK,
@@ -310,8 +312,17 @@ def matching_geometry(
     path and is proper exactly when it lies in the hexagon set (an ideal,
     as :func:`verify_iso_parallelogram` certifies).
     """
+    check_matching(H.graph, M)
+    return _geometry(H, M)[0]
+
+
+def _geometry(
+    H: TruncatedParallelogram, M: Matching
+) -> tuple[SubparallelogramView, list[tuple[int, str]]]:
+    """:func:`matching_geometry` of a matching known to be a perfect
+    matching of H, with its alternating faces as
+    :func:`~matching.classify_alternating_faces` tags them."""
     G = H.graph
-    check_matching(G, M)
     in_m = M.edge_set  # built once: Matching.edge_set makes a new frozenset
     diff = in_m ^ H.root_edges
     lb = H.left_perimeter | H.bottom_perimeter
@@ -320,12 +331,11 @@ def matching_geometry(
         hexes: frozenset = frozenset()
         path = frozenset(lb)
     else:
-        cycles = _split_cycles(G, diff)
-        if len(cycles) != 1:
+        mask, steps = next(_split_cycles(G, diff))
+        if len(steps) != len(diff):
             raise NotAMatching(
                 "difference with the root matching is not a single cycle"
             )
-        ((mask, steps),) = cycles
         cycle = frozenset(eid for eid, _, _ in steps)
         if H.forcing_edge not in cycle:
             raise IsoFailure("root-difference cycle misses the forcing edge")
@@ -338,10 +348,12 @@ def matching_geometry(
             raise IsoFailure(
                 f"matching edge {eid} off the path is not a falling slant"
             )
-    _check_alternating_hexagons(H, M, path, hexes)
-    return SubparallelogramView(
+    faces = _alternating_faces(G, in_m)
+    _check_alternating_hexagons(H, faces, path, hexes)
+    view = SubparallelogramView(
         host=H, matching=M, cycle_edges=cycle, hexagons=hexes, path_edges=path
     )
+    return view, faces
 
 
 def _check_alternating_path(
@@ -379,10 +391,15 @@ def _check_alternating_path(
 
 
 def _check_alternating_hexagons(
-    H: TruncatedParallelogram, M: Matching, path: frozenset[int], hexes: frozenset
+    H: TruncatedParallelogram,
+    faces: list[tuple[int, str]],
+    path: frozenset[int],
+    hexes: frozenset,
 ) -> None:
+    """Check a matching's alternating faces, as (face id, class), against
+    its path and bounded hexagon set."""
     G = H.graph
-    for fid, cls in classify_alternating_faces(G, M):
+    for fid, cls in faces:
         hx = H.face_hexagon[fid]
         walk = G.faces[fid]
         on_path = [eid in path for eid in walk.edge_ids]
@@ -420,11 +437,18 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
 
     Certifies the explicit map (matching to its bounded hexagon set) as
     an isomorphism onto the ideals, and cross-checks with the generic
-    lattice isomorphism search against J(F), built for that alone.
+    lattice isomorphism search against J(F), built for that alone.  The
+    matchings come from the certified enumeration, so none is checked
+    again, and each one's alternating faces are classified once.
     """
     G = H.graph
     order = matching_poset(G)
-    images = tuple(matching_geometry(H, M).hexagons for M in order.labels)
+    images: list[frozenset] = []
+    faces: list[list[tuple[int, str]]] = []
+    for M in order.labels:
+        view, tags = _geometry(H, M)
+        images.append(view.hexagons)
+        faces.append(tags)
     P = hexagon_poset(H.spec)
     certify_ideal_map(order, images, P)
 
@@ -439,9 +463,7 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
             if not any(P.labels[u] in image for u in P.up_covers[pos[hx]])
         ]
         proper = [
-            H.face_hexagon[fid]
-            for fid, cls in classify_alternating_faces(G, order.labels[i])
-            if cls == PROPER
+            H.face_hexagon[fid] for fid, cls in faces[i] if cls == PROPER
         ]
         if len(maxima) != 1 or proper != maxima:
             raise IsoFailure(
@@ -452,7 +474,7 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
     generic = lattice_isomorphic(matching_lattice(G), JL)
     if not generic.isomorphic:
         raise IsoFailure(f"generic isomorphism test refused: {generic.refusal}")
-    return ParallelogramIso(hexagon_order=P, ideal_of=images, generic=generic)
+    return ParallelogramIso(hexagon_order=P, ideal_of=tuple(images), generic=generic)
 
 
 # --- outerplane realizations of oriented trees -------------------------------
@@ -691,11 +713,14 @@ def link_components(
     Each consecutive pair is connected by one edge embedded in the shared
     outer face; the new edges lie in no perfect matching, so the matching
     lattice of the result is the product of the components' lattices.
+    Each component must have a perfect matching: its Kasteleyn count says
+    so with no enumeration, which runs only where the count gives none.
     """
     if not graphs:
         raise ParseError("at least one graph is required")
     for G in graphs:
-        if not enumerate_perfect_matchings(G):
+        count = kasteleyn_count(G)
+        if count == 0 or count is None and not enumerate_perfect_matchings(G):
             raise NoPerfectMatching("every component needs a perfect matching")
     if len(graphs) == 1:
         G = graphs[0]

@@ -21,10 +21,11 @@ digraph, and its order certifies the digraph acyclic.
 
 Alternating cycles are checked and split in one place,
 ``plane_graph._split_cycles``: it refuses an edge set that is not
-2-regular and walks each cycle once, from its smallest edge, giving its
-mask and canonical edge sequence.  ``classify_cycle`` and the difference
-routes classify those walks as they are: Jordan parity on the mask gives
-the interior and each edge's clockwise step.
+2-regular and walks each cycle once, from its smallest edge, as its
+caller reads it, giving its mask and canonical edge sequence.
+``classify_cycle`` and the difference routes classify those walks as
+they are: Jordan parity on the mask gives the interior and each edge's
+clockwise step.
 ``oracles.faces_inside_cycle_by_flood`` is the independent route to the
 interiors.
 """
@@ -316,6 +317,7 @@ def _kasteleyn_signs(G: PlaneBipartiteGraph) -> Optional[int]:
     return neg
 
 
+@per_object
 def kasteleyn_count(G: PlaneBipartiteGraph) -> Optional[int]:
     """The number of perfect matchings of G, as |det K| for the Kasteleyn
     matrix of :func:`_kasteleyn_signs`; None when that gives no signing.
@@ -449,26 +451,29 @@ def classify_alternating_faces(
     test on edge masks, from each cover's lower end.
     """
     check_matching(G, M)
+    return _alternating_faces(G, M.edge_set)
+
+
+def _alternating_faces(
+    G: PlaneBipartiteGraph, mset: frozenset[int]
+) -> list[tuple[int, str]]:
+    """:func:`classify_alternating_faces` of a matching known to be a
+    perfect matching of G, given as its edge set."""
     out: list[tuple[int, str]] = []
-    mset = M.edge_set
     for fid in G.inner_face_ids:
         walk = G.faces[fid]
         if not walk.is_simple_cycle:
             continue
-        pattern = [eid in mset for eid, _, _ in walk.steps]
-        if not any(pattern):
+        pattern = [eid in mset for eid in walk.edge_ids]
+        # alternating: matched and unmatched steps take turns all round
+        first = pattern[0]
+        if pattern != [first, not first] * (len(pattern) // 2):
             continue
-        L = len(pattern)
-        if any(pattern[i] == pattern[(i + 1) % L] for i in range(L)):
-            continue
-        classes = {
-            PROPER if G.colors[tail] == WHITE else IMPROPER
-            for (eid, tail, _), inm in zip(walk.steps, pattern)
-            if inm
-        }
-        if len(classes) != 1:
+        tails = walk.vertices[0 if first else 1 :: 2]  # of the matched steps
+        colors = {G.colors[tail] for tail in tails}
+        if len(colors) != 1:
             raise AssertionError("matched edges disagree on orientation class")
-        out.append((fid, classes.pop()))
+        out.append((fid, PROPER if colors.pop() == WHITE else IMPROPER))
     return out
 
 
@@ -543,7 +548,8 @@ def all_alternating_cycles(
     Flipping an alternating cycle of M yields another perfect matching,
     and conversely every single-cycle symmetric difference with M is an
     M-alternating cycle, so the cycles are exactly the single-cycle
-    differences M xor M'.
+    differences M xor M'.  Each difference's first cycle is the only one
+    walked: the difference is one cycle exactly when that walk covers it.
     """
     check_matching(G, M)
     mset = M.edge_set
@@ -551,8 +557,9 @@ def all_alternating_cycles(
     for M2 in enumerate_perfect_matchings(G):
         if M2 == M:
             continue
-        cycles = _split_cycles(G, mset ^ M2.edge_set)
-        if len(cycles) == 1:
-            reports.append(_classified(G, mset, *cycles[0]))
+        diff = mset ^ M2.edge_set
+        mask, steps = next(_split_cycles(G, diff))
+        if len(steps) == len(diff):
+            reports.append(_classified(G, mset, mask, steps))
     reports.sort(key=lambda r: r.cycle)
     return reports

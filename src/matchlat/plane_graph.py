@@ -14,12 +14,13 @@ Cycles are integer edge masks, read through two tables kept per graph:
 each vertex's incident-edge mask, and each face's path in a BFS tree of
 the dual rooted at the outer face.  Every edge set, from outside or from
 a symmetric difference of two matchings, is checked and split into
-cycles by ``_split_cycles`` alone: a degree test, then one walk per cycle
-from its smallest edge.  Internal callers keep that walk; the public
-cycle functions check that it is exactly one cycle.  A face lies inside
-a cycle when its path crosses the cycle an odd number of times (Jordan
-parity), and the inside face of each cycle edge gives that edge's
-clockwise step.  All of it is O(|C| + F) per cycle.
+cycles by ``_split_cycles`` alone: a degree test on the call, then one
+walk per cycle, from its smallest edge, as the caller reads them.
+Internal callers keep those walks.  A caller that needs exactly one
+cycle, like the public cycle functions, reads the first walk and stops.
+A face lies inside a cycle when its path crosses the cycle an odd number
+of times (Jordan parity), and the inside face of each cycle edge gives
+that edge's clockwise step.  All of it is O(|C| + F) per cycle.
 ``oracles.faces_inside_cycle_by_flood`` finds the same interiors by
 flooding the dual.
 """
@@ -29,7 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .derive import component_labels, per_object
@@ -535,13 +537,16 @@ def walk_cycle(G: PlaneBipartiteGraph, mask: int, start: int) -> list[Step]:
 
 def _split_cycles(
     G: PlaneBipartiteGraph, edge_ids: Iterable[int]
-) -> list[tuple[int, list[Step]]]:
+) -> Iterator[tuple[int, list[Step]]]:
     """Check an edge set and split it into its vertex-disjoint cycles.
 
-    One (mask, canonical walk) per cycle, ordered by smallest edge: each
-    walk starts at the smallest edge of the cycles not yet taken.  An
-    unknown edge id or a set that is not 2-regular raises NotACycle; an
-    empty set has no cycles.
+    The check is made on the call: an unknown edge id or a set that is not
+    2-regular raises NotACycle.  The cycles are then walked as the returned
+    iterator is read, one (mask, canonical walk) per cycle, ordered by
+    smallest edge: each walk starts at the smallest edge of the cycles not
+    yet taken.  An empty set has no cycles.  A caller that needs one cycle
+    reads the first and stops: it covers the set exactly when its walk is
+    as long as the set.
     """
     n_edges, ends = G.n_edges, edge_ends(G)
     rest = once = twice = thrice = 0  # vertices met at least 1, 2 and 3 times
@@ -555,25 +560,34 @@ def _split_cycles(
         once |= x
     if thrice or once != twice:
         raise NotACycle("edge set is not 2-regular")
-    cycles: list[tuple[int, list[Step]]] = []
+    return _walk_cycles(G, rest)
+
+
+def _walk_cycles(
+    G: PlaneBipartiteGraph, rest: int
+) -> Iterator[tuple[int, list[Step]]]:
+    """The cycles of a checked 2-regular edge mask, for :func:`_split_cycles`."""
     while rest:
         steps = walk_cycle(G, rest, (rest & -rest).bit_length() - 1)
-        mask = sum(1 << eid for eid, _, _ in steps)
-        cycles.append((mask, steps))
+        # the last cycle is all that is left, as is every one-cycle set
+        mask = rest if len(steps) == rest.bit_count() else sum(
+            1 << eid for eid, _, _ in steps
+        )
+        yield mask, steps
         rest ^= mask
-    return cycles
 
 
 def _checked_walk(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> tuple[int, list[Step]]:
     """The mask and canonical walk of an edge set that must be one simple cycle."""
-    cycles = _split_cycles(G, cycle_edges)
-    if not cycles:
+    edges = frozenset(cycle_edges)
+    first = next(_split_cycles(G, edges), None)
+    if first is None:
         raise NotACycle("empty edge set")
-    if len(cycles) > 1:
+    if len(first[1]) != len(edges):
         raise NotACycle("edge set is a union of several cycles")
-    return cycles[0]
+    return first
 
 
 def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
@@ -758,12 +772,34 @@ def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
 
 @dataclass(frozen=True)
 class ECut:
-    """Minimal edge cut whose edges all touch white vertices of one bank."""
+    """Minimal edge cut whose edges all touch white vertices of one bank.
+
+    The banks are the two runs of the outer walk that the cut separates.
+    ``walk`` is the outer walk's vertex sequence and ``span`` = (a, b) the
+    white bank's run, the vertices at cyclic positions a+1 .. b of it;
+    the black bank is the run (b, a).  ``white_bank`` and ``black_bank``
+    are built on first read.
+    """
 
     edges: frozenset[int]
-    white_bank: frozenset[int]
-    black_bank: frozenset[int]
     dual_cycle: tuple[int, ...]  # face sequence, starting at the outer face
+    walk: tuple[int, ...]
+    span: tuple[int, int]
+
+    @cached_property
+    def white_bank(self) -> frozenset[int]:
+        a, b = self.span
+        return _run(self.walk, a, b)
+
+    @cached_property
+    def black_bank(self) -> frozenset[int]:
+        a, b = self.span
+        return _run(self.walk, b, a)
+
+
+def _run(walk: tuple[int, ...], a: int, b: int) -> frozenset[int]:
+    """The vertices at cyclic positions a+1 .. b of a closed walk."""
+    return frozenset(walk[a + 1 : b + 1] if a < b else walk[a + 1 :] + walk[: b + 1])
 
 
 def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
@@ -776,16 +812,22 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
     face, so the list is complete, and every vertex lies on the outer
     walk.  The cycle crosses exactly two outer edges, its first and its
     last; the two runs of the outer walk between them stay connected once
-    the cut is removed, so they are the banks, read off in O(V) per cut
-    with no traversal.  Any other host raises :class:`NotOuterplane`:
-    there the cuts whose dual cycle avoids the outer face would be missing.
+    the cut is removed, so they are the banks.  Each cut is checked on
+    walk positions alone, and its banks are built only when read.  Any
+    other host raises :class:`NotOuterplane`: there the cuts whose dual
+    cycle avoids the outer face would be missing.
     """
     if not is_outerplane_2connected(G):
         raise NotOuterplane("e-cuts need a 2-connected outerplane host")
     dual = oriented_dual(G, include_outer=True)
     f0 = G.outer_face
+    walk = G.faces[f0].vertices
     at = {eid: k for k, eid in enumerate(G.faces[f0].edge_ids)}
-    cuts: list[ECut] = []
+    pos = [0] * G.n_vertices
+    for k, v in enumerate(walk):
+        pos[v] = k
+    white_at = [pos[G.white_end(eid)] for eid in range(G.n_edges)]
+    cuts: list[tuple[list[int], ECut]] = []  # (sorted edges, cut)
 
     arcs_from: dict[int, list[DualArc]] = {f: [] for f in dual.nodes}
     for a in sorted(dual.arcs, key=lambda a: (a.dst, a.edge_id)):
@@ -804,39 +846,42 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
                 path_edges.pop()
             continue
         if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
-            cuts.append(_build_e_cut(G, at, path_faces[:], path_edges + [arc.edge_id]))
+            edge_ids = path_edges + [arc.edge_id]
+            cut = _build_e_cut(walk, at, white_at, path_faces, edge_ids)
+            cuts.append((sorted(edge_ids), cut))
         elif arc.dst not in on_path:
             path_faces.append(arc.dst)
             path_edges.append(arc.edge_id)
             on_path.add(arc.dst)
             todo.append(iter(arcs_from[arc.dst]))
-    cuts.sort(key=lambda c: sorted(c.edges))
-    return cuts
+    cuts.sort(key=itemgetter(0))
+    return [cut for _, cut in cuts]
 
 
 def _build_e_cut(
-    G: PlaneBipartiteGraph, at: dict[int, int], faces: list[int], edge_ids: list[int]
+    walk: tuple[int, ...],
+    at: dict[int, int],
+    white_at: Sequence[int],
+    faces: list[int],
+    edge_ids: list[int],
 ) -> ECut:
-    """The cut of one dual cycle, with banks read off the outer walk.
+    """The cut of one dual cycle, checked on outer-walk positions.
 
-    ``at`` maps each outer edge to its step index on the outer walk.  The
-    first and last cut edges are the outer ones; the vertices strictly
-    after the one and up to the other form one bank, the rest the other.
+    ``walk`` is the outer walk's vertex sequence, ``at`` maps each outer
+    edge to its step index on it and ``white_at[e]`` is the position of
+    edge e's white end.  The first and last cut edges are the outer ones,
+    at steps i < j; the positions i+1 .. j form one bank, the rest the
+    other, and every cut edge must have its white end in the same one.
     """
     i, j = sorted((at[edge_ids[0]], at[edge_ids[-1]]))
-    walk = G.faces[G.outer_face].vertices
-    run = frozenset(walk[i + 1 : j + 1])
-    rest = frozenset(walk[j + 1 :] + walk[: i + 1])
-    T = frozenset(edge_ids)
-    white_in_run = {G.white_end(eid) in run for eid in T}
+    white_in_run = {i < white_at[eid] <= j for eid in edge_ids}
     if len(white_in_run) != 1:
         raise AssertionError("cut edges touch white vertices of both banks (bug)")
-    white_bank, black_bank = (run, rest) if white_in_run.pop() else (rest, run)
     return ECut(
-        edges=T,
-        white_bank=white_bank,
-        black_bank=black_bank,
+        edges=frozenset(edge_ids),
         dual_cycle=tuple(faces),
+        walk=walk,
+        span=(i, j) if white_in_run.pop() else (j, i),
     )
 
 

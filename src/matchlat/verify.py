@@ -397,10 +397,12 @@ def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
     masks = [sum(1 << e for e in M.edge_ids) for M in enumerate_perfect_matchings(G)]
     for cut in find_e_cuts(G):
         cut_mask = sum(1 << e for e in cut.edges)
-        for m in masks:
-            hits = (cut_mask & m).bit_count()
-            if hits != 1:
-                return f"e-cut {sorted(cut.edges)} meets a matching {hits} times"
+        # the first hit count other than 1, found by map and filter at C
+        # speed: the suite tests some 400,000 (cut, matching) pairs
+        meets = map(int.bit_count, map(cut_mask.__and__, masks))
+        hits = next(filter((1).__ne__, meets), 1)
+        if hits != 1:
+            return f"e-cut {sorted(cut.edges)} meets a matching {hits} times"
     ext = extremal_matchings(G)
     # the extremes' certificate: the source has no improper alternating
     # cycle and the root no proper one
@@ -410,6 +412,7 @@ def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
             return f"{name} matching has a {wrong} alternating cycle"
     face_of = build_z_digraph(G).face_of
     inner = set(G.inner_face_ids)
+    each_once = sorted(inner)
     iso = verify_iso_matchings_ideals(G)
     F = iso.face_poset
     pos = {f: i for i, f in enumerate(F.labels)}
@@ -421,7 +424,7 @@ def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
     ]
     for path in directed_paths(G, ext.source_index, ext.root_index, cap=20_000):
         faces = [face_of[(a, b)] for a, b in zip(path, path[1:])]
-        if sorted(faces) != sorted(inner):
+        if sorted(faces) != each_once:
             return "maximal path does not flip each face exactly once"
         when = {f: k for k, f in enumerate(faces)}
         # a lower face always flips after every face above it

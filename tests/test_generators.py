@@ -6,12 +6,15 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchlat import generators, matching
 from matchlat import (
+    Matching,
     OrientedTree,
     TruncatedParallelogramSpec,
     enumerate_perfect_matchings,
     hexagon_poset,
     link_components,
+    load_graph,
     matching_geometry,
     matching_lattice,
     parse_spec,
@@ -23,6 +26,8 @@ from matchlat.caps import SizeCaps
 from matchlat.errors import (
     EmbeddingConflict,
     InvalidRowLengths,
+    NoPerfectMatching,
+    NotAMatching,
     NotATree,
     ParseError,
     SizeCapExceeded,
@@ -44,8 +49,11 @@ from matchlat.lattice import (
     lattice_isomorphic,
     poset_isomorphic,
 )
+from matchlat.matching import kasteleyn_count
 from matchlat.plane_graph import oriented_dual
 from matchlat.ztransform import matching_poset
+
+from conftest import fence, pendant_description
 
 
 class TestTruncatedParallelogram:
@@ -200,6 +208,12 @@ class TestMatchingGeometry:
             if view.cycle_edges:
                 assert t2.forcing_edge in view.cycle_edges
 
+    def test_non_matching_is_refused(self, pyrene):
+        root = pyrene.root_matching()
+        for edge_ids in ((0,), root.edge_ids[1:], root.edge_ids + (pyrene.graph.n_edges,)):
+            with pytest.raises(NotAMatching):
+                matching_geometry(pyrene, Matching(edge_ids))
+
 
 class TestParallelogramIso:
     @pytest.mark.parametrize(
@@ -220,6 +234,25 @@ class TestParallelogramIso:
         L = matching_lattice(H.graph)
         Irr, _ = join_irreducibles(L)
         assert poset_isomorphic(Irr, hexagon_poset(H.spec)) is not None
+
+    def test_each_matching_classified_once_and_none_checked(self, pyrene, monkeypatch):
+        """The matchings come from the certified enumeration: none is checked
+        again, and each one's alternating faces are classified once."""
+        checked, classified = [], []
+        classify = generators._alternating_faces
+
+        def counted(G, mset):
+            classified.append(mset)
+            return classify(G, mset)
+
+        for module in (generators, matching):
+            monkeypatch.setattr(module, "check_matching", lambda G, M: checked.append(M))
+        monkeypatch.setattr(generators, "_alternating_faces", counted)
+        verify_iso_parallelogram(pyrene)
+        assert checked == []
+        ms = enumerate_perfect_matchings(pyrene.graph)
+        assert set(classified) == {M.edge_set for M in ms}
+        assert len(classified) == len(ms)
 
     def test_only_minimum_left_vertical_is_forcing_everywhere(self):
         from matchlat import forcing_edges
@@ -357,6 +390,32 @@ class TestLinkComponents:
         linked = link_components([hexagon_gen.graph])
         assert linked.graph is hexagon_gen.graph
         assert linked.new_edges == ()
+
+    def test_components_are_counted_not_enumerated(self):
+        # 2.7 M and 2.7e8 matchings, far over the default matchings cap
+        caps = SizeCaps(max_vertices=1000, max_inner_faces=200)
+        parts = [parse_spec("P(12,12)", caps).graph, parse_spec(fence(40), caps).graph]
+        linked = link_components(parts, caps)
+        assert linked.graph.n_vertices == sum(G.n_vertices for G in parts)
+
+    def test_component_without_perfect_matching_is_refused(self, hexagon_gen):
+        path = load_graph({
+            "vertices": [{"id": v, "color": ("white", "black")[v % 2]} for v in range(3)],
+            "edges": [[0, 1], [1, 2]],
+            "rotation": {"0": [0], "1": [0, 1], "2": [1]},
+        })
+        # the pendant hexagon less its last vertex: an inner face that is no
+        # simple cycle, so no Kasteleyn count, and seven vertices
+        desc = pendant_description()
+        desc["vertices"].pop()
+        desc["edges"].pop()
+        desc["rotation"]["6"] = [2]
+        del desc["rotation"]["7"]
+        odd = load_graph(desc)
+        assert kasteleyn_count(path) == 0 and kasteleyn_count(odd) is None
+        for G in (path, odd):
+            with pytest.raises(NoPerfectMatching):
+                link_components([hexagon_gen.graph, G])
 
     def test_central_elements_are_unit_tuples(self, hexagon_gen, naphthalene):
         linked = link_components([hexagon_gen.graph, naphthalene.graph])

@@ -56,6 +56,7 @@ from conftest import (
     edited_hosts,
     fence,
     nested_squares,
+    outerplane_suite_hosts,
     reference_arcs,
     without_edges,
 )
@@ -283,7 +284,7 @@ class TestSymmetricDifference:
             ms = enumerate_perfect_matchings(G)
             for M1, M2 in itertools.combinations(ms, 2):
                 diff = M1.edge_set ^ M2.edge_set
-                split = _split_cycles(G, diff)
+                split = list(_split_cycles(G, diff))
                 cycles = [frozenset(eid for eid, _, _ in steps) for _, steps in split]
                 assert [mask for mask, _ in split] == [sum(1 << e for e in c) for c in cycles]
                 assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
@@ -295,7 +296,7 @@ class TestSymmetricDifference:
     def test_cycles_of_edge_set_refuses_a_path(self, c6):
         with pytest.raises(NotACycle, match="edge set is not 2-regular"):
             _split_cycles(c6, frozenset(range(5)))
-        assert _split_cycles(c6, frozenset()) == []
+        assert list(_split_cycles(c6, frozenset())) == []
 
 
 def cycle_sets(G, edge_ids):
@@ -390,15 +391,13 @@ class TestOneWalkPerCycle:
                 assert len(walks) == len(reports) > 0
 
     def test_all_alternating_cycles(self, walks, t2, pyrene):
+        """One walk per other matching: the first cycle of each difference."""
         for G in (t2.graph, pyrene.graph):
             ms = enumerate_perfect_matchings(G)
             for M in ms:
-                n_cycles = sum(
-                    len(symmetric_difference_cycles(G, M, M2)) for M2 in ms if M2 != M
-                )
                 walks.clear()
                 assert all_alternating_cycles(G, M)
-                assert len(walks) == n_cycles
+                assert len(walks) == len(ms) - 1
 
     def test_matching_geometry(self, walks, pyrene):
         root = pyrene.root_matching()
@@ -442,6 +441,15 @@ class TestAllAlternatingCycles:
     def test_dfs_oracle(self, c6, ladder, t2):
         for G in (c6, ladder, t2.graph):
             for M in enumerate_perfect_matchings(G):
+                got = {r.edge_set for r in all_alternating_cycles(G, M)}
+                assert got == alternating_cycles_dfs(G, M)
+
+    def test_dfs_oracle_on_outerplane_suite_extremes(self):
+        """The extremes' certificate reads these cycles: one walk per
+        difference finds the same ones as the DFS oracle."""
+        for G in outerplane_suite_hosts():
+            ext = extremal_matchings(G)
+            for M in (ext.source, ext.root):
                 got = {r.edge_set for r in all_alternating_cycles(G, M)}
                 assert got == alternating_cycles_dfs(G, M)
 

@@ -29,7 +29,7 @@ from matchlat.errors import (
 from matchlat.generators import TruncatedParallelogramSpec
 from matchlat.matching import classify_cycle
 from matchlat.oracles import faces_inside_cycle_by_flood, minimal_cuts_with_white_bank
-from matchlat.plane_graph import ECut, clockwise_cycle
+from matchlat.plane_graph import ECut, _build_e_cut, clockwise_cycle
 from matchlat.verify import _outerplane_case
 
 from conftest import c6_description, cycle_oracle_hosts, outerplane_suite_hosts
@@ -423,11 +423,33 @@ class TestECuts:
     def test_outerplane_check_reports_a_cut_hit_twice(self, monkeypatch, t2):
         G = t2.graph
         M = enumerate_perfect_matchings(G)[0]
-        cut = ECut(frozenset(M.edge_ids[:2]), frozenset(), frozenset(), ())
+        cut = ECut(frozenset(M.edge_ids[:2]), (), (), (0, 0))
         monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [cut])
         assert _outerplane_case(G, DEFAULT_CAPS) == (
             f"e-cut {sorted(cut.edges)} meets a matching 2 times"
         )
+
+    def test_banks_are_built_on_first_read(self, c6, t2):
+        for G in (c6, t2.graph):
+            cuts = find_e_cuts(G)
+            assert not any(
+                "white_bank" in vars(cut) or "black_bank" in vars(cut) for cut in cuts
+            )
+            for cut in cuts:
+                assert cut.white_bank is cut.white_bank
+                assert cut.black_bank is cut.black_bank
+
+    def test_white_ends_in_both_banks_are_refused(self, c6):
+        outer = c6.faces[c6.outer_face]
+        walk, steps = outer.vertices, outer.edge_ids
+        at = {eid: k for k, eid in enumerate(steps)}
+        white_at = [walk.index(c6.white_end(eid)) for eid in range(c6.n_edges)]
+        # steps 0 and 2 span positions 1..2: one white end at 1 or 2, the
+        # other at 0 or 3
+        with pytest.raises(AssertionError, match="both banks"):
+            _build_e_cut(walk, at, white_at, [c6.outer_face], [steps[0], steps[2]])
+        cut = _build_e_cut(walk, at, white_at, [c6.outer_face], [steps[0], steps[1]])
+        assert cut.white_bank | cut.black_bank == frozenset(range(6))
 
     def test_banks_partition(self, t2):
         for cut in find_e_cuts(t2.graph):
