@@ -53,6 +53,8 @@ from .plane_graph import (
     _split_cycles,
     _trace_rotation,
     build_graph,
+    edge_ends,
+    incident_edge_masks,
     is_elementary,
     oriented_dual,
 )
@@ -360,32 +362,38 @@ def _check_alternating_path(
     H: TruncatedParallelogram, in_m: frozenset[int], path: frozenset[int]
 ) -> None:
     """Check that path is a simple path alternating in the matching whose
-    edge set is in_m, with both end edges in it."""
+    edge set is in_m, with both end edges in it.
+
+    Vertex masks give the degrees: no vertex may meet three path edges
+    and exactly two may meet one.  The walk from the smaller of those two
+    must then cover every path edge, or the set is a path plus cycles.
+    """
     G = H.graph
-    deg: dict[int, list[int]] = {}
+    ends, inc = edge_ends(G), incident_edge_masks(G)
+    once = twice = thrice = 0  # vertices met at least 1, 2 and 3 times
     for eid in path:
-        for v in G.edges[eid]:
-            deg.setdefault(v, []).append(eid)
-    ends = [v for v, es in deg.items() if len(es) == 1]
-    if len(ends) != 2 or any(len(es) > 2 for es in deg.values()):
+        x = ends[eid]
+        thrice |= twice & x
+        twice |= once & x
+        once |= x
+    leaves = once ^ twice
+    if thrice or leaves.bit_count() != 2:
         raise IsoFailure("path edge set is not a simple path")
-    # walk the path, checking alternation and end edges
-    v = min(ends)
-    prev = None
+    rest = sum(map((1).__lshift__, path))
+    v = (leaves & -leaves).bit_length() - 1
     state = None
-    while True:
-        nxt = [e for e in deg[v] if e != prev]
-        if not nxt:
-            break
-        e = nxt[0]
-        inm = e in in_m
-        if prev is None and not inm:
+    while bit := inc[v] & rest:
+        rest ^= bit  # a walked edge is never taken again
+        eid = bit.bit_length() - 1
+        inm = eid in in_m
+        if state is None and not inm:
             raise IsoFailure("path end edge is not in the matching")
-        if state is not None and inm == state:
+        if inm == state:
             raise IsoFailure("path is not alternating")
         state = inm
-        prev = e
-        v = G.other_end(e, v)
+        v = G.other_end(eid, v)
+    if rest:
+        raise IsoFailure("path edge set is not a simple path")
     if state is not True:
         raise IsoFailure("path end edge is not in the matching")
 

@@ -25,7 +25,9 @@ Alternating cycles are checked and split in one place,
 caller reads it, giving its mask and canonical edge sequence.
 ``classify_cycle`` and the difference routes classify those walks as
 they are: Jordan parity on the mask gives the interior and each edge's
-clockwise step.
+clockwise step.  A difference of two enumerated matchings is 2-regular
+as it stands: ``all_alternating_cycles`` walks it straight from the
+masks of ``_matching_masks``, with no second check.
 ``oracles.faces_inside_cycle_by_flood`` is the independent route to the
 interiors.
 """
@@ -47,6 +49,7 @@ from .plane_graph import (
     _split_cycles,
     dual_tree,
     edge_ends,
+    walk_cycle,
 )
 
 PROPER = "proper"
@@ -548,18 +551,28 @@ def all_alternating_cycles(
     Flipping an alternating cycle of M yields another perfect matching,
     and conversely every single-cycle symmetric difference with M is an
     M-alternating cycle, so the cycles are exactly the single-cycle
-    differences M xor M'.  Each difference's first cycle is the only one
-    walked: the difference is one cycle exactly when that walk covers it.
+    differences M xor M'.  M is checked; the other matchings are the
+    certified enumeration's, so each difference is 2-regular as it
+    stands, and only its cycle through its lowest edge is walked: the
+    difference is one cycle exactly when that walk covers it.
     """
-    check_matching(G, M)
+    m = _matching_mask(G, M, edge_ends(G))
     mset = M.edge_set
     reports: list[AlternatingCycleReport] = []
-    for M2 in enumerate_perfect_matchings(G):
-        if M2 == M:
+    for m2 in _matching_masks(G):
+        diff = m ^ m2
+        if not diff:
             continue
-        diff = mset ^ M2.edge_set
-        mask, steps = next(_split_cycles(G, diff))
-        if len(steps) == len(diff):
-            reports.append(_classified(G, mset, mask, steps))
+        steps = walk_cycle(G, diff, (diff & -diff).bit_length() - 1)
+        if len(steps) == diff.bit_count():
+            reports.append(_classified(G, mset, diff, steps))
     reports.sort(key=lambda r: r.cycle)
     return reports
+
+
+@per_object
+def _matching_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
+    """Each enumerated matching's edges as a mask, in enumeration order."""
+    return tuple(
+        sum(map((1).__lshift__, M.edge_ids)) for M in enumerate_perfect_matchings(G)
+    )

@@ -777,14 +777,18 @@ class ECut:
     The banks are the two runs of the outer walk that the cut separates.
     ``walk`` is the outer walk's vertex sequence and ``span`` = (a, b) the
     white bank's run, the vertices at cyclic positions a+1 .. b of it;
-    the black bank is the run (b, a).  ``white_bank`` and ``black_bank``
-    are built on first read.
+    the black bank is the run (b, a).  ``white_bank``, ``black_bank`` and
+    ``mask``, the edges as an edge mask, are built on first read.
     """
 
     edges: frozenset[int]
     dual_cycle: tuple[int, ...]  # face sequence, starting at the outer face
     walk: tuple[int, ...]
     span: tuple[int, int]
+
+    @cached_property
+    def mask(self) -> int:
+        return sum(map((1).__lshift__, self.edges))
 
     @cached_property
     def white_bank(self) -> frozenset[int]:
@@ -835,24 +839,24 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
 
     path_faces: list[int] = [f0]
     path_edges: list[int] = []
-    on_path = {f0}
+    on_path = 1 << f0  # the faces of path_faces, as a face mask
     todo = [iter(arcs_from[f0])]
     while todo:
         arc = next(todo[-1], None)
         if arc is None:
             todo.pop()
             if path_edges:
-                on_path.remove(path_faces.pop())
+                on_path ^= 1 << path_faces.pop()
                 path_edges.pop()
             continue
         if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
             edge_ids = path_edges + [arc.edge_id]
             cut = _build_e_cut(walk, at, white_at, path_faces, edge_ids)
             cuts.append((sorted(edge_ids), cut))
-        elif arc.dst not in on_path:
+        elif not on_path >> arc.dst & 1:
             path_faces.append(arc.dst)
             path_edges.append(arc.edge_id)
-            on_path.add(arc.dst)
+            on_path |= 1 << arc.dst
             todo.append(iter(arcs_from[arc.dst]))
     cuts.sort(key=itemgetter(0))
     return [cut for _, cut in cuts]
@@ -874,14 +878,15 @@ def _build_e_cut(
     other, and every cut edge must have its white end in the same one.
     """
     i, j = sorted((at[edge_ids[0]], at[edge_ids[-1]]))
-    white_in_run = {i < white_at[eid] <= j for eid in edge_ids}
-    if len(white_in_run) != 1:
+    white_in_run = [i < white_at[eid] <= j for eid in edge_ids]
+    in_run = white_in_run[0]
+    if (not in_run) in white_in_run:
         raise AssertionError("cut edges touch white vertices of both banks (bug)")
     return ECut(
         edges=frozenset(edge_ids),
         dual_cycle=tuple(faces),
         walk=walk,
-        span=(i, j) if white_in_run.pop() else (j, i),
+        span=(i, j) if in_run else (j, i),
     )
 
 

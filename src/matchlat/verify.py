@@ -46,6 +46,7 @@ from .lattice import (
 from .matching import (
     IMPROPER,
     PROPER,
+    _matching_masks,
     all_alternating_cycles,
     enumerate_perfect_matchings,
 )
@@ -57,13 +58,13 @@ from .oracles import (
 )
 from .plane_graph import PlaneBipartiteGraph, find_e_cuts
 from .ztransform import (
+    _delta_counts,
+    _path_face_counts,
     build_z_digraph,
-    delta_cycle_count,
     directed_paths,
     extremal_matchings,
     matching_lattice,
     matching_poset,
-    path_face_multiplicity,
     verify_iso_matchings_ideals,
 )
 
@@ -350,17 +351,17 @@ def check_delta_path_invariance(report: VerificationReport, caps: SizeCaps) -> N
                 for j in range(P.n):
                     if i == j or not P.leq(j, i):
                         continue
-                    Mi, Mj = P.labels[i], P.labels[j]
-                    deltas = {
-                        f: delta_cycle_count(G, Mi, Mj, f) for f in inner
-                    }
+                    # one decomposition per pair and one walk per path
+                    # give every face's count
+                    deltas = _delta_counts(G, P.labels[i], P.labels[j])
                     for path in directed_paths(G, i, j, cap=MAX_FLIP_PATHS):
-                        ms = [P.labels[k] for k in path]
+                        flips = _path_face_counts(G, path)
                         for f in inner:
-                            if path_face_multiplicity(G, ms, f) != deltas[f]:
+                            want = deltas.get(f, 0)
+                            if flips.get(f, 0) != want:
                                 return (
                                     f"path {path} face {f}: multiplicity "
-                                    f"!= {deltas[f]}"
+                                    f"!= {want}"
                                 )
             return None
 
@@ -394,12 +395,11 @@ def check_outerplane(report: VerificationReport, caps: SizeCaps) -> None:
 
 
 def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
-    masks = [sum(1 << e for e in M.edge_ids) for M in enumerate_perfect_matchings(G)]
+    masks = _matching_masks(G)
     for cut in find_e_cuts(G):
-        cut_mask = sum(1 << e for e in cut.edges)
         # the first hit count other than 1, found by map and filter at C
         # speed: the suite tests some 400,000 (cut, matching) pairs
-        meets = map(int.bit_count, map(cut_mask.__and__, masks))
+        meets = map(int.bit_count, map(cut.mask.__and__, masks))
         hits = next(filter((1).__ne__, meets), 1)
         if hits != 1:
             return f"e-cut {sorted(cut.edges)} meets a matching {hits} times"

@@ -53,11 +53,13 @@ from .matching import (
     Matching,
     _difference_cycles,
     _flip_walk,
+    _matching_masks,
     enumerate_perfect_matchings,
     matching_index,
 )
 from .plane_graph import (
     PlaneBipartiteGraph,
+    _faces_inside,
     is_outerplane_2connected,
     oriented_dual,
 )
@@ -182,33 +184,47 @@ def delta_cycle_count(
         raise NotAMatching(f"{exc} is not a perfect matching of the graph") from None
     if not matching_poset(G).leq(j, i):
         raise NotComparable("second matching is not below the first")
-    total = 0
+    return _delta_counts(G, M, M2).get(face_id, 0)
+
+
+def _delta_counts(G: PlaneBipartiteGraph, M: Matching, M2: Matching) -> dict[int, int]:
+    """:func:`delta_cycle_count` of every face at once, by face id (faces no
+    cycle encloses are absent), for enumerated matchings M2 below M: one
+    decomposition of M xor M2."""
+    counts: dict[int, int] = {}
     for rep in _difference_cycles(G, M, M2):
-        if face_id in rep.enclosed_faces:
-            total += 1 if rep.orientation_class == PROPER else -1
-    if total < 0:
+        sign = 1 if rep.orientation_class == PROPER else -1
+        for f in rep.enclosed_faces:
+            counts[f] = counts.get(f, 0) + sign
+    if any(c < 0 for c in counts.values()):
         raise AssertionError("signed enclosure count went negative under the order")
-    return total
+    return counts
 
 
 def path_face_multiplicity(
     G: PlaneBipartiteGraph, path: Sequence[Matching], face_id: int
 ) -> int:
     """Multiplicity of a face among the arc labels of a directed flip path."""
-    face_of = build_z_digraph(G).face_of
     idx = matching_index(G)
     try:
         nodes = [idx[M] for M in path]
     except KeyError as exc:
         raise NotAPath(f"unknown matching {exc}") from exc
-    count = 0
+    return _path_face_counts(G, nodes).get(face_id, 0)
+
+
+def _path_face_counts(G: PlaneBipartiteGraph, nodes: Sequence[int]) -> dict[int, int]:
+    """:func:`path_face_multiplicity` of every face at once, by face id (faces
+    never flipped are absent), for a path given as matching indices: one
+    walk along it."""
+    face_of = build_z_digraph(G).face_of
+    counts: dict[int, int] = {}
     for a, b in zip(nodes, nodes[1:]):
         label = face_of.get((a, b))
         if label is None:
             raise NotAPath(f"no arc between consecutive matchings {a} -> {b}")
-        if label == face_id:
-            count += 1
-    return count
+        counts[label] = counts.get(label, 0) + 1
+    return counts
 
 
 def directed_paths(
@@ -273,15 +289,21 @@ def face_poset_outerplane(G: PlaneBipartiteGraph) -> FinitePoset:
 
 
 def sigma(G: PlaneBipartiteGraph, M: Matching) -> frozenset[int]:
-    """Faces enclosed by the cycles of M xor root: an ideal of the face poset."""
+    """Faces enclosed by the cycles of M xor root: an ideal of the face poset.
+
+    Only the interiors are read, and by one Jordan parity test on the
+    whole difference.  Its cycles are disjoint, and on an outerplane host
+    none lies inside another, whose vertices would then be off the outer
+    walk; so a face is inside one of them exactly when it is inside an
+    odd number.
+    """
     face_poset_outerplane(G)  # raises NotOuterplane on any other host
     ext = extremal_matchings(G)
-    if M not in matching_index(G):  # the enumerated matchings were checked
+    i = matching_index(G).get(M)
+    if i is None:  # the enumerated matchings were checked
         raise NotAMatching(f"{M!r} is not a perfect matching of the graph")
-    enclosed: set[int] = set()
-    for rep in _difference_cycles(G, M, ext.root):
-        enclosed.update(rep.enclosed_faces)
-    return frozenset(enclosed)
+    masks = _matching_masks(G)
+    return _faces_inside(G, masks[i] ^ masks[ext.root_index])
 
 
 @dataclass(frozen=True, eq=False)

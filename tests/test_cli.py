@@ -17,6 +17,69 @@ from matchlat.errors import Disconnected
 from conftest import edited_hosts, without_edges
 
 EDITED_HOSTS = edited_hosts()
+ANALYZE_TARGETS = (
+    "matchings", "zdig", "lattice", "decompose", "faceposet", "dual", "graph",
+)
+
+
+def p22_description():
+    """A fresh P(2,2) description, as ``gen`` writes it."""
+    return json.loads(json.dumps(matchlat.parse_spec("P(2,2)").graph.to_json()))
+
+
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _slots(doc):
+    """Every (container, key) place in a JSON document, outermost first."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_slots(value))
+    return out
+
+
+def edit_description(desc, data):
+    """Apply one drawn edit to a graph description, in place."""
+    kind = data.draw(st.sampled_from(
+        ["wrong type", "id out of range", "swap rotation", "drop rotation", "drop key"]
+    ))
+    rotation = desc.get("rotation")
+    if not isinstance(rotation, dict):
+        rotation = {}
+    lists = [r for r in rotation.values() if isinstance(r, list) and r]
+    if kind == "wrong type":
+        owner, key = data.draw(st.sampled_from(_slots(desc)))
+        owner[key] = data.draw(WRONG_TYPES)
+    elif kind == "id out of range":
+        ints = [(o, k) for o, k in _slots(desc) if type(o[k]) is int]
+        if ints:
+            owner, key = data.draw(st.sampled_from(ints))
+            owner[key] = data.draw(st.one_of(
+                st.integers(max_value=-1), st.integers(min_value=64)
+            ))
+    elif kind == "swap rotation" and lists:
+        a, b = data.draw(st.sampled_from(lists)), data.draw(st.sampled_from(lists))
+        i = data.draw(st.integers(0, len(a) - 1))
+        j = data.draw(st.integers(0, len(b) - 1))
+        a[i], b[j] = b[j], a[i]
+    elif kind == "drop rotation" and lists:
+        if data.draw(st.booleans()):
+            del rotation[data.draw(st.sampled_from(sorted(rotation)))]
+        else:
+            entries = data.draw(st.sampled_from(lists))
+            del entries[data.draw(st.integers(0, len(entries) - 1))]
+    elif kind == "drop key":
+        keyed = [(o, k) for o, k in _slots(desc) if isinstance(o, dict)]
+        if keyed:
+            owner, key = data.draw(st.sampled_from(keyed))
+            owner.pop(key, None)
 
 
 def run_cli(args, capsys):
@@ -250,6 +313,24 @@ class TestAnalyze:
                 for fmt in ("json", "dot", "text"):
                     argv = ["analyze", path, target, "--format", fmt, "--out", os.devnull]
                     assert main(argv) in (0, 2, 3), argv
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_descriptions_exit_0_or_2(self, n_edits, data):
+        """A P(2,2) description with 1-3 edits (a value of the wrong type,
+        an id out of range, rotation entries swapped or dropped, a key
+        dropped) is answered or refused as input by every target: never
+        a failed check (1), a cap (3) or an internal error (4)."""
+        desc = p22_description()
+        for _ in range(n_edits):
+            edit_description(desc, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "host.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(desc, f)
+            for target in ANALYZE_TARGETS:
+                argv = ["analyze", path, target, "--out", os.devnull]
+                assert main(argv) in (0, 2), (desc, argv)
 
 
 class TestVerify:

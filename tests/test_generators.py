@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -26,6 +27,7 @@ from matchlat.caps import SizeCaps
 from matchlat.errors import (
     EmbeddingConflict,
     InvalidRowLengths,
+    IsoFailure,
     NoPerfectMatching,
     NotAMatching,
     NotATree,
@@ -213,6 +215,31 @@ class TestMatchingGeometry:
         for edge_ids in ((0,), root.edge_ids[1:], root.edge_ids + (pyrene.graph.n_edges,)):
             with pytest.raises(NotAMatching):
                 matching_geometry(pyrene, Matching(edge_ids))
+
+    def test_path_check_refusals(self):
+        """The root's path passes.  A path plus a disjoint hexagon, which
+        vertex degrees alone accept, a branch, an end edge outside the
+        matching and a non-alternating path are refused."""
+        H = truncated_parallelogram(TruncatedParallelogramSpec((3, 3, 3)))
+        G, check = H.graph, generators._check_alternating_path
+        in_m = H.root_matching().edge_set
+        path = H.left_perimeter | H.bottom_perimeter
+        assert len(path) == 11
+        check(H, in_m, path)
+        hexagon = frozenset({0, 2, 4, 11, 23, 26})
+        assert hexagon in {f.edge_set for f in G.faces} and not hexagon & path
+        degree = collections.Counter(v for eid in path for v in G.edges[eid])
+        branch = next(
+            eid for eid in range(G.n_edges)
+            if eid not in path and any(degree[v] == 2 for v in G.edges[eid])
+        )
+        for bad in (path | hexagon, path | {branch}):
+            with pytest.raises(IsoFailure, match="^path edge set is not a simple path$"):
+                check(H, in_m, bad)
+        with pytest.raises(IsoFailure, match="^path end edge is not in the matching$"):
+            check(H, frozenset(), path)
+        with pytest.raises(IsoFailure, match="^path is not alternating$"):
+            check(H, in_m | path, path)
 
 
 class TestParallelogramIso:

@@ -444,6 +444,20 @@ class TestAllAlternatingCycles:
                 got = {r.edge_set for r in all_alternating_cycles(G, M)}
                 assert got == alternating_cycles_dfs(G, M)
 
+    def test_only_the_given_matching_is_checked(self, monkeypatch, t2, pyrene):
+        """Differences with the certified matchings are walked as they
+        stand, never checked again by the splitter; M itself is checked."""
+
+        def refuse(G, edge_ids):
+            raise AssertionError("_split_cycles called")
+
+        monkeypatch.setattr(matching, "_split_cycles", refuse)
+        for G in (t2.graph, pyrene.graph):
+            for M in enumerate_perfect_matchings(G):
+                assert all_alternating_cycles(G, M)
+        with pytest.raises(NotAMatching):
+            all_alternating_cycles(t2.graph, Matching((0,)))
+
     def test_dfs_oracle_on_outerplane_suite_extremes(self):
         """The extremes' certificate reads these cycles: one walk per
         difference finds the same ones as the DFS oracle."""

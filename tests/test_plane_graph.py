@@ -429,6 +429,14 @@ class TestECuts:
             f"e-cut {sorted(cut.edges)} meets a matching 2 times"
         )
 
+    def test_mask_is_the_edges_built_on_first_read(self, c6, t2):
+        for G in (c6, t2.graph):
+            cuts = find_e_cuts(G)
+            assert not any("mask" in vars(cut) for cut in cuts)
+            for cut in cuts:
+                assert cut.mask == sum(1 << eid for eid in cut.edges)
+                assert cut.mask is cut.mask
+
     def test_banks_are_built_on_first_read(self, c6, t2):
         for G in (c6, t2.graph):
             cuts = find_e_cuts(G)

@@ -25,6 +25,7 @@ from matchlat import (
     truncated_parallelogram,
     verify_iso_matchings_ideals,
 )
+from matchlat.caps import DEFAULT_CAPS
 from matchlat.errors import (
     CycleDetected,
     DirectedCycleInInnerDual,
@@ -57,12 +58,25 @@ from matchlat.lattice import (
 from matchlat.matching import (
     IMPROPER,
     PROPER,
+    AlternatingCycleReport,
     Matching,
     classify_alternating_faces,
     matching_index,
+    symmetric_difference_cycles,
 )
-from matchlat.verify import MAX_FLIP_PATHS, _outerplane_case
-from matchlat.ztransform import certify_ideal_map, directed_paths
+from matchlat.verify import (
+    MAX_FLIP_PATHS,
+    VerificationReport,
+    _outerplane_case,
+    _small_fixtures,
+    check_delta_path_invariance,
+)
+from matchlat.ztransform import (
+    _delta_counts,
+    _path_face_counts,
+    certify_ideal_map,
+    directed_paths,
+)
 
 from conftest import (
     c6_description,
@@ -435,6 +449,64 @@ class TestDeltaAndPaths:
                     G, ext.source, ext.root, f
                 ) == 1
 
+    def test_negative_count_is_a_bug(self, c6, monkeypatch):
+        from matchlat import ztransform
+
+        ext = extremal_matchings(c6)
+        f = c6.inner_face_ids[0]
+        improper = AlternatingCycleReport((0,), IMPROPER, frozenset({f}))
+        monkeypatch.setattr(ztransform, "_difference_cycles", lambda G, M, M2: [improper])
+        with pytest.raises(
+            AssertionError, match="signed enclosure count went negative under the order"
+        ):
+            delta_cycle_count(c6, ext.source, ext.root, f)
+
+    def test_all_face_counts_equal_the_per_face_functions(self):
+        """One decomposition per pair and one walk per path give every
+        face's count, on every comparable pair and flip path of the
+        core suite's fixtures."""
+        pairs = paths = 0
+        for _, G in _small_fixtures(DEFAULT_CAPS):
+            P = matching_poset(G)
+            for i in range(P.n):
+                for j in range(P.n):
+                    if i == j or not P.leq(j, i):
+                        continue
+                    pairs += 1
+                    Mi, Mj = P.labels[i], P.labels[j]
+                    deltas = _delta_counts(G, Mi, Mj)
+                    for f in range(len(G.faces)):
+                        assert deltas.get(f, 0) == delta_cycle_count(G, Mi, Mj, f)
+                    for path in directed_paths(G, i, j, cap=MAX_FLIP_PATHS):
+                        paths += 1
+                        flips = _path_face_counts(G, path)
+                        ms = [P.labels[k] for k in path]
+                        for f in range(len(G.faces)):
+                            assert flips.get(f, 0) == path_face_multiplicity(G, ms, f)
+        assert (pairs, paths) == (313, 1074)
+
+    def test_invariance_check_decomposes_each_pair_once(self, monkeypatch):
+        from matchlat import verify, ztransform
+
+        calls = {"pairs": 0, "paths": 0}
+        difference_cycles = ztransform._difference_cycles
+        path_face_counts = verify._path_face_counts
+
+        def per_pair(G, M, M2):
+            calls["pairs"] += 1
+            return difference_cycles(G, M, M2)
+
+        def per_path(G, nodes):
+            calls["paths"] += 1
+            return path_face_counts(G, nodes)
+
+        monkeypatch.setattr(ztransform, "_difference_cycles", per_pair)
+        monkeypatch.setattr(verify, "_path_face_counts", per_path)
+        report = VerificationReport(suite="core")
+        check_delta_path_invariance(report, DEFAULT_CAPS)
+        assert report.passed and report.n_pass == 9
+        assert calls == {"pairs": 313, "paths": 1074}
+
     def test_directed_paths_over_cap_raise(self, t2):
         G = t2.graph
         ext = extremal_matchings(G)
@@ -617,6 +689,37 @@ class TestSigma:
             matching.symmetric_difference_cycles(G, ext.source, ext.root)
         ideals = {sigma(G, M) for M in enumerate_perfect_matchings(G)}
         assert len(ideals) == 5
+
+    def test_union_of_the_difference_interiors(self, monkeypatch):
+        """On every host the outerplane suite builds, one parity test on the
+        whole difference gives the union of its classified cycles'
+        interiors, and sigma classifies no cycle."""
+        from matchlat import matching, plane_graph
+
+        calls = []
+        clockwise = plane_graph._clockwise
+
+        def counted(G, mask, steps):
+            calls.append(mask)
+            return clockwise(G, mask, steps)
+
+        for module in (plane_graph, matching):
+            monkeypatch.setattr(module, "_clockwise", counted)
+        hosts = 0
+        for G in outerplane_suite_hosts():
+            hosts += 1
+            root = extremal_matchings(G).root
+            ms = enumerate_perfect_matchings(G)
+            want = [
+                frozenset().union(
+                    *(r.enclosed_faces for r in symmetric_difference_cycles(G, M, root))
+                )
+                for M in ms
+            ]
+            classified = len(calls)
+            assert [sigma(G, M) for M in ms] == want
+            assert len(calls) == classified
+        assert hosts == 263
 
 
 class TestIdealIso:
