@@ -50,13 +50,13 @@ from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
     _faces_inside,
-    _split_cycles,
     _trace_rotation,
     build_graph,
     edge_ends,
     incident_edge_masks,
     is_elementary,
     oriented_dual,
+    walk_cycle,
 )
 from .ztransform import certify_ideal_map, matching_lattice, matching_poset
 
@@ -333,7 +333,9 @@ def _geometry(
         hexes: frozenset = frozenset()
         path = frozenset(lb)
     else:
-        mask, steps = next(_split_cycles(G, diff))
+        # a difference of two perfect matchings is 2-regular as it stands
+        mask = sum(map((1).__lshift__, diff))
+        steps = walk_cycle(G, mask)
         if len(steps) != len(diff):
             raise NotAMatching(
                 "difference with the root matching is not a single cycle"
@@ -846,11 +848,18 @@ def parse_spec(text: str, caps: SizeCaps = DEFAULT_CAPS):
         if s.startswith("L(") and s.endswith(")"):
             rows = tuple(int(x) for x in s[2:-1].split(","))
             return truncated_parallelogram(TruncatedParallelogramSpec(rows), caps)
+        # P and T check the hexagon count before building their rows
         if s.startswith("P(") and s.endswith(")"):
             m, n = (int(x) for x in s[2:-1].split(","))
+            if n < 1:
+                m = min(m, 1)  # one row already shows the bad length
+            elif m >= 1:
+                caps.check_inner_faces(m * n)
             return truncated_parallelogram(parallelogram_spec(m, n), caps)
         if s.startswith("T(") and s.endswith(")"):
             (m,) = (int(x) for x in s[2:-1].split(","))
+            if m >= 1:
+                caps.check_inner_faces(m * (m + 1) // 2)
             return truncated_parallelogram(prolate_triangle_spec(m), caps)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"cannot parse generator spec {text!r}: {exc}") from exc

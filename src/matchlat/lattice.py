@@ -21,7 +21,6 @@ that need them on an arbitrary poset; a graded one builds none.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -54,9 +53,9 @@ class FinitePoset:
                 raise ParseError(f"bad cover pair ({lo}, {hi})")
         if len(set(self.covers)) != len(self.covers):
             raise ParseError("duplicate cover pair")
-        self.topo_order  # raises on a directed cycle
-        # irredundancy: no cover implied by a chain of two or more covers,
-        # which raises the height by 2 at least; a graded poset tests none
+        # raises on a directed cycle; irredundancy: no cover implied by a
+        # chain of two or more covers, which raises the height by 2 at
+        # least, so a graded poset tests none
         height = self.height
         for lo, hi in self.covers:
             if height[hi] - height[lo] > 1 and any(
@@ -83,31 +82,29 @@ class FinitePoset:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def topo_order(self) -> tuple[int, ...]:
-        """Deterministic linear extension (Kahn with min-index choice)."""
+    def height(self) -> tuple[int, ...]:
+        """Per x the length of the longest chain from x down to a minimal
+        element, by one first-in-first-out Kahn pass.  The queue takes the
+        elements in order of height, so an element's height is one more
+        than that of its lower cover taken last."""
         indeg = [len(d) for d in self.down_covers]
-        heap = [i for i in range(self.n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        order: list[int] = []
-        while heap:
-            x = heapq.heappop(heap)
-            order.append(x)
+        h = [0] * self.n
+        queue = [x for x in range(self.n) if not indeg[x]]
+        for x in queue:
             for y in self.up_covers[x]:
                 indeg[y] -= 1
-                if indeg[y] == 0:
-                    heapq.heappush(heap, y)
-        if len(order) != self.n:
+                if not indeg[y]:
+                    h[y] = h[x] + 1
+                    queue.append(y)
+        if len(queue) != self.n:
             raise ParseError("cover relation contains a directed cycle")
-        return tuple(order)
+        return tuple(h)
 
     @cached_property
-    def height(self) -> tuple[int, ...]:
-        """Per x the length of the longest chain from x down to a minimal element."""
-        h = [0] * self.n
-        for x in self.topo_order:
-            for y in self.up_covers[x]:
-                h[y] = max(h[y], h[x] + 1)
-        return tuple(h)
+    def topo_order(self) -> tuple[int, ...]:
+        """Deterministic linear extension: by height, then by index.  Every
+        cover raises the height, so this extends the order."""
+        return tuple(sorted(range(self.n), key=self.height.__getitem__))
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:

@@ -21,8 +21,8 @@ digraph, and its order certifies the digraph acyclic.
 
 Alternating cycles are checked and split in one place,
 ``plane_graph._split_cycles``: it refuses an edge set that is not
-2-regular and walks each cycle once, from its smallest edge, as its
-caller reads it, giving its mask and canonical edge sequence.
+2-regular and walks each cycle once with ``walk_cycle``, from its
+smallest edge, giving its mask and canonical edge sequence.
 ``classify_cycle`` and the difference routes classify those walks as
 they are: Jordan parity on the mask gives the interior and each edge's
 clockwise step.  A difference of two enumerated matchings is 2-regular
@@ -563,7 +563,7 @@ def all_alternating_cycles(
         diff = m ^ m2
         if not diff:
             continue
-        steps = walk_cycle(G, diff, (diff & -diff).bit_length() - 1)
+        steps = walk_cycle(G, diff)
         if len(steps) == diff.bit_count():
             reports.append(_classified(G, mset, diff, steps))
     reports.sort(key=lambda r: r.cycle)

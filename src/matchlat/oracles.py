@@ -141,40 +141,14 @@ def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
         raise AssertionError("definition oracle is limited to 20 edges")
 
     def components(removed: int) -> list[int]:
-        comp = [-1] * G.n_vertices
-        c = 0
-        for root in range(G.n_vertices):
-            if comp[root] >= 0:
-                continue
-            comp[root] = c
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for eid in G.incident_edges[x]:
-                    if removed >> eid & 1:
-                        continue
-                    y = G.other_end(eid, x)
-                    if comp[y] < 0:
-                        comp[y] = c
-                        stack.append(y)
-            c += 1
-        return comp
+        kept = (uv for eid, uv in enumerate(G.edges) if not removed >> eid & 1)
+        return component_labels(G.n_vertices, kept)
 
     out: set[frozenset[int]] = set()
     for mask in range(1, 1 << E):
         comp = components(mask)
-        if max(comp) != 1:
-            continue
-        minimal = True
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            if max(components(mask ^ b)) == 0:
-                continue
-            minimal = False
-            break
-        if not minimal:
+        # two components, and putting back any one edge reconnects them
+        if max(comp) != 1 or any(max(components(mask ^ 1 << b)) for b in _bits(mask)):
             continue
         banks = {comp[G.white_end(eid)] for eid in _bits(mask)}
         if len(banks) == 1:

@@ -12,12 +12,11 @@ its black end to its white end.
 
 Cycles are integer edge masks, read through two tables kept per graph:
 each vertex's incident-edge mask, and each face's path in a BFS tree of
-the dual rooted at the outer face.  Every edge set, from outside or from
-a symmetric difference of two matchings, is checked and split into
-cycles by ``_split_cycles`` alone: a degree test on the call, then one
-walk per cycle, from its smallest edge, as the caller reads them.
-Internal callers keep those walks.  A caller that needs exactly one
-cycle, like the public cycle functions, reads the first walk and stops.
+the dual rooted at the outer face.  ``walk_cycle`` is the one cycle
+walk: from a 2-regular mask's lowest edge, round its cycle.  Every edge
+set that is not already known 2-regular is checked and split into
+cycles by ``_split_cycles`` alone: a degree test, then one walk per
+cycle, from its smallest edge, and internal callers keep those walks.
 A face lies inside a cycle when its path crosses the cycle an odd number
 of times (Jordan parity), and the inside face of each cycle edge gives
 that edge's clockwise step.  All of it is O(|C| + F) per cycle.
@@ -31,7 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .derive import component_labels, per_object
@@ -518,11 +517,12 @@ def dual_tree_paths(G: PlaneBipartiteGraph) -> tuple[int, ...]:
     return tuple(paths)
 
 
-def walk_cycle(G: PlaneBipartiteGraph, mask: int, start: int) -> list[Step]:
-    """The cycle of a 2-regular edge mask through edge ``start``, walked in
-    canonical order: from ``start`` toward its smaller-id neighbour edge."""
+def walk_cycle(G: PlaneBipartiteGraph, mask: int) -> list[Step]:
+    """The cycle of a 2-regular edge mask through its lowest edge, walked in
+    canonical order: from that edge toward its smaller-id neighbour edge."""
     inc = incident_edge_masks(G)
-    first = 1 << start
+    first = mask & -mask
+    start = first.bit_length() - 1
     a, b = G.edges[start]
     tail, head = (b, a) if inc[a] & mask ^ first < inc[b] & mask ^ first else (a, b)
     steps = [(start, tail, head)]
@@ -537,16 +537,13 @@ def walk_cycle(G: PlaneBipartiteGraph, mask: int, start: int) -> list[Step]:
 
 def _split_cycles(
     G: PlaneBipartiteGraph, edge_ids: Iterable[int]
-) -> Iterator[tuple[int, list[Step]]]:
+) -> list[tuple[int, list[Step]]]:
     """Check an edge set and split it into its vertex-disjoint cycles.
 
-    The check is made on the call: an unknown edge id or a set that is not
-    2-regular raises NotACycle.  The cycles are then walked as the returned
-    iterator is read, one (mask, canonical walk) per cycle, ordered by
-    smallest edge: each walk starts at the smallest edge of the cycles not
-    yet taken.  An empty set has no cycles.  A caller that needs one cycle
-    reads the first and stops: it covers the set exactly when its walk is
-    as long as the set.
+    An unknown edge id or a set that is not 2-regular raises NotACycle.
+    Each cycle comes as (mask, canonical walk), ordered by smallest edge:
+    each walk starts at the smallest edge of the cycles not yet taken.
+    An empty set has no cycles.
     """
     n_edges, ends = G.n_edges, edge_ends(G)
     rest = once = twice = thrice = 0  # vertices met at least 1, 2 and 3 times
@@ -560,34 +557,28 @@ def _split_cycles(
         once |= x
     if thrice or once != twice:
         raise NotACycle("edge set is not 2-regular")
-    return _walk_cycles(G, rest)
-
-
-def _walk_cycles(
-    G: PlaneBipartiteGraph, rest: int
-) -> Iterator[tuple[int, list[Step]]]:
-    """The cycles of a checked 2-regular edge mask, for :func:`_split_cycles`."""
+    cycles: list[tuple[int, list[Step]]] = []
     while rest:
-        steps = walk_cycle(G, rest, (rest & -rest).bit_length() - 1)
+        steps = walk_cycle(G, rest)
         # the last cycle is all that is left, as is every one-cycle set
         mask = rest if len(steps) == rest.bit_count() else sum(
             1 << eid for eid, _, _ in steps
         )
-        yield mask, steps
+        cycles.append((mask, steps))
         rest ^= mask
+    return cycles
 
 
 def _checked_walk(
     G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
 ) -> tuple[int, list[Step]]:
     """The mask and canonical walk of an edge set that must be one simple cycle."""
-    edges = frozenset(cycle_edges)
-    first = next(_split_cycles(G, edges), None)
-    if first is None:
+    cycles = _split_cycles(G, cycle_edges)
+    if not cycles:
         raise NotACycle("empty edge set")
-    if len(first[1]) != len(edges):
+    if len(cycles) > 1:
         raise NotACycle("edge set is a union of several cycles")
-    return first
+    return cycles[0]
 
 
 def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
@@ -782,7 +773,6 @@ class ECut:
     """
 
     edges: frozenset[int]
-    dual_cycle: tuple[int, ...]  # face sequence, starting at the outer face
     walk: tuple[int, ...]
     span: tuple[int, int]
 
@@ -851,7 +841,7 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
             continue
         if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
             edge_ids = path_edges + [arc.edge_id]
-            cut = _build_e_cut(walk, at, white_at, path_faces, edge_ids)
+            cut = _build_e_cut(walk, at, white_at, edge_ids)
             cuts.append((sorted(edge_ids), cut))
         elif not on_path >> arc.dst & 1:
             path_faces.append(arc.dst)
@@ -866,7 +856,6 @@ def _build_e_cut(
     walk: tuple[int, ...],
     at: dict[int, int],
     white_at: Sequence[int],
-    faces: list[int],
     edge_ids: list[int],
 ) -> ECut:
     """The cut of one dual cycle, checked on outer-walk positions.
@@ -882,12 +871,7 @@ def _build_e_cut(
     in_run = white_in_run[0]
     if (not in_run) in white_in_run:
         raise AssertionError("cut edges touch white vertices of both banks (bug)")
-    return ECut(
-        edges=frozenset(edge_ids),
-        dual_cycle=tuple(faces),
-        walk=walk,
-        span=(i, j) if in_run else (j, i),
-    )
+    return ECut(frozenset(edge_ids), walk, (i, j) if in_run else (j, i))
 
 
 def is_outerplane_2connected(G: PlaneBipartiteGraph) -> bool:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest.mock import patch
 
@@ -142,6 +143,22 @@ class TestGenerate:
         assert proc.returncode == 4
         assert "RuntimeError" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "spec, faces",
+        [("P(1000000000000,1)", 10**12), ("T(1000000000000)", 10**12 * (10**12 + 1) // 2)],
+    )
+    def test_huge_spec_exits_3_before_building_its_rows(self, spec, faces, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(["gen", spec], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (3, f"error: {faces} inner faces exceeds cap 20\n")
+
+    @pytest.mark.parametrize("spec", ["P(1000000000000,0)", "P(0,1000000000000)", "T(-5)"])
+    def test_non_positive_size_exits_2(self, spec, capsys):
+        code, _, err = run_cli(["gen", spec], capsys)
+        assert code == 2
+        assert err.startswith("error: InvalidRowLengths: ")
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(["gen", "L(3,2,1)"], capsys)

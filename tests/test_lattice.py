@@ -267,7 +267,23 @@ class TestIrredundancy:
                 FinitePoset(tuple(range(n)), tuple(arcs))
             assert str(got.value) == f"cover ({lo}, {hi}) is implied by transitivity"
         else:
-            assert FinitePoset(tuple(range(n)), tuple(arcs)).covers == tuple(arcs)
+            P = FinitePoset(tuple(range(n)), tuple(arcs))
+            assert P.covers == tuple(arcs)
+
+            def longest_down(x):  # over every chain of covers down from x
+                return max((1 + longest_down(a) for a, b in arcs if b == x), default=0)
+
+            assert P.height == tuple(longest_down(x) for x in range(n))
+            # a linear extension, sorted by (height, index)
+            assert P.topo_order == tuple(sorted(range(n), key=lambda x: (P.height[x], x)))
+            place = {x: k for k, x in enumerate(P.topo_order)}
+            assert all(place[a] < place[b] for a, b in arcs)
+
+    def test_refuses_a_directed_cycle(self):
+        # a 3-cycle beside a minimal element, and above one
+        for covers in (((0, 1), (1, 2), (2, 0)), ((3, 0), (0, 1), (1, 2), (2, 0))):
+            with pytest.raises(ParseError, match="^cover relation contains a directed cycle$"):
+                FinitePoset(tuple("abcd"), covers)
 
     def test_cover_raising_the_height_by_two(self):
         # 0 < a < b with the implied cover 0 < b, whose ends differ in height by 2

@@ -17,7 +17,7 @@ from matchlat import (
     truncated_parallelogram,
 )
 from matchlat import generators, matching, plane_graph
-from matchlat.caps import SizeCaps
+from matchlat.caps import DEFAULT_CAPS, SizeCaps
 from matchlat.errors import Disconnected, NotACycle, NotAMatching, SizeCapExceeded
 from matchlat.generators import (
     TruncatedParallelogramSpec,
@@ -48,7 +48,7 @@ from matchlat.plane_graph import (
     faces_inside_cycle,
     is_elementary,
 )
-from matchlat.verify import _all_profiles, _saturated_chains
+from matchlat.verify import _all_profiles, _saturated_chains, _small_fixtures
 from matchlat.ztransform import build_z_digraph, extremal_matchings, matching_poset
 
 from conftest import (
@@ -293,6 +293,13 @@ class TestSymmetricDifference:
                 reps = symmetric_difference_cycles(G, M1, M2)
                 assert cycles == [rep.edge_set for rep in reps]
 
+    def test_each_walk_starts_at_its_lowest_edge(self):
+        for _, G in _small_fixtures(DEFAULT_CAPS):
+            ms = enumerate_perfect_matchings(G)
+            for M1, M2 in itertools.combinations(ms, 2):
+                for mask, steps in _split_cycles(G, M1.edge_set ^ M2.edge_set):
+                    assert steps[0][0] == (mask & -mask).bit_length() - 1
+
     def test_cycles_of_edge_set_refuses_a_path(self, c6):
         with pytest.raises(NotACycle, match="edge set is not 2-regular"):
             _split_cycles(c6, frozenset(range(5)))
@@ -373,9 +380,9 @@ class TestOneWalkPerCycle:
         calls = []
         walk = plane_graph.walk_cycle
 
-        def counted(G, mask, start):
-            calls.append(start)
-            return walk(G, mask, start)
+        def counted(G, mask):
+            calls.append(mask)
+            return walk(G, mask)
 
         for module in (plane_graph, matching, generators):
             if vars(module).get("walk_cycle") is walk:

@@ -423,7 +423,7 @@ class TestECuts:
     def test_outerplane_check_reports_a_cut_hit_twice(self, monkeypatch, t2):
         G = t2.graph
         M = enumerate_perfect_matchings(G)[0]
-        cut = ECut(frozenset(M.edge_ids[:2]), (), (), (0, 0))
+        cut = ECut(frozenset(M.edge_ids[:2]), (), (0, 0))
         monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [cut])
         assert _outerplane_case(G, DEFAULT_CAPS) == (
             f"e-cut {sorted(cut.edges)} meets a matching 2 times"
@@ -455,8 +455,8 @@ class TestECuts:
         # steps 0 and 2 span positions 1..2: one white end at 1 or 2, the
         # other at 0 or 3
         with pytest.raises(AssertionError, match="both banks"):
-            _build_e_cut(walk, at, white_at, [c6.outer_face], [steps[0], steps[2]])
-        cut = _build_e_cut(walk, at, white_at, [c6.outer_face], [steps[0], steps[1]])
+            _build_e_cut(walk, at, white_at, [steps[0], steps[2]])
+        cut = _build_e_cut(walk, at, white_at, [steps[0], steps[1]])
         assert cut.white_bank | cut.black_bank == frozenset(range(6))
 
     def test_banks_partition(self, t2):
