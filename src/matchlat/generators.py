@@ -49,9 +49,9 @@ from .plane_graph import (
     BLACK,
     WHITE,
     PlaneBipartiteGraph,
+    Step,
+    _build_graph,
     _faces_inside,
-    _trace_rotation,
-    build_graph,
     edge_ends,
     incident_edge_masks,
     is_elementary,
@@ -212,12 +212,13 @@ def truncated_parallelogram(
     colors = tuple(WHITE if y % 3 == 1 else BLACK for _, y in coords)
     rotation = _clockwise_rotation(coords, edges)
 
-    walks = _trace_rotation(edges, rotation)
-    areas = [_signed_area(w, coords) for w in walks]
-    outer_candidates = [k for k, a in enumerate(areas) if a > 0]
-    if len(outer_candidates) != 1:
-        raise EmbeddingConflict("hexagon layout produced no unique outer face")
-    G = build_graph(colors, edges, rotation, outer_candidates[0], caps)
+    def outer_of(walks: list[list[Step]]) -> int:
+        candidates = [k for k, w in enumerate(walks) if _signed_area(w, coords) > 0]
+        if len(candidates) != 1:
+            raise EmbeddingConflict("hexagon layout produced no unique outer face")
+        return candidates[0]
+
+    G = _build_graph(colors, edges, rotation, outer_of, caps)
 
     face_hexagon: dict[int, tuple[int, int]] = {}
     by_vertices = {verts: hx for hx, verts in hex_vertices.items()}
@@ -686,21 +687,24 @@ def _graph_from_inner_walks(
             [edge_id[(min(v, w), max(v, w))] for w in cycle]
         )
 
-    traced_walks = _trace_rotation(edges, rotation)
     declared = { _walk_key(w): None for w in walks }
-    outer = None
     traced_ids: dict[frozenset[tuple[int, int]], int] = {}
-    for fid, steps in enumerate(traced_walks):
-        key = frozenset((t, h) for _, t, h in steps)
-        if key in declared:
-            traced_ids[key] = fid
-        else:
-            if outer is not None:
-                raise EmbeddingConflict("more than one undeclared face after tracing")
-            outer = fid
-    if outer is None or len(traced_ids) != len(walks):
-        raise EmbeddingConflict("tracing did not recover the declared faces")
-    return build_graph(colors, edges, rotation, outer, caps), traced_ids
+
+    def outer_of(traced_walks: list[list[Step]]) -> int:
+        outer = None
+        for fid, steps in enumerate(traced_walks):
+            key = frozenset((t, h) for _, t, h in steps)
+            if key in declared:
+                traced_ids[key] = fid
+            else:
+                if outer is not None:
+                    raise EmbeddingConflict("more than one undeclared face after tracing")
+                outer = fid
+        if outer is None or len(traced_ids) != len(walks):
+            raise EmbeddingConflict("tracing did not recover the declared faces")
+        return outer
+
+    return _build_graph(colors, edges, rotation, outer_of, caps), traced_ids
 
 
 # --- linking components -------------------------------------------------------
@@ -811,15 +815,13 @@ def _link_pair(
         new_eid if e == -1 else e + e_offset for e in nxt_rot_local[b]
     ]
 
-    walks = _trace_rotation(edges, rotation)
-    outer = None
-    for fid, steps in enumerate(walks):
-        if any(eid == new_eid for eid, _, _ in steps):
-            outer = fid
-            break
-    if outer is None:
+    def outer_of(walks: list[list[Step]]) -> int:
+        for fid, steps in enumerate(walks):
+            if any(eid == new_eid for eid, _, _ in steps):
+                return fid
         raise EmbeddingConflict("merged outer face lost the connecting edge")
-    return build_graph(colors, edges, rotation, outer, caps), new_eid
+
+    return _build_graph(colors, edges, rotation, outer_of, caps), new_eid
 
 
 # --- spec strings -------------------------------------------------------------

@@ -4,10 +4,11 @@ Enumeration is exact and certified.  The flip route counts the matchings
 first, as |det K| for a Kasteleyn signing K of the host (Kasteleyn 1967;
 Kuperberg, arXiv math/9810091), which refuses a host over the cap before
 any search.  It then walks face flips from one matching, the first leaf
-of the branch search, and keeps the result only when it reached exactly
-|det K| matchings.  The route is sound because any signing gives
-|det K| <= #PM, a flip walk finds perfect matchings only, and a signing
-that passes every inner face's sign test gives equality.  On a weakly
+of the branch search, up to the top of its flip component and then
+down, and keeps the result only when it reached exactly |det K|
+matchings.  The route is sound because any signing gives |det K| <= #PM,
+a flip walk finds perfect matchings only, and a signing that passes
+every inner face's sign test gives equality.  On a weakly
 elementary host the flip digraph is connected (the lattice's Hasse
 diagram), so the walk is complete.  A host with an inner face that is
 no simple cycle, or one whose walk stops short, goes to the branch route:
@@ -17,7 +18,9 @@ popcount of its free-neighbour mask; its tree is that of a search which
 rescans every vertex per node, and the walk restarts from each leaf not
 yet reached.  It is also the test oracle of the flip route.  On both
 routes the walk records each cover it crosses as an arc of the flip
-digraph, and its order certifies the digraph acyclic.
+digraph, and its order certifies the digraph acyclic.  On canonical
+masks, edge e at bit ``n_edges - 1 - e``, the walk lists the matchings'
+lower covers in canonical order, so the arc table needs no sort.
 
 Alternating cycles are checked and split in one place,
 ``plane_graph._split_cycles``: it refuses an edge set that is not
@@ -35,7 +38,7 @@ interiors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .derive import per_object
@@ -168,42 +171,65 @@ def enumerate_perfect_matchings(G: PlaneBipartiteGraph) -> tuple[Matching, ...]:
     return _flip_walk(G)[0]
 
 
-def _edge_ids(ids: Sequence[int], mask: int) -> tuple[int, ...]:
-    """The set bits of mask, ascending, as the objects of ``ids``: the
-    binary digits, lowest first, select from ids, with the zeros made falsy.
+def _edge_ids(ids: Sequence[int], mask: int, width: str) -> tuple[int, ...]:
+    """The edges of a canonical mask, ascending, as the objects of ``ids``:
+    its n_edges binary digits (the format spec ``width``), highest first,
+    select from ids, with the zeros made falsy.
 
     The list makes the tuple its exact size.  A tuple built straight from
     the iterator is over-allocated and shrunk, which on many small hosts
     left the interpreter's small-object heap measurably larger.
     """
-    return tuple(list(compress(ids, bin(mask)[:1:-1].encode().replace(b"0", b"\0"))))
+    return tuple(list(compress(ids, format(mask, width).encode().replace(b"0", b"\0"))))
 
 
 @per_object
 def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
     """(face id, boundary mask, white-tail mask) of each simple-cycle inner
-    face: ``white`` holds the steps of its clockwise walk whose tail is
-    white.  A matching m alternates around the face exactly when
-    ``m & face`` is ``white`` or ``face ^ white``."""
-    return tuple(
-        (fid, sum(1 << eid for eid, _, _ in walk.steps),
-         sum(1 << eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE))
-        for fid in G.inner_face_ids
-        if (walk := G.faces[fid]).is_simple_cycle
-    )
+    face, on canonical masks (edge e at bit ``n_edges - 1 - e``): ``white``
+    holds the steps of its clockwise walk whose tail is white.  A matching
+    m alternates around the face exactly when ``m & face`` is ``white`` or
+    ``face ^ white``.
+
+    The faces come in the order that lists a matching's lower covers in
+    canonical order: first those whose lowest edge has a black tail, so
+    that a proper flip adds it, lowest first, then the rest, highest first.
+    That holds because no two faces proper at one matching share an edge:
+    a shared matched edge has a white tail in one face's walk only, and a
+    shared unmatched edge forces a shared matched one.
+    """
+    top = G.n_edges - 1
+    keyed = []
+    for fid in G.inner_face_ids:
+        walk = G.faces[fid]
+        if walk.is_simple_cycle:
+            low, low_tail, _ = min(walk.steps)  # the step along the lowest edge
+            loses = G.colors[low_tail] == WHITE
+            keyed.append((
+                (loses, -low if loses else low), fid,
+                sum(1 << top - eid for eid, _, _ in walk.steps),
+                sum(1 << top - eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE),
+            ))
+    return tuple(f[1:] for f in sorted(keyed))
 
 
 @per_object
 def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
     """The perfect matchings of G in canonical order, and the arc table of
-    its flip digraph (``ztransform.ZDigraph.arc_table``), sorted and
-    certified acyclic.
+    its flip digraph (``ztransform.ZDigraph.arc_table``), in (upper,
+    lower) order and certified acyclic.
 
-    The flip route walks (:func:`_climb`) from the branch search's first
-    leaf and is complete when it reached |det K| matchings.  Otherwise the
-    branch enumerator lists every matching, and the walk starts again from
-    each leaf it has not reached.  Each start is checked by
+    The walk runs on canonical masks, edge e at bit ``n_edges - 1 - e``:
+    the lowest edge in which two matchings differ is in the earlier one,
+    so the canonical order is the masks' descending order.  The flip route
+    walks (:func:`_climb`) from the branch search's first leaf and is
+    complete when it reached |det K| matchings.  Otherwise the branch
+    enumerator lists every matching, and the walk starts again from each
+    leaf it has not reached.  Each start is checked by
     :func:`_matching_mask`; face flips keep a perfect matching perfect.
+    The walk leaves each matching's arcs as one block, its lower ends in
+    canonical order (see :func:`flip_faces`), so the table is the blocks
+    joined in the canonical order of their upper ends, with no sort.
     """
     G.caps.check_vertices(G.n_vertices)
     if sum(G.colors) * 2 != G.n_vertices:
@@ -215,90 +241,109 @@ def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int,
     if count == 0:
         return (), ()
     ends = edge_ends(G)
+    width = f"0{G.n_edges}b"
+
+    def canonical(mask: int) -> int:
+        return int(format(mask, width)[::-1], 2)
+
     faces = [(fid, face, white, face ^ white) for fid, face, white in flip_faces(G)]
-    index: dict[int, int] = {}  # matching mask -> walk index
-    arcs: list[int] = []  # upper, lower, face id, ... in walk indices
+    index: dict[int, int] = {}  # canonical matching mask -> walk index
+    start: list[int] = []  # walk index -> its block's first position in lows
+    lows: list[int] = []  # each arc's lower end, as a walk index
+    fids: list[int] = []  # each arc's face id
+    walk = (faces, index, start, lows, fids)
     if count is not None:
         leaf = next(_search_tree(G.n_vertices, G.edges), None)
         if leaf is None:
             raise AssertionError("no perfect matching, but a nonzero Kasteleyn count")
-        _climb(_matching_mask(G, Matching(leaf), ends), faces, index, arcs, count)
+        _climb(canonical(_matching_mask(G, Matching(leaf), ends)), *walk, count)
     if len(index) != count:
         leaves = _enumerate_on_edges(G.n_vertices, G.edges, cap)
         for leaf in leaves:
-            m = _matching_mask(G, Matching(leaf), ends)
+            m = canonical(_matching_mask(G, Matching(leaf), ends))
             if m not in index:
-                _climb(m, faces, index, arcs, len(leaves))
-    # canonical tuple order: the lowest edge in which two matchings differ
-    # is in the earlier one, so sort by the bit-reversed mask
-    width = f"0{G.n_edges}b"
-    masks = sorted(index, key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
-    n, nf = len(masks), len(G.faces)
-    pos = list(range(n))  # one int object per canonical index
-    rank = [0] * n  # walk index -> canonical index
+                _climb(m, *walk, len(leaves))
+    start.append(len(lows))
+    masks = sorted(index, reverse=True)
+    pos = list(range(len(masks)))  # one int object per canonical index
+    rank = [0] * len(masks)  # walk index -> canonical index
     for p, m in zip(pos, masks):
         rank[index[m]] = p
     ids = list(range(G.n_edges))  # one int object per edge id
-    matchings = tuple(Matching(_edge_ids(ids, m)) for m in masks)
-    # each arc sorts as one int, and the table is filled a column at a time
-    # into strided slices, so no arc becomes a tuple; the walk's list goes
-    # first, so the table's ints are made in order
-    it = iter(arcs)
-    keys = sorted((rank[hi] * n + rank[lo]) * nf + fid for hi, lo, fid in zip(it, it, it))
-    del arcs, it
-    table = [0] * (3 * len(keys))
-    table[0::3] = [pos[k // nf // n] for k in keys]
-    table[1::3] = [pos[k // nf % n] for k in keys]
-    table[2::3] = [k % nf for k in keys]
+    matchings = tuple(Matching(_edge_ids(ids, m, width)) for m in masks)
+    # each block holds its lower ends in canonical order, so joining the
+    # blocks by upper end sorts the table; it is filled a column at a time
+    lows = list(map(rank.__getitem__, lows))
+    upper, lower, face = [], [], []
+    for p, i in zip(pos, map(index.__getitem__, masks)):
+        a, b = start[i], start[i + 1]
+        upper += repeat(p, b - a)
+        lower += lows[a:b]
+        face += fids[a:b]
+    table = [0] * (3 * len(lows))
+    table[0::3] = upper
+    table[1::3] = lower
+    table[2::3] = face
     return matchings, tuple(table)
 
 
 def _climb(
-    m: int, faces: list, index: dict[int, int], arcs: list, limit: int
+    m: int, faces: list, index: dict[int, int], start: list, lows: list,
+    fids: list, limit: int,
 ) -> None:
-    """Walk the flip component of the matching mask m, not yet in ``index``.
+    """Walk the flip component of the canonical matching mask m, not yet in
+    ``index``.
 
     Flipping a proper face moves down the order and an improper one up.
-    The walk descends from m while some face is proper, then climbs from
-    that bottom breadth first by improper flips, giving each new matching
-    the next walk index.  Each cover is tested once, from its lower end,
-    and its arc appended to ``arcs`` as three ints: upper, lower (walk
-    indices) and face id.  Every upper end must come later in the walk
-    than its lower end, so the walk order is a linear extension: the
-    digraph is acyclic.  Each flip
-    component of a plane bipartite host is a distributive lattice with one
-    bottom (Propp, arXiv math/0209005), so the climb reaches all of it.
-    More than ``limit`` matchings is a bug and raises.
+    The walk climbs from m while some face is improper, then descends from
+    that top breadth first by proper flips, giving each new matching the
+    next walk index.  Each cover is tested once, from its upper end: the
+    upper end's block starts at ``start[i]``, and each of its arcs appends
+    its lower end (a walk index) to ``lows`` and its face id to ``fids``,
+    in the order of ``faces``.  Every lower end must come later in the
+    walk than its upper end, so the walk order is a linear extension: the
+    digraph is acyclic.  Each flip component of a plane bipartite host is
+    a distributive lattice with one top (Propp, arXiv math/0209005), so
+    the descent reaches all of it.  More than ``limit`` matchings is a bug
+    and raises.
     """
-    for _ in range(limit):  # a descent has fewer than limit steps
-        down = next((face for _, face, white, _ in faces if m & face == white), 0)
-        if not down:
+    # each pass flips every face improper at the matching it has reached,
+    # at least one step up, and a climb has fewer than limit steps
+    for _ in range(limit):
+        flips = 0
+        for _, face, _, black in faces:
+            if m & face == black:
+                m ^= face
+                flips += 1
+        if not flips:
             break
-        m ^= down
     else:
         raise CycleDetected("flip digraph has a directed cycle (orientation bug)")
     first = index[m] = len(index)
     queue = [m]
     for i, m in enumerate(queue, first):
-        for fid, face, _, black in faces:
-            if m & face == black:
-                up = m ^ face
-                j = index.get(up)
+        start.append(len(lows))
+        for fid, face, white, _ in faces:
+            if m & face == white:
+                down = m ^ face
+                j = index.get(down)
                 if j is None:
-                    j = index[up] = len(index)
-                    queue.append(up)
+                    j = index[down] = len(index)
+                    queue.append(down)
                 elif j < i:
                     raise CycleDetected(
                         "flip digraph has a directed cycle (orientation bug)"
                     )
-                arcs.extend((j, i, fid))
+                lows.append(j)
+                fids.append(fid)
         if len(index) > limit:
             raise AssertionError("face flips reached more matchings than were counted")
 
 
 def _kasteleyn_signs(G: PlaneBipartiteGraph) -> Optional[int]:
-    """The edges signed -1 in a Kasteleyn signing of G, as a mask; None when
-    an inner face is no simple cycle.
+    """The edges signed -1 in a Kasteleyn signing of G, as a canonical mask
+    (edge e at bit ``n_edges - 1 - e``); None when an inner face is no
+    simple cycle.
 
     A signing is Kasteleyn when each inner face of length 2l has sign
     product (-1)^(l+1), an odd count of -1 edges exactly when 4 divides the
@@ -310,10 +355,11 @@ def _kasteleyn_signs(G: PlaneBipartiteGraph) -> Optional[int]:
     if len(faces) != len(G.inner_face_ids):
         return None
     order, parent = dual_tree(G)
+    top = G.n_edges - 1
     neg = 0
     for f in reversed(order[1:]):  # order[0] is the outer face
         if (neg & faces[f]).bit_count() % 2 != (faces[f].bit_count() % 4 == 0):
-            neg ^= 1 << parent[f]
+            neg ^= 1 << top - parent[f]
     for face in faces.values():
         if (neg & face).bit_count() % 2 != (face.bit_count() % 4 == 0):
             raise AssertionError("Kasteleyn signing fails a face it has set")
@@ -337,9 +383,10 @@ def kasteleyn_count(G: PlaneBipartiteGraph) -> Optional[int]:
     rows: dict[int, dict[int, int]] = {
         v: {} for v, c in enumerate(G.colors) if c == WHITE
     }
+    top = G.n_edges - 1
     for eid, (u, v) in enumerate(G.edges):
         w, b = (u, v) if G.colors[u] == WHITE else (v, u)
-        rows[w][b] = -1 if neg >> eid & 1 else 1
+        rows[w][b] = -1 if neg >> top - eid & 1 else 1
     seen = [False] * G.n_vertices
     seen[0] = True
     queue = [0]
@@ -451,7 +498,7 @@ def classify_alternating_faces(
     to black along the clockwise inner-face walk.  Faces whose boundary is
     not a simple cycle can never alternate and are skipped.  This is the
     per-matching reference route; the enumeration's walk makes the same
-    test on edge masks, from each cover's lower end.
+    test on edge masks, from each cover's upper end.
     """
     check_matching(G, M)
     return _alternating_faces(G, M.edge_set)

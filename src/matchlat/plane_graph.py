@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .derive import component_labels, per_object
@@ -299,6 +299,19 @@ def build_graph(
     permutes its vertex's incident edges, and Euler's formula for the
     traced faces.  Without ``outer_face`` the unique longest face is outer.
     """
+    return _build_graph(colors, edges, rotation, lambda walks: outer_face, caps)
+
+
+def _build_graph(
+    colors: Sequence[int],
+    edges: Sequence[tuple[int, int]],
+    rotation: Sequence[Sequence[int]],
+    outer_of: Callable[[list[list[Step]]], Optional[int]],
+    caps: SizeCaps,
+) -> PlaneBipartiteGraph:
+    """:func:`build_graph`, with the outer face ``outer_of(walks)`` of the
+    traced face walks, so a generator that finds its outer face by looking
+    at the walks traces the rotation once."""
     n = len(colors)
     if n == 0:
         raise ParseError("graph must have at least one vertex")
@@ -341,6 +354,7 @@ def build_graph(
             )
 
     walks = _trace_rotation(pairs, rotation)
+    outer_face = outer_of(walks)
     n_faces = len(walks)
     if n - len(pairs) + n_faces != 2:
         raise EulerViolation(

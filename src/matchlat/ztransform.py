@@ -15,8 +15,8 @@ clockwise walk whose tail is white; a matching m has an arc across f
 exactly when ``m & face == white``.  The tails of a bipartite simple
 cycle alternate in colour, so this holds exactly when m takes every other
 boundary edge, each from its white end to its black end: the boundary is
-proper m-alternating.  The walk makes the test at the arc's lower end,
-``m ^ face``, and certifies the arcs acyclic by its order.
+proper m-alternating.  The walk makes the test at the arc's upper end
+m, and certifies the arcs acyclic by its order.
 ``matching.classify_alternating_faces`` is the per-matching reference for
 the same test.
 """
@@ -100,8 +100,10 @@ def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
     """The flip digraph, as the enumeration's walk recorded it.
 
     The walk (:func:`matching._flip_walk`) tests each cover once, from its
-    lower end, and certifies the arcs acyclic: its walk order is a linear
-    extension.  Faces that are not simple cycles never alternate.
+    upper end, and certifies the arcs acyclic: its walk order is a linear
+    extension.  It lists each matching's lower covers in canonical order,
+    so the arcs come out sorted with no sort.  Faces that are not simple
+    cycles never alternate.
     """
     matchings = enumerate_perfect_matchings(G)
     if not matchings:

@@ -498,6 +498,29 @@ class TestRandomized:
         assert len(enumerate_perfect_matchings(linked.graph)) == expect
 
 
+@pytest.mark.parametrize("build, builds", [
+    (lambda C6: parse_spec("L(3,2,1)"), 1),
+    (lambda C6: parse_spec("tree:1>2,3>2,3>4"), 1),
+    (lambda C6: link_components([C6, C6, C6]), 2),
+], ids=["truncated_parallelogram", "tree_to_outerplane", "link_components"])
+def test_each_generated_host_is_traced_once(monkeypatch, build, builds):
+    """The generators find their outer face on the walks the graph
+    builder traces, so each graph built traces its rotation once."""
+    from matchlat import plane_graph
+
+    C6 = parse_spec("L(1)").graph
+    traced = []
+    trace = plane_graph._trace_rotation
+
+    def counted(edges, rotation):
+        traced.append(len(edges))
+        return trace(edges, rotation)
+
+    monkeypatch.setattr(plane_graph, "_trace_rotation", counted)
+    build(C6)
+    assert len(traced) == builds
+
+
 class TestParseSpec:
     def test_forms(self):
         assert parse_spec("P(2,2)").graph.n_vertices == 16

@@ -4,8 +4,8 @@
 digests pin the bytes of `gen` and of every `analyze` target and format
 on four small hosts, the JSON of the 12-node fence's matchings, flip
 digraph and lattice, the JSON of the 18-node fence's matchings and flip
-digraph, the JSON of the 20-node fence's lattice and decomposition, and
-the JSON report of `verify all`, so a refactor that changes any output
+digraph, the JSON of the 20-node fence's matchings, flip digraph, lattice
+and decomposition, and the JSON report of `verify all`, so a refactor that changes any output
 fails here.
 Regenerate the table only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -33,9 +33,9 @@ FENCE_12 = "tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12"
 # the 18-node fence: 6,765 matchings and 34,690 flip arcs, int-row
 # payloads long enough to span several of the emitter's pieces
 FENCE_18 = FENCE_12 + ",13>12,13>14,15>14,15>16,17>16,17>18"
-# the 20-node fence: 17,711 matchings, the largest fence under the face
-# cap; its lattice and decomposition read the order's bottom and top off
-# a linear extension
+# the 20-node fence: 17,711 matchings and 100,610 flip arcs, the largest
+# fence under the face cap; its lattice and decomposition read the
+# order's bottom and top off a linear extension
 FENCE_20 = FENCE_18 + ",19>18,19>20"
 LARGE_CASES = tuple(
     f"analyze {FENCE_12} {target} --format json"
@@ -45,7 +45,7 @@ LARGE_CASES = tuple(
     for target in ("zdig", "matchings")
 ) + tuple(
     f"analyze {FENCE_20} {target} --format json"
-    for target in ("lattice", "decompose")
+    for target in ("zdig", "matchings", "lattice", "decompose")
 ) + ("verify all --format json",)
 
 
@@ -190,6 +190,8 @@ GOLDEN = {
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12 lattice --format json': '0 807fccf40dba4932cb07f632c85e6108565b7bca3c77e6132dfc18eb26aa4dcd',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18 zdig --format json': '0 c128943bc6a50d8237ca3a4e14b5f647c6695118dc67ee1eff2fb9a5baf3af43',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18 matchings --format json': '0 47d58336bd83081807acb14e6adfeadfa98befff469cc7f6e8c3fe7eb114ff16',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 zdig --format json': '0 e4c34dad087e898c8353bd28b63b9ef2a61e965e266842a4a72fc327dbb74e74',
+    'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 matchings --format json': '0 546b9782e42a1c099b6d159a558381d080b783eaf12e7bd29acc5f513adfac75',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 lattice --format json': '0 0ec4b95ddc74e2040057cff7a517ff21b86e4a539a27b183a8ca2eabad471cd1',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 decompose --format json': '0 81b6555d868de73bd145bf4dc3722840a602e8667c6462ff1fb838afcb5fb0a9',
     'verify all --format json': '0 39920ecdff122e01e20f322891fc8ad73fa7958a899d3ef069245672379f935d',

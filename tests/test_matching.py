@@ -34,6 +34,7 @@ from matchlat.matching import (
     _search_tree,
     classify_cycle,
     kasteleyn_count,
+    matching_index,
 )
 from matchlat.oracles import (
     alternating_cycles_dfs,
@@ -540,6 +541,55 @@ def assert_walk_matches_the_references(H):
         assert sum(not P.up_covers[x] for x in comp) == 1
 
 
+def key_sorted_arcs(G):
+    """The per-matching route's arcs, each packed into one int as
+    (upper * n + lower) * faces + face, sorted as ints and unpacked: the
+    walk's arc table is this order with no sort."""
+    index = matching_index(G)
+    n, nf = len(index), len(G.faces)
+    keys = sorted(
+        (i * n + index[M.flip(G.faces[fid].edge_set)]) * nf + fid
+        for M, i in index.items()
+        for fid, cls in classify_alternating_faces(G, M)
+        if cls == PROPER
+    )
+    return tuple(x for k in keys for x in (k // nf // n, k // nf % n, k % nf))
+
+
+def assert_table_is_the_key_sort(G):
+    table = build_z_digraph(G).arc_table
+    assert table == key_sorted_arcs(G)
+    pairs = list(zip(table[0::3], table[1::3]))
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+
+def walk_order_hosts():
+    """The edited hosts (``nested_squares`` has two flip components), the
+    verify suite's small fixtures and the fences on 1 to 12 nodes."""
+    return (
+        EDITED_HOSTS
+        + [G for _, G in _small_fixtures(DEFAULT_CAPS)]
+        + [parse_spec(fence(k)).graph for k in range(1, 13)]
+    )
+
+
+class TestWalkOrder:
+    """The walk lists each matching's lower covers in canonical order
+    because the faces proper at one matching share no edge."""
+
+    @pytest.mark.parametrize("G", walk_order_hosts())
+    def test_faces_of_one_class_share_no_edge(self, G):
+        for M in enumerate_perfect_matchings(G):
+            for cls in (PROPER, IMPROPER):
+                faces = [G.faces[fid].edge_set
+                         for fid, c in classify_alternating_faces(G, M) if c == cls]
+                assert sum(map(len, faces)) == len(frozenset().union(*faces))
+
+    @pytest.mark.parametrize("G", walk_order_hosts())
+    def test_arc_table_is_the_global_key_sort(self, G):
+        assert_table_is_the_key_sort(G)
+
+
 class TestFlipRoute:
     @given(st.sampled_from(range(len(EDITED_HOSTS))), st.data())
     @settings(max_examples=300, deadline=None)
@@ -555,6 +605,7 @@ class TestFlipRoute:
         assert [M.edge_ids for M in enumerate_perfect_matchings(H)] == branch
         if branch:
             assert_walk_matches_the_references(H)
+            assert_table_is_the_key_sort(H)
             used = set().union(*branch)
             assert is_elementary(H, branch[0]) == (len(used) == H.n_edges)
 
