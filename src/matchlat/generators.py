@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .derive import component_labels
@@ -517,9 +517,6 @@ class OrientedTree:
         if any(component_labels(len(index), arcs)):
             raise NotATree("underlying graph is not connected")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if v in a)
-
     def out_degree(self, v: int) -> int:
         return sum(1 for u, _ in self.arcs if u == v)
 
@@ -537,43 +534,36 @@ class TreeOuterplane:
 
 
 def tree_to_outerplane(
-    tree: OrientedTree,
-    optimize_face_degree: bool = False,
-    caps: SizeCaps = DEFAULT_CAPS,
+    tree: OrientedTree, caps: SizeCaps = DEFAULT_CAPS
 ) -> TreeOuterplane:
     """Realize an oriented tree as the oriented inner dual of a
     2-connected outerplane bipartite graph.
 
-    Every tree node becomes an inner face: a cycle of length twice the
-    maximum tree degree (at least 4), or twice max(in-degree, out-degree,
-    2) per node in optimized mode.  Faces for adjacent nodes overlap in
-    one edge whose traversal direction encodes the arc; the resulting
-    inner dual is certified to equal the tree arc for arc.
+    Every tree node v becomes an inner face: a cycle of length
+    2 * max(in(v), out(v), 2), since the face's black-to-white and
+    white-to-black steps alternate and each carries one arc.  The root's
+    face is a ring of fresh vertices; breadth first, each child face is
+    glued onto a free step of its parent's walk, and faces for adjacent
+    nodes overlap in that one edge, whose traversal direction encodes the
+    arc.  The gluing keeps each vertex's clockwise neighbours, so the
+    rotation system comes out of it directly; tracing it must give back
+    every declared walk plus one outer face, and the resulting inner dual
+    is certified to equal the tree arc for arc.
     """
     caps.check_inner_faces(len(tree.nodes))
-    max_deg = max((tree.degree(v) for v in tree.nodes), default=0)
 
-    def half_len(v: int) -> int:
-        if optimize_face_degree:
-            return max(tree.in_degree(v), tree.out_degree(v), 2)
-        return max(max_deg, 2)
-
-    colors: list[int] = []
-
-    def new_vertex(color: int) -> int:
-        colors.append(color)
-        return len(colors) - 1
-
-    face_walk: dict[int, list[int]] = {}
-    # slot k of face v is the walk step walk[k] -> walk[k+1]; it can host
-    # an outgoing arc if walk[k] is black, an incoming arc if white
-    used_slots: dict[int, set[int]] = {}
+    def face_len(v: int) -> int:
+        return 2 * max(tree.in_degree(v), tree.out_degree(v), 2)
 
     root = min(tree.nodes)
-    L = half_len(root)
-    ring = [new_vertex(WHITE if k % 2 == 0 else BLACK) for k in range(2 * L)]
-    face_walk[root] = ring
-    used_slots[root] = set()
+    ring = list(range(face_len(root)))
+    colors = [WHITE if k % 2 == 0 else BLACK for k in ring]
+    # a walk p -> v -> s puts s just before p in v's clockwise neighbours
+    clockwise = [[ring[k + 1 - len(ring)], ring[k - 1]] for k in ring]
+    face_walk: dict[int, list[int]] = {root: ring}
+    # slot k of face v is the walk step walk[k] -> walk[k+1]; it can host
+    # an outgoing arc if walk[k] is black, an incoming arc if white
+    used_slots: dict[int, set[int]] = {root: set()}
 
     adjacency: dict[int, list[int]] = {v: [] for v in tree.nodes}
     arc_set = set(tree.arcs)
@@ -606,18 +596,51 @@ def tree_to_outerplane(
             used_slots[v].add(slot)
             a = walk[slot]
             b = walk[(slot + 1) % len(walk)]
-            Lu = half_len(u)
-            fresh = []
-            c = colors[a]
-            for _ in range(2 * Lu - 2):
-                c = 1 - c
-                fresh.append(new_vertex(c))
-            face_walk[u] = [b, a] + fresh
+            face_walk[u] = _glue_face(colors, clockwise, a, b, face_len(u))
             used_slots[u] = {0}  # the shared edge occupies slot 0 of the child
             queue.append(u)
 
-    G, traced = _graph_from_inner_walks(colors, face_walk.values(), caps)
-    node_face = {v: traced[_walk_key(face_walk[v])] for v in tree.nodes}
+    edges = sorted((v, w) for v, nbrs in enumerate(clockwise) for w in nbrs if v < w)
+    edge_id = {pair: k for k, pair in enumerate(edges)}
+    rotation = []
+    for v, nbrs in enumerate(clockwise):
+        # where a rotation list starts shows in the graph's JSON: it ends
+        # at the first neighbour a set of them, added in ascending order, yields
+        k = nbrs.index(next(iter(set(sorted(nbrs))))) + 1
+        rotation.append(
+            [edge_id[(min(v, w), max(v, w))] for w in nbrs[k:] + nbrs[:k]]
+        )
+
+    step_node = {
+        (walk[k - 1], walk[k]): v
+        for v, walk in face_walk.items()
+        for k in range(len(walk))
+    }
+    traced: dict[int, int] = {}
+
+    def outer_of(walks: list[list[Step]]) -> int:
+        outer = None
+        for fid, steps in enumerate(walks):
+            _, tail, head = steps[0]
+            v = step_node.get((tail, head))
+            if v is None:
+                if outer is not None:
+                    raise EmbeddingConflict("more than one undeclared face after tracing")
+                outer = fid
+            elif len(steps) != len(face_walk[v]) or any(
+                step_node.get((t, h)) != v for _, t, h in steps
+            ):
+                raise EmbeddingConflict(
+                    f"traced face {fid} is not the declared walk of node {v}"
+                )
+            else:
+                traced[v] = fid
+        if outer is None or len(traced) != len(face_walk):
+            raise EmbeddingConflict("tracing did not recover the declared faces")
+        return outer
+
+    G = _build_graph(colors, edges, rotation, outer_of, caps)
+    node_face = {v: traced[v] for v in tree.nodes}
 
     dual = oriented_dual(G, include_outer=False)
     want_arcs = {(node_face[u], node_face[v]) for u, v in tree.arcs}
@@ -626,85 +649,27 @@ def tree_to_outerplane(
     return TreeOuterplane(tree=tree, graph=G, node_face=node_face)
 
 
-def _walk_key(walk: Sequence[int]) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (walk[k], walk[(k + 1) % len(walk)]) for k in range(len(walk))
-    )
+def _glue_face(
+    colors: list[int], clockwise: list[list[int]], a: int, b: int, length: int
+) -> list[int]:
+    """Glue a face of ``length`` edges onto the step a -> b of a glued
+    face walk and return its walk b -> a -> fresh vertices -> b.
 
-
-def _graph_from_inner_walks(
-    colors: Sequence[int], walks: Iterable[Sequence[int]], caps: SizeCaps
-) -> tuple[PlaneBipartiteGraph, dict[frozenset[tuple[int, int]], int]]:
-    """Assemble a plane graph from declared clockwise inner-face walks.
-
-    The rotation at each vertex is reconstructed from the walks'
-    successor transitions; exactly one transition per boundary vertex is
-    missing (the outer passage) and is forced.  Returns the loaded graph
-    and a map from each declared walk to its traced face id.
+    The fresh vertices alternate in color from a.  In clockwise order the
+    first fresh vertex goes just before b at a, and the last just after a
+    at b, so the new walk turns there and the old one still does.
     """
-    walks = [list(w) for w in walks]
-    pairs: set[tuple[int, int]] = set()
-    succ: dict[int, dict[int, int]] = {v: {} for v in range(len(colors))}
-    for walk in walks:
-        n = len(walk)
-        for k in range(n):
-            a, b, c = walk[k], walk[(k + 1) % n], walk[(k + 2) % n]
-            pairs.add((min(a, b), max(a, b)))
-            if a in succ[b]:
-                raise EmbeddingConflict(f"two walks arrive at {b} from {a}")
-            succ[b][a] = c
-
-    edges = sorted(pairs)
-    edge_id = {pair: k for k, pair in enumerate(edges)}
-    neighbors: dict[int, set[int]] = {v: set() for v in range(len(colors))}
-    for u, v in edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-
-    rotation: list[list[int]] = []
-    for v in range(len(colors)):
-        nbrs = neighbors[v]
-        missing_from = nbrs - set(succ[v].keys())
-        missing_to = nbrs - set(succ[v].values())
-        if len(missing_from) != 1 or len(missing_to) != 1:
-            raise EmbeddingConflict(f"vertex {v} is not on the outer boundary once")
-        succ[v][missing_from.pop()] = missing_to.pop()
-        start = next(iter(nbrs))
-        cycle = [start]
-        while True:
-            nxt = succ[v][cycle[-1]]
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            if len(cycle) > len(nbrs):
-                raise EmbeddingConflict(f"rotation at vertex {v} is not a single cycle")
-        if len(cycle) != len(nbrs):
-            raise EmbeddingConflict(f"rotation at vertex {v} is not a single cycle")
-        # the tracer leaves along the rotation predecessor, so the stored
-        # clockwise order is the transition cycle reversed
-        cycle.reverse()
-        rotation.append(
-            [edge_id[(min(v, w), max(v, w))] for w in cycle]
-        )
-
-    declared = { _walk_key(w): None for w in walks }
-    traced_ids: dict[frozenset[tuple[int, int]], int] = {}
-
-    def outer_of(traced_walks: list[list[Step]]) -> int:
-        outer = None
-        for fid, steps in enumerate(traced_walks):
-            key = frozenset((t, h) for _, t, h in steps)
-            if key in declared:
-                traced_ids[key] = fid
-            else:
-                if outer is not None:
-                    raise EmbeddingConflict("more than one undeclared face after tracing")
-                outer = fid
-        if outer is None or len(traced_ids) != len(walks):
-            raise EmbeddingConflict("tracing did not recover the declared faces")
-        return outer
-
-    return _build_graph(colors, edges, rotation, outer_of, caps), traced_ids
+    first = len(colors)
+    walk = [b, a, *range(first, first + length - 2)]
+    colors.extend(colors[a] ^ (k & 1) for k in range(1, length - 1))
+    clockwise.extend(
+        [walk[(k + 1) % length], walk[k - 1]] for k in range(2, length)
+    )
+    at_a = clockwise[a]
+    at_a.insert(at_a.index(b), walk[2])
+    at_b = clockwise[b]
+    at_b.insert(at_b.index(a) + 1, walk[-1])
+    return walk
 
 
 # --- linking components -------------------------------------------------------
@@ -716,7 +681,6 @@ class LinkedGraph:
 
     graph: PlaneBipartiteGraph
     new_edges: tuple[int, ...]
-    component_ranges: tuple[tuple[int, int], ...]  # [start, end) vertex ranges
 
 
 def link_components(
@@ -737,22 +701,16 @@ def link_components(
         if count == 0 or count is None and not enumerate_perfect_matchings(G):
             raise NoPerfectMatching("every component needs a perfect matching")
     if len(graphs) == 1:
-        G = graphs[0]
-        return LinkedGraph(
-            graph=G, new_edges=(), component_ranges=((0, G.n_vertices),)
-        )
+        return LinkedGraph(graph=graphs[0], new_edges=())
 
     cur = graphs[0]
-    ranges = [(0, cur.n_vertices)]
+    prev_lo = 0  # the last linked component holds vertices prev_lo and up
     new_edges: list[int] = []
     for nxt in graphs[1:]:
-        prev_lo, prev_hi = ranges[-1]
-        cur, new_eid = _link_pair(cur, nxt, prev_lo, prev_hi, caps)
-        ranges.append((cur.n_vertices - nxt.n_vertices, cur.n_vertices))
+        cur, new_eid = _link_pair(cur, nxt, prev_lo, cur.n_vertices, caps)
+        prev_lo = cur.n_vertices - nxt.n_vertices
         new_edges.append(new_eid)
-    return LinkedGraph(
-        graph=cur, new_edges=tuple(new_edges), component_ranges=tuple(ranges)
-    )
+    return LinkedGraph(graph=cur, new_edges=tuple(new_edges))
 
 
 def _outer_corner_insert(

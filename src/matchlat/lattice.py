@@ -496,7 +496,6 @@ class GridSublattice:
     """Certified grid sublattice spanned by two complementary chains."""
 
     elements: tuple[tuple[int, ...], ...]  # elements[i][j] = x_i v y_j
-    lattice: FiniteLattice  # the (r+1) x (k-r+1) grid it is isomorphic to
 
 
 def grid_sublattice(
@@ -541,10 +540,7 @@ def grid_sublattice(
                 raise NotALattice("grid not closed under meet")
             if L.join(a, b) != grid[max(ia, ib)][max(ja, jb)]:
                 raise NotALattice("grid not closed under join")
-    model = lattice_from_poset(grid_poset(r + 1, s + 1))
-    return GridSublattice(
-        elements=tuple(tuple(row) for row in grid), lattice=model
-    )
+    return GridSublattice(elements=tuple(tuple(row) for row in grid))
 
 
 def join_irreducibles(L: FiniteLattice) -> tuple[FinitePoset, tuple[int, ...]]:

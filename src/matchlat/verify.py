@@ -380,7 +380,7 @@ def check_outerplane(report: VerificationReport, caps: SizeCaps) -> None:
                     tree = OrientedTree(tuple(range(1, n + 1)), arcs)
                     try:
                         realization = tree_to_outerplane(tree, caps=caps)
-                        msg = _outerplane_case(realization.graph, caps)
+                        msg = _outerplane_case(realization.graph)
                     except SizeCapExceeded:
                         raise
                     except MatchlatError as exc:
@@ -394,7 +394,7 @@ def check_outerplane(report: VerificationReport, caps: SizeCaps) -> None:
             report.add(f"outerplane tree n={n} shape {shape_k}", fn)
 
 
-def _outerplane_case(G: PlaneBipartiteGraph, caps: SizeCaps) -> Optional[str]:
+def _outerplane_case(G: PlaneBipartiteGraph) -> Optional[str]:
     masks = _matching_masks(G)
     for cut in find_e_cuts(G):
         # the first hit count other than 1, found by map and filter at C

@@ -303,29 +303,45 @@ class TestTreeToOuterplane:
         assert len(ms) == 3
         assert len(matching_poset(G).covers) == 2  # a 3-chain
 
-    def test_face_degrees_default(self):
-        tree = OrientedTree((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4)))
-        real = tree_to_outerplane(tree)
-        for v in tree.nodes:
-            assert len(real.graph.faces[real.node_face[v]]) == 6
-
     def test_face_degrees_optimized(self):
         # degree 2 max(in, out, 2): a balanced degree-4 center needs only
         # a quadrilateral, since in- and out-slots alternate
         tree = OrientedTree((1, 2, 3, 4, 5), ((1, 2), (1, 3), (4, 1), (5, 1)))
-        real = tree_to_outerplane(tree, optimize_face_degree=True)
+        real = tree_to_outerplane(tree)
         assert len(real.graph.faces[real.node_face[1]]) == 4
         for leaf in (2, 3, 4, 5):
             assert len(real.graph.faces[real.node_face[leaf]]) == 4
         # an unbalanced center needs twice its out-degree
         tree2 = OrientedTree((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4)))
-        real2 = tree_to_outerplane(tree2, optimize_face_degree=True)
+        real2 = tree_to_outerplane(tree2)
         assert len(real2.graph.faces[real2.node_face[1]]) == 6
+
+    def test_sixteen_leaf_in_star_fills_the_vertex_cap(self):
+        # a 32-gon center and 16 quadrilateral leaves, counted by |det K|
+        star = OrientedTree(tuple(range(1, 18)), tuple((v, 1) for v in range(2, 18)))
+        G = tree_to_outerplane(star).graph
+        assert G.n_vertices == 64 == G.caps.max_vertices
+        assert len(G.inner_face_ids) == 17
+        assert kasteleyn_count(G) == 2**16 + 1
+
+    def test_traced_face_must_be_declared_walk(self, monkeypatch):
+        # mirroring the rotation at a vertex of degree 3 after gluing
+        # moves one face off its declared walk
+        glue = generators._glue_face
+
+        def mirrored(colors, clockwise, a, b, length):
+            walk = glue(colors, clockwise, a, b, length)
+            clockwise[a].reverse()
+            return walk
+
+        monkeypatch.setattr("matchlat.generators._glue_face", mirrored)
+        with pytest.raises(EmbeddingConflict, match="is not the declared walk"):
+            tree_to_outerplane(OrientedTree((1, 2), ((1, 2),)))
 
     def test_face_cap_checked_before_building(self, monkeypatch):
         built = []
         monkeypatch.setattr(
-            "matchlat.generators._graph_from_inner_walks", lambda *a: built.append(a)
+            "matchlat.generators._glue_face", lambda *a: built.append(a)
         )
         path = OrientedTree(tuple(range(21)), tuple((i, i + 1) for i in range(20)))
         with pytest.raises(SizeCapExceeded, match="21 inner faces exceeds cap 20"):
@@ -355,15 +371,14 @@ class TestTreeToOuterplane:
         path = tuple((i, i + 1) for i in range(1, 8))
         star = tuple((1, i) for i in range(2, 9))
         caps = SizeCaps(max_vertices=128, max_inner_faces=30)
-        for edges, optimize in ((path, False), (star, True)):
+        for edges in (path, star):
             for mask in range(1 << 7):
                 arcs = tuple(
                     (v, u) if mask >> k & 1 else (u, v)
                     for k, (u, v) in enumerate(edges)
                 )
                 tree = OrientedTree(tuple(range(1, 9)), arcs)
-                real = tree_to_outerplane(tree, optimize_face_degree=optimize,
-                                          caps=caps)
+                real = tree_to_outerplane(tree, caps=caps)
                 dual = oriented_dual(real.graph, include_outer=False)
                 want = {
                     (real.node_face[u], real.node_face[v]) for u, v in arcs
@@ -384,8 +399,7 @@ class TestTreeToOuterplane:
                     for k, (u, v) in enumerate(edges)
                 )
                 tree = OrientedTree(tuple(range(1, 9)), arcs)
-                real = tree_to_outerplane(tree, optimize_face_degree=True,
-                                          caps=caps)
+                real = tree_to_outerplane(tree, caps=caps)
                 dual = oriented_dual(real.graph, include_outer=False)
                 want = {
                     (real.node_face[u], real.node_face[v]) for u, v in arcs
@@ -478,7 +492,7 @@ class TestRandomized:
         from matchlat import verify_iso_matchings_ideals
 
         caps = SizeCaps(max_vertices=128, max_inner_faces=30)
-        real = tree_to_outerplane(tree, optimize_face_degree=True, caps=caps)
+        real = tree_to_outerplane(tree, caps=caps)
         cert = verify_iso_matchings_ideals(real.graph)
         assert len(cert.ideal_of) == len(
             enumerate_perfect_matchings(real.graph)

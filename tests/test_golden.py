@@ -1,8 +1,9 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout, as fixed values.
 
 `test_deterministic_bytes` only compares two runs of the same code; these
-digests pin the bytes of `gen` and of every `analyze` target and format
-on four small hosts, the JSON of the 12-node fence's matchings, flip
+digests pin the bytes of `gen` on six specs (two trees with a node of
+degree 3 or more among them), of every `analyze` target and format on
+four small hosts, the JSON of the 12-node fence's matchings, flip
 digraph and lattice, the JSON of the 18-node fence's matchings and flip
 digraph, the JSON of the 20-node fence's matchings, flip digraph, lattice
 and decomposition, and the JSON report of `verify all`, so a refactor that changes any output
@@ -21,7 +22,13 @@ import pytest
 from matchlat import link_components, parse_spec
 from matchlat.cli import main
 
-GEN_SPECS = ("P(2,2)", "T(3)", "L(3,2,1)", "tree:1>2,3>2,3>4")
+# a node of degree 3 or more gets a face of 2 * max(in, out, 2) edges: an
+# out-star's center a hexagon, and the 16-leaf in-star's center a 32-gon,
+# which puts that star at exactly the default 64-vertex cap
+IN_STAR_16 = "tree:" + ",".join(f"{v}>1" for v in range(2, 18))
+GEN_SPECS = (
+    "P(2,2)", "T(3)", "L(3,2,1)", "tree:1>2,3>2,3>4", "tree:1>2,1>3,1>4", IN_STAR_16
+)
 HOSTS = ("P(2,2)", "T(2)", "C6+L(2,1)", "tree:1>2,3>2,3>4")
 TARGETS = ("matchings", "zdig", "lattice", "decompose", "faceposet", "dual", "graph")
 FORMATS = ("json", "dot", "text")
@@ -89,6 +96,8 @@ GOLDEN = {
     'gen T(3)': '0 81e401ceec48325d1b0717f892d9e16e977f75f60ae9786374cef4ed54f9dc39',
     'gen L(3,2,1)': '0 81e401ceec48325d1b0717f892d9e16e977f75f60ae9786374cef4ed54f9dc39',
     'gen tree:1>2,3>2,3>4': '0 570c34bd60e4dfa7280cf938c56b1906f4d0db0ea2c5b2cf564d8442006ab44e',
+    'gen tree:1>2,1>3,1>4': '0 8066b140e19fb6a45ed83f2a8cce001d953d21b669a1e535c0d524bdc3b77427',
+    'gen tree:2>1,3>1,4>1,5>1,6>1,7>1,8>1,9>1,10>1,11>1,12>1,13>1,14>1,15>1,16>1,17>1': '0 05f756a99598dcd85f59aefd627632a4271a854af33205e8e7b095fee5afc922',
     'analyze P(2,2) matchings --format json': '0 3d3a454b70389a63bd0f8ffcc9b9ff2709b247c0974331f5666a834c13b1095a',
     'analyze P(2,2) matchings --format dot': '0 3d3a454b70389a63bd0f8ffcc9b9ff2709b247c0974331f5666a834c13b1095a',
     'analyze P(2,2) matchings --format text': '0 46bf365f206ace0aba6e883d30911bf3635c6d1c83cf2735f74cf47e3e58fce1',

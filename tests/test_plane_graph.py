@@ -12,7 +12,7 @@ from matchlat import (
     tree_to_outerplane,
     truncated_parallelogram,
 )
-from matchlat.caps import DEFAULT_CAPS, SizeCaps
+from matchlat.caps import SizeCaps
 from matchlat.derive import component_labels
 from matchlat.errors import (
     Disconnected,
@@ -406,7 +406,7 @@ class TestECuts:
 
     def test_cut_sets_match_definition_on_small_suite_trees(self):
         small = [G for G in outerplane_suite_hosts() if G.n_edges <= 13]
-        assert len(small) == 15
+        assert len(small) == 21
         for G in small:
             got = {cut.edges for cut in find_e_cuts(G)}
             assert got == minimal_cuts_with_white_bank(G)
@@ -425,7 +425,7 @@ class TestECuts:
         M = enumerate_perfect_matchings(G)[0]
         cut = ECut(frozenset(M.edge_ids[:2]), (), (0, 0))
         monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [cut])
-        assert _outerplane_case(G, DEFAULT_CAPS) == (
+        assert _outerplane_case(G) == (
             f"e-cut {sorted(cut.edges)} meets a matching 2 times"
         )
 

@@ -371,10 +371,10 @@ class TestExtremalMatchings:
         from matchlat.matching import AlternatingCycleReport
 
         G = tree_to_outerplane(OrientedTree((1, 2, 3), ((1, 2), (3, 2)))).graph
-        assert _outerplane_case(G, G.caps) is None
+        assert _outerplane_case(G) is None
         fake = AlternatingCycleReport((0,), PROPER, frozenset())
         monkeypatch.setattr(verify, "all_alternating_cycles", lambda G, M: [fake])
-        assert _outerplane_case(G, G.caps) == (
+        assert _outerplane_case(G) == (
             "root matching has a proper alternating cycle"
         )
 
