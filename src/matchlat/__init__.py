@@ -42,7 +42,6 @@ from .plane_graph import (
     BLACK,
     WHITE,
     DualDigraph,
-    ECut,
     FaceWalk,
     PlaneBipartiteGraph,
     elementary_structure,

@@ -573,12 +573,14 @@ def order_ideal_lattice(
         for x in range(P.n):
             if m & P.up_masks[x] == 1 << x:
                 covers.append((index[m & ~(1 << x)], k))
-    poset = FinitePoset(tuple(masks), tuple(sorted(set(covers))))
+    # each (ideal, removed maximal element) pair is a distinct cover
+    poset = FinitePoset(tuple(masks), tuple(sorted(covers)))
     return lattice_from_poset(poset), masks
 
 
 def _enumerate_ideals(P: FinitePoset, cap: int) -> tuple[int, ...]:
-    """All down-sets of P, DFS over a fixed linear extension, as bitmasks.
+    """All down-sets of P by size, DFS over a fixed linear extension, as
+    bitmasks.
 
     The search runs on an explicit stack of (position, ideal, forbidden
     mask): a recursive one would go as deep as P is tall, and its closure
@@ -600,7 +602,7 @@ def _enumerate_ideals(P: FinitePoset, cap: int) -> tuple[int, ...]:
         # include x if allowed and its strict down-set is already in
         if not (forbidden >> x & 1) and (P.down_masks[x] & ~(1 << x)) & ~mask == 0:
             todo.append((i + 1, mask | (1 << x), forbidden))
-    return tuple(sorted(out, key=lambda m: (bin(m).count("1"), m)))
+    return tuple(sorted(out, key=int.bit_count))
 
 
 @dataclass(frozen=True, eq=False)

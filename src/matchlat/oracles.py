@@ -129,10 +129,10 @@ def faces_inside_cycle_by_flood(
     return frozenset(f for f, label in enumerate(labels) if label != outside)
 
 
-def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
-    """All e-cuts straight from the definition, by scanning edge subsets.
+def e_cuts_by_definition(G: PlaneBipartiteGraph) -> set[int]:
+    """All e-cuts as edge masks, straight from the definition.
 
-    A subset qualifies when removing it leaves exactly two components, no
+    An edge subset qualifies when removing it leaves exactly two components, no
     proper subset disconnects, and every cut edge touches a white vertex
     of one single component.  Exponential; only for graphs with few edges.
     """
@@ -144,7 +144,7 @@ def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
         kept = (uv for eid, uv in enumerate(G.edges) if not removed >> eid & 1)
         return component_labels(G.n_vertices, kept)
 
-    out: set[frozenset[int]] = set()
+    out: set[int] = set()
     for mask in range(1, 1 << E):
         comp = components(mask)
         # two components, and putting back any one edge reconnects them
@@ -152,7 +152,7 @@ def minimal_cuts_with_white_bank(G: PlaneBipartiteGraph) -> set[frozenset[int]]:
             continue
         banks = {comp[G.white_end(eid)] for eid in _bits(mask)}
         if len(banks) == 1:
-            out.add(frozenset(_bits(mask)))
+            out.add(mask)
     return out
 
 

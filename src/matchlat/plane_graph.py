@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -775,55 +774,21 @@ def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
 # --- e-cuts -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ECut:
-    """Minimal edge cut whose edges all touch white vertices of one bank.
+def find_e_cuts(G: PlaneBipartiteGraph) -> list[int]:
+    """The e-cuts of a 2-connected outerplane host, as ascending edge masks.
 
-    The banks are the two runs of the outer walk that the cut separates.
-    ``walk`` is the outer walk's vertex sequence and ``span`` = (a, b) the
-    white bank's run, the vertices at cyclic positions a+1 .. b of it;
-    the black bank is the run (b, a).  ``white_bank``, ``black_bank`` and
-    ``mask``, the edges as an edge mask, are built on first read.
-    """
-
-    edges: frozenset[int]
-    walk: tuple[int, ...]
-    span: tuple[int, int]
-
-    @cached_property
-    def mask(self) -> int:
-        return sum(map((1).__lshift__, self.edges))
-
-    @cached_property
-    def white_bank(self) -> frozenset[int]:
-        a, b = self.span
-        return _run(self.walk, a, b)
-
-    @cached_property
-    def black_bank(self) -> frozenset[int]:
-        a, b = self.span
-        return _run(self.walk, b, a)
-
-
-def _run(walk: tuple[int, ...], a: int, b: int) -> frozenset[int]:
-    """The vertices at cyclic positions a+1 .. b of a closed walk."""
-    return frozenset(walk[a + 1 : b + 1] if a < b else walk[a + 1 :] + walk[: b + 1])
-
-
-def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
-    """Enumerate the e-cuts of a 2-connected outerplane host.
-
-    Walks every simple directed cycle of the full oriented dual through
-    the outer-face node (length >= 2), depth first over an explicit stack
-    of arc iterators, and maps each to its primal minimal edge cut.  On a
+    An e-cut is a minimal edge cut whose edges all touch white vertices of
+    one of the two banks it leaves; bit e of a mask is edge e.  Walks every
+    simple directed cycle of the full oriented dual through the outer-face
+    node (length >= 2), depth first over an explicit stack of arc
+    iterators, and maps each to its primal minimal edge cut.  On a
     2-connected outerplane host every dual cycle passes through the outer
     face, so the list is complete, and every vertex lies on the outer
     walk.  The cycle crosses exactly two outer edges, its first and its
     last; the two runs of the outer walk between them stay connected once
-    the cut is removed, so they are the banks.  Each cut is checked on
-    walk positions alone, and its banks are built only when read.  Any
-    other host raises :class:`NotOuterplane`: there the cuts whose dual
-    cycle avoids the outer face would be missing.
+    the cut is removed, so they are the banks, and each cut is checked on
+    walk positions alone.  Any other host raises :class:`NotOuterplane`:
+    there the cuts whose dual cycle avoids the outer face would be missing.
     """
     if not is_outerplane_2connected(G):
         raise NotOuterplane("e-cuts need a 2-connected outerplane host")
@@ -835,7 +800,7 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
     for k, v in enumerate(walk):
         pos[v] = k
     white_at = [pos[G.white_end(eid)] for eid in range(G.n_edges)]
-    cuts: list[tuple[list[int], ECut]] = []  # (sorted edges, cut)
+    cuts: list[int] = []
 
     arcs_from: dict[int, list[DualArc]] = {f: [] for f in dual.nodes}
     for a in sorted(dual.arcs, key=lambda a: (a.dst, a.edge_id)):
@@ -854,38 +819,30 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[ECut]:
                 path_edges.pop()
             continue
         if arc.dst == f0:  # no self-loop: a 2-connected host has no bridge
-            edge_ids = path_edges + [arc.edge_id]
-            cut = _build_e_cut(walk, at, white_at, edge_ids)
-            cuts.append((sorted(edge_ids), cut))
+            cuts.append(_e_cut_mask(at, white_at, path_edges + [arc.edge_id]))
         elif not on_path >> arc.dst & 1:
             path_faces.append(arc.dst)
             path_edges.append(arc.edge_id)
             on_path |= 1 << arc.dst
             todo.append(iter(arcs_from[arc.dst]))
-    cuts.sort(key=itemgetter(0))
-    return [cut for _, cut in cuts]
+    cuts.sort()
+    return cuts
 
 
-def _build_e_cut(
-    walk: tuple[int, ...],
-    at: dict[int, int],
-    white_at: Sequence[int],
-    edge_ids: list[int],
-) -> ECut:
-    """The cut of one dual cycle, checked on outer-walk positions.
+def _e_cut_mask(at: dict[int, int], white_at: Sequence[int], edge_ids: list[int]) -> int:
+    """The edge mask of one dual cycle's cut, checked on outer-walk positions.
 
-    ``walk`` is the outer walk's vertex sequence, ``at`` maps each outer
-    edge to its step index on it and ``white_at[e]`` is the position of
-    edge e's white end.  The first and last cut edges are the outer ones,
-    at steps i < j; the positions i+1 .. j form one bank, the rest the
-    other, and every cut edge must have its white end in the same one.
+    ``at`` maps each outer edge to its step index on the outer walk and
+    ``white_at[e]`` is the walk position of edge e's white end.  The first
+    and last cut edges are the outer ones, at steps i < j; the positions
+    i+1 .. j form one bank, the rest the other, and every cut edge must
+    have its white end in the same one.
     """
     i, j = sorted((at[edge_ids[0]], at[edge_ids[-1]]))
     white_in_run = [i < white_at[eid] <= j for eid in edge_ids]
-    in_run = white_in_run[0]
-    if (not in_run) in white_in_run:
+    if (not white_in_run[0]) in white_in_run:
         raise AssertionError("cut edges touch white vertices of both banks (bug)")
-    return ECut(frozenset(edge_ids), walk, (i, j) if in_run else (j, i))
+    return sum(map((1).__lshift__, edge_ids))
 
 
 def is_outerplane_2connected(G: PlaneBipartiteGraph) -> bool:

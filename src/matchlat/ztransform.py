@@ -118,9 +118,10 @@ def matching_poset(G: PlaneBipartiteGraph) -> FinitePoset:
     FinitePoset certifies the arcs as its covers."""
     Z = build_z_digraph(G)
     # the walk records each cover once, so no set is needed; a repeated
-    # pair would make FinitePoset refuse, which becomes HasseMismatch
+    # pair would make FinitePoset refuse, which becomes HasseMismatch.  No
+    # reader needs the covers sorted, so they keep the arc table's order
     t = Z.arc_table
-    covers = tuple(sorted(zip(t[1::3], t[0::3])))
+    covers = tuple(zip(t[1::3], t[0::3]))
     try:
         return FinitePoset(Z.matchings, covers)
     except ParseError as exc:

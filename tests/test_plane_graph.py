@@ -27,9 +27,10 @@ from matchlat.errors import (
     SizeCapExceeded,
 )
 from matchlat.generators import TruncatedParallelogramSpec
+from matchlat.lattice import _bits
 from matchlat.matching import classify_cycle
-from matchlat.oracles import faces_inside_cycle_by_flood, minimal_cuts_with_white_bank
-from matchlat.plane_graph import ECut, _build_e_cut, clockwise_cycle
+from matchlat.oracles import e_cuts_by_definition, faces_inside_cycle_by_flood
+from matchlat.plane_graph import _e_cut_mask, clockwise_cycle
 from matchlat.verify import _outerplane_case
 
 from conftest import c6_description, cycle_oracle_hosts, outerplane_suite_hosts
@@ -360,17 +361,19 @@ class TestECuts:
         assert len(cuts) == 9
         matchings = enumerate_perfect_matchings(c6)
         for cut in cuts:
-            assert len(cut.edges) == 2
+            assert cut.bit_count() == 2
             for M in matchings:
-                assert len(cut.edges & M.edge_set) == 1
-            # every cut edge touches a white vertex of the white bank
-            for eid in cut.edges:
-                assert c6.white_end(eid) in cut.white_bank
+                assert sum(cut >> eid & 1 for eid in M.edge_ids) == 1
+
+    def test_masks_ascend(self, c6, ladder, t2):
+        for G in (c6, ladder, t2.graph):
+            cuts = find_e_cuts(G)
+            assert all(type(cut) is int for cut in cuts)
+            assert cuts == sorted(set(cuts))
 
     def test_matches_definition_oracle(self, c6, ladder, naphthalene):
         for G in (c6, ladder, naphthalene.graph):
-            got = {cut.edges for cut in find_e_cuts(G)}
-            assert got == minimal_cuts_with_white_bank(G)
+            assert set(find_e_cuts(G)) == e_cuts_by_definition(G)
 
     def test_k2_refused_as_not_outerplane(self):
         G = load_graph(
@@ -387,29 +390,23 @@ class TestECuts:
             find_e_cuts(G)
 
     def test_banks_are_the_components_on_suite_trees(self):
-        # the traversal the outer-walk route replaced, kept as its oracle
+        # the traversal the outer-walk route replaced, kept as its oracle:
+        # each cut leaves two components, the banks, and every cut edge
+        # has its white end in the same one
         for G in outerplane_suite_hosts():
             for cut in find_e_cuts(G):
                 comp = component_labels(
                     G.n_vertices,
-                    (e for eid, e in enumerate(G.edges) if eid not in cut.edges),
+                    (e for eid, e in enumerate(G.edges) if not cut >> eid & 1),
                 )
                 assert max(comp) == 1
-                banks = {
-                    frozenset(v for v in range(G.n_vertices) if comp[v] == side)
-                    for side in (0, 1)
-                }
-                assert banks == {cut.white_bank, cut.black_bank}
-                assert {comp[G.white_end(eid)] for eid in cut.edges} == {
-                    comp[min(cut.white_bank)]
-                }
+                assert len({comp[G.white_end(eid)] for eid in _bits(cut)}) == 1
 
     def test_cut_sets_match_definition_on_small_suite_trees(self):
         small = [G for G in outerplane_suite_hosts() if G.n_edges <= 13]
         assert len(small) == 21
         for G in small:
-            got = {cut.edges for cut in find_e_cuts(G)}
-            assert got == minimal_cuts_with_white_bank(G)
+            assert set(find_e_cuts(G)) == e_cuts_by_definition(G)
 
     def test_matching_hits_on_outerplane_members(self, t2, naphthalene):
         for G in (t2.graph, naphthalene.graph):
@@ -418,34 +415,14 @@ class TestECuts:
             assert cuts
             for cut in cuts:
                 for M in matchings:
-                    assert len(cut.edges & M.edge_set) == 1
+                    assert sum(cut >> eid & 1 for eid in M.edge_ids) == 1
 
     def test_outerplane_check_reports_a_cut_hit_twice(self, monkeypatch, t2):
         G = t2.graph
         M = enumerate_perfect_matchings(G)[0]
-        cut = ECut(frozenset(M.edge_ids[:2]), (), (0, 0))
-        monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [cut])
-        assert _outerplane_case(G) == (
-            f"e-cut {sorted(cut.edges)} meets a matching 2 times"
-        )
-
-    def test_mask_is_the_edges_built_on_first_read(self, c6, t2):
-        for G in (c6, t2.graph):
-            cuts = find_e_cuts(G)
-            assert not any("mask" in vars(cut) for cut in cuts)
-            for cut in cuts:
-                assert cut.mask == sum(1 << eid for eid in cut.edges)
-                assert cut.mask is cut.mask
-
-    def test_banks_are_built_on_first_read(self, c6, t2):
-        for G in (c6, t2.graph):
-            cuts = find_e_cuts(G)
-            assert not any(
-                "white_bank" in vars(cut) or "black_bank" in vars(cut) for cut in cuts
-            )
-            for cut in cuts:
-                assert cut.white_bank is cut.white_bank
-                assert cut.black_bank is cut.black_bank
+        e1, e2 = sorted(M.edge_ids)[:2]
+        monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [1 << e2 | 1 << e1])
+        assert _outerplane_case(G) == f"e-cut [{e1}, {e2}] meets a matching 2 times"
 
     def test_white_ends_in_both_banks_are_refused(self, c6):
         outer = c6.faces[c6.outer_face]
@@ -455,13 +432,7 @@ class TestECuts:
         # steps 0 and 2 span positions 1..2: one white end at 1 or 2, the
         # other at 0 or 3
         with pytest.raises(AssertionError, match="both banks"):
-            _build_e_cut(walk, at, white_at, [steps[0], steps[2]])
-        cut = _build_e_cut(walk, at, white_at, [steps[0], steps[1]])
-        assert cut.white_bank | cut.black_bank == frozenset(range(6))
-
-    def test_banks_partition(self, t2):
-        for cut in find_e_cuts(t2.graph):
-            assert cut.white_bank | cut.black_bank == frozenset(
-                range(t2.graph.n_vertices)
-            )
-            assert not (cut.white_bank & cut.black_bank)
+            _e_cut_mask(at, white_at, [steps[0], steps[2]])
+        assert _e_cut_mask(at, white_at, [steps[0], steps[1]]) == (
+            1 << steps[0] | 1 << steps[1]
+        )

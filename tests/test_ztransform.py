@@ -70,6 +70,7 @@ from matchlat.verify import (
     _outerplane_case,
     _small_fixtures,
     check_delta_path_invariance,
+    check_outerplane,
 )
 from matchlat.ztransform import (
     _delta_counts,
@@ -377,6 +378,37 @@ class TestExtremalMatchings:
         assert _outerplane_case(G) == (
             "root matching has a proper alternating cycle"
         )
+
+    @pytest.mark.parametrize(
+        "exc, witness",
+        [
+            (NotOuterplane("boom"), "NotOuterplane: boom"),
+            (AssertionError("boom"), "assertion: boom"),
+        ],
+    )
+    def test_outerplane_suite_names_the_failing_orientation(
+        self, monkeypatch, exc, witness
+    ):
+        from matchlat import verify
+
+        calls = []
+
+        def case(G):
+            calls.append(G)
+            if len(calls) == 3:  # n=2, its second orientation
+                raise exc
+
+        monkeypatch.setattr(verify, "MAX_TREE_NODES", 2)
+        monkeypatch.setattr(verify, "_outerplane_case", case)
+        report = VerificationReport(suite="outerplane")
+        check_outerplane(report, DEFAULT_CAPS)
+        assert [(c.claim_id, c.witness) for c in report.checks] == [
+            ("outerplane tree n=1 shape 0", None),
+            (
+                "outerplane tree n=2 shape 0",
+                f"1/2 orientations failed: ((2, 1),): {witness}",
+            ),
+        ]
 
     def test_boundary_alternating_for_elementary(self, pyrene):
         # the outer boundary is proper for the source, improper for the root
