@@ -13,7 +13,8 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Optional
+from operator import getitem
+from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .errors import MatchlatError, ParseError, SizeCapExceeded
@@ -81,18 +82,31 @@ class IntTable:
     width: int
 
 
+@dataclass(frozen=True)
+class MaskRows:
+    """Canonical edge masks, edge e at bit ``n_edges - 1 - e``;
+    ``_dump_json`` writes each as the ascending list of its edge ids, and
+    no edge id is built as an int."""
+
+    masks: Sequence[int]
+    n_edges: int
+
+
 def _dump_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    with each :class:`IntTable` in obj read as the list of its rows.
+    with each :class:`IntTable` in obj read as the list of its rows and
+    each :class:`MaskRows` as the list of its masks' edge-id rows.
 
     CPython encodes with ``indent`` in pure Python; this emitter gets the
     same bytes faster.  It recurses over dicts (keys sorted, every CLI
     payload has str keys) and over lists and tuples, and encodes every
-    scalar with ``json.dumps``.  A list of non-empty int rows (matchings,
-    covers) and an ``IntTable`` (arcs) take a fast path: one ``%d``
-    template per row length, and ``ROWS_PER_PIECE`` rows filled by one
-    ``%`` of the piece's template with its flat ints.  Every piece goes to
-    one list, joined once.
+    scalar with ``json.dumps``.  Three fast paths fill ``ROWS_PER_PIECE``
+    rows at a time.  A list of non-empty int rows (matchings, covers) and
+    an ``IntTable`` (arcs) take one ``%d`` template per row length,
+    filled by one ``%`` of the piece's template with its flat ints.
+    ``MaskRows`` (the flip digraph's matchings) are written byte by byte
+    of each mask, through tables of pre-formatted cells
+    (:func:`_mask_rows`).  Every piece goes to one list, joined once.
 
     It returns one ``str``, not the pieces or a generator: ``_emit`` writes
     it whole, and perfbench times ``_dump_json`` with ``_emit`` as its
@@ -122,6 +136,9 @@ def _indented(obj, inner: str, out: list[str]) -> None:
         return
     if isinstance(obj, IntTable):
         _int_rows(obj.ints, obj.width, inner, out)
+        return
+    if isinstance(obj, MaskRows):
+        _mask_rows(obj.masks, obj.n_edges, inner, out)
         return
     if not isinstance(obj, (list, tuple)):
         out.append(json.dumps(obj))
@@ -177,6 +194,44 @@ def _int_rows(rows, width: Optional[int], inner: str, out: list[str]) -> None:
     out.append(inner + "]")
 
 
+def _mask_rows(masks: Sequence[int], n_edges: int, inner: str, out: list[str]) -> None:
+    """Append canonical edge masks as one indented JSON list of their
+    ascending edge ids to out.
+
+    Each mask is shifted left to a whole number of bytes, so that edge e
+    sits in byte e // 8 of its big-endian bytes, at bit 7 - e % 8.  Byte
+    k's table maps each byte value to its edges' cells, ``"," + newline,
+    indent, id`` each, in ascending order; a row is its bytes' cells
+    joined, less the first comma.  A zero mask is ``[]``.
+    """
+    if not masks:
+        out.append("[]")
+        return
+    deeper = inner + "  "
+    cell = "," + deeper + "  "
+    between = "," + deeper
+    close = deeper + "]"
+    nb = (n_edges + 7) // 8
+    pad = 8 * nb - n_edges
+    tables = []
+    for k in range(0, 8 * nb, 8):
+        table = [""]  # indexed by the bits of the byte's edges before e
+        for e in range(k, k + 8):
+            on = cell + str(e)
+            table = [t + x for t in table for x in ("", on)]
+        tables.append(table)
+    out.append("[" + deeper)
+    for start in range(0, len(masks), ROWS_PER_PIECE):
+        if start:
+            out.append(between)
+        out.append(between.join([
+            "[" + "".join(map(getitem, tables, (m << pad).to_bytes(nb, "big")))[1:]
+            + close if m else "[]"
+            for m in masks[start:start + ROWS_PER_PIECE]
+        ]))
+    out.append(inner + "]")
+
+
 def cmd_generate(args) -> int:
     caps = _caps_from_args(args)
     built = parse_spec(args.spec, caps)
@@ -209,7 +264,7 @@ def cmd_analyze(args) -> int:
             _emit(
                 _dump_json(
                     {
-                        "matchings": matchings_to_json(Z.matchings),
+                        "matchings": MaskRows(Z.masks, Z.n_edges),
                         "arcs": IntTable(Z.arc_table, 3),
                     }
                 ),

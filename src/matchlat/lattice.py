@@ -621,8 +621,11 @@ def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
 
     L's Birkhoff certificate proves that D is an isomorphism onto J(Irr),
     and J of a disjoint union is the product of the J(P_c), so factor c is
-    the interval of L whose D lies in P_c, ordered by (|D|, D), and x's
-    coordinate in it is the position of D[x] restricted to P_c.  A lattice
+    the interval of L whose D lies in P_c, and x's coordinate in it is the
+    position of D[x] restricted to P_c.  The interval is in the order in
+    which :func:`order_ideal_lattice` lists J(P_c): by |D|, then members
+    first along the linear extension ``topo_order``, which P_c inherits
+    from Irr (a height lies inside its component).  A lattice
     the certificate refuses raises ProductMismatch.  Computed once per
     lattice object; :func:`central_elements` reuses it.
     """
@@ -644,9 +647,10 @@ def irreducible_decomposition(L: FiniteLattice) -> Decomposition:
     factors: list[FiniteLattice] = []
     coordinate: list[dict[int, int]] = []
     for mask in masks:
+        along = [p for p in P.topo_order if mask >> p & 1]
         xs = sorted(
             (x for x in range(L.n) if D[x] & ~mask == 0),
-            key=lambda x: (D[x].bit_count(), D[x]),
+            key=lambda x: (D[x].bit_count(), [not D[x] >> p & 1 for p in along]),
         )
         pos = {D[x]: k for k, x in enumerate(xs)}
         covers = sorted(

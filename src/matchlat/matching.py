@@ -20,7 +20,9 @@ yet reached.  It is also the test oracle of the flip route.  On both
 routes the walk records each cover it crosses as an arc of the flip
 digraph, and its order certifies the digraph acyclic.  On canonical
 masks, edge e at bit ``n_edges - 1 - e``, the walk lists the matchings'
-lower covers in canonical order, so the arc table needs no sort.
+lower covers in canonical order, so the arc table needs no sort.  It
+keeps the masks and the table as one ``ZDigraph``, and builds the
+``Matching`` objects from the masks only when they are first read.
 
 Alternating cycles are checked and split in one place,
 ``plane_graph._split_cycles``: it refuses an edge set that is not
@@ -38,6 +40,7 @@ interiors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -165,10 +168,12 @@ def enumerate_perfect_matchings(G: PlaneBipartiteGraph) -> tuple[Matching, ...]:
 
     More than ``G.caps.max_matchings`` raise :class:`SizeCapExceeded`; on
     the flip route that is decided by the Kasteleyn count, before any
-    search.  These are the matchings of :func:`_flip_walk`, which records
-    the flip digraph's arcs on the same pass.
+    search.  This is ``ZDigraph.matchings`` of :func:`_flip_walk`, which
+    records the flip digraph's arcs on the same pass: one tuple per
+    graph, built from the walk's masks on first read, and the same object
+    as ``ztransform.build_z_digraph(G).matchings``.
     """
-    return _flip_walk(G)[0]
+    return _flip_walk(G).matchings
 
 
 def _edge_ids(ids: Sequence[int], mask: int, width: str) -> tuple[int, ...]:
@@ -213,11 +218,59 @@ def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
     return tuple(f[1:] for f in sorted(keyed))
 
 
+@dataclass(frozen=True, eq=False)
+class ZDigraph:
+    """Acyclic flip digraph: nodes are matchings, arcs are labeled by faces.
+
+    ``masks`` holds the matchings as canonical edge masks, edge e at bit
+    ``n_edges - 1 - e``, in descending order, which is their canonical
+    order.  ``arc_table`` holds the arcs as one flat tuple of ints, three
+    per arc: upper end, lower end (indices into ``masks``) and inner face
+    id, ``upper, lower, face, upper, ...``, sorted by (upper, lower,
+    face).  Each is built on first use: ``matchings``, one
+    :class:`Matching` per mask; ``arcs``, one ``(upper, lower, face)``
+    tuple per arc; and ``face_of``, mapping each ``(upper, lower)`` pair
+    to its face.  The JSON writer reads the masks and the table, the text
+    writer the table, and the DOT writer the matchings and the table.
+    """
+
+    masks: tuple[int, ...]
+    n_edges: int
+    arc_table: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.masks)
+
+    @cached_property
+    def matchings(self) -> tuple[Matching, ...]:
+        ids = list(range(self.n_edges))  # one int object per edge id
+        width = f"0{self.n_edges}b"
+        return tuple(Matching(_edge_ids(ids, m, width)) for m in self.masks)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        it = iter(self.arc_table)
+        return tuple(zip(it, it, it))
+
+    @cached_property
+    def face_of(self) -> dict[tuple[int, int], int]:
+        t = self.arc_table
+        return dict(zip(zip(t[0::3], t[1::3]), t[2::3]))
+
+
+def _reverse_bits(mask: int, width: str) -> int:
+    """mask with its n_edges binary digits (the format spec ``width``)
+    reversed: a plain mask, edge e at bit e, becomes canonical, and back."""
+    return int(format(mask, width)[::-1], 2)
+
+
 @per_object
-def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
-    """The perfect matchings of G in canonical order, and the arc table of
-    its flip digraph (``ztransform.ZDigraph.arc_table``), in (upper,
-    lower) order and certified acyclic.
+def _flip_walk(G: PlaneBipartiteGraph) -> ZDigraph:
+    """The flip digraph of G: its perfect matchings as canonical masks in
+    canonical order, and its arc table, in (upper, lower) order and
+    certified acyclic.  No :class:`Matching` is built until
+    ``ZDigraph.matchings`` is read.
 
     The walk runs on canonical masks, edge e at bit ``n_edges - 1 - e``:
     the lowest edge in which two matchings differ is in the earlier one,
@@ -233,19 +286,15 @@ def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int,
     """
     G.caps.check_vertices(G.n_vertices)
     if sum(G.colors) * 2 != G.n_vertices:
-        return (), ()
+        return ZDigraph((), G.n_edges, ())
     cap = G.caps.max_matchings
     count = kasteleyn_count(G)
     if count is not None and count > cap:
         raise SizeCapExceeded(f"more than {cap} matchings")
     if count == 0:
-        return (), ()
+        return ZDigraph((), G.n_edges, ())
     ends = edge_ends(G)
     width = f"0{G.n_edges}b"
-
-    def canonical(mask: int) -> int:
-        return int(format(mask, width)[::-1], 2)
-
     faces = [(fid, face, white, face ^ white) for fid, face, white in flip_faces(G)]
     index: dict[int, int] = {}  # canonical matching mask -> walk index
     start: list[int] = []  # walk index -> its block's first position in lows
@@ -256,11 +305,12 @@ def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int,
         leaf = next(_search_tree(G.n_vertices, G.edges), None)
         if leaf is None:
             raise AssertionError("no perfect matching, but a nonzero Kasteleyn count")
-        _climb(canonical(_matching_mask(G, Matching(leaf), ends)), *walk, count)
+        m = _reverse_bits(_matching_mask(G, Matching(leaf), ends), width)
+        _climb(m, *walk, count)
     if len(index) != count:
         leaves = _enumerate_on_edges(G.n_vertices, G.edges, cap)
         for leaf in leaves:
-            m = canonical(_matching_mask(G, Matching(leaf), ends))
+            m = _reverse_bits(_matching_mask(G, Matching(leaf), ends), width)
             if m not in index:
                 _climb(m, *walk, len(leaves))
     start.append(len(lows))
@@ -269,8 +319,6 @@ def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int,
     rank = [0] * len(masks)  # walk index -> canonical index
     for p, m in zip(pos, masks):
         rank[index[m]] = p
-    ids = list(range(G.n_edges))  # one int object per edge id
-    matchings = tuple(Matching(_edge_ids(ids, m, width)) for m in masks)
     # each block holds its lower ends in canonical order, so joining the
     # blocks by upper end sorts the table; it is filled a column at a time
     lows = list(map(rank.__getitem__, lows))
@@ -284,7 +332,7 @@ def _flip_walk(G: PlaneBipartiteGraph) -> tuple[tuple[Matching, ...], tuple[int,
     table[0::3] = upper
     table[1::3] = lower
     table[2::3] = face
-    return matchings, tuple(table)
+    return ZDigraph(tuple(masks), G.n_edges, tuple(table))
 
 
 def _climb(
@@ -619,7 +667,6 @@ def all_alternating_cycles(
 
 @per_object
 def _matching_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
-    """Each enumerated matching's edges as a mask, in enumeration order."""
-    return tuple(
-        sum(map((1).__lshift__, M.edge_ids)) for M in enumerate_perfect_matchings(G)
-    )
+    """Each enumerated matching's edges as a plain mask, edge e at bit e,
+    in enumeration order: the walk's canonical masks, bit-reversed."""
+    return tuple(map(_reverse_bits, _flip_walk(G).masks, repeat(f"0{G.n_edges}b")))

@@ -9,7 +9,8 @@ outerplane graphs the lattice is isomorphic to the ideal lattice of the
 face poset carried by the oriented inner dual.
 
 The digraph is recorded on integer edge masks by the walk that
-enumerates the matchings (``matching._flip_walk``).  For a simple-cycle
+enumerates the matchings (``matching._flip_walk``), and kept there as
+one ``ZDigraph`` of masks and arcs.  For a simple-cycle
 inner face f, ``face`` is its boundary and ``white`` the steps of its
 clockwise walk whose tail is white; a matching m has an arc across f
 exactly when ``m & face == white``.  The tails of a bipartite simple
@@ -24,7 +25,6 @@ the same test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .derive import per_object
@@ -51,6 +51,7 @@ from .lattice import (
 from .matching import (
     PROPER,
     Matching,
+    ZDigraph,
     _difference_cycles,
     _flip_walk,
     _matching_masks,
@@ -65,57 +66,29 @@ from .plane_graph import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ZDigraph:
-    """Acyclic flip digraph: nodes are matchings, arcs are labeled by faces.
-
-    ``arc_table`` holds the arcs as one flat tuple of ints, three per arc:
-    upper end, lower end (indices into ``matchings``) and inner face id,
-    ``upper, lower, face, upper, ...``, sorted by (upper, lower, face).
-    ``arcs`` is the same as one ``(upper, lower, face)`` tuple per arc and
-    ``face_of`` maps each ``(upper, lower)`` pair to its face, each built
-    on first use; the JSON, text and DOT writers read the table.
-    """
-
-    matchings: tuple[Matching, ...]
-    arc_table: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.matchings)
-
-    @cached_property
-    def arcs(self) -> tuple[tuple[int, int, int], ...]:
-        it = iter(self.arc_table)
-        return tuple(zip(it, it, it))
-
-    @cached_property
-    def face_of(self) -> dict[tuple[int, int], int]:
-        t = self.arc_table
-        return dict(zip(zip(t[0::3], t[1::3]), t[2::3]))
-
-
-@per_object
 def build_z_digraph(G: PlaneBipartiteGraph) -> ZDigraph:
-    """The flip digraph, as the enumeration's walk recorded it.
+    """The flip digraph, as the enumeration's walk recorded it: the
+    memoised :func:`matching._flip_walk` object itself, so its
+    ``matchings`` are those of ``enumerate_perfect_matchings(G)``.
 
-    The walk (:func:`matching._flip_walk`) tests each cover once, from its
-    upper end, and certifies the arcs acyclic: its walk order is a linear
-    extension.  It lists each matching's lower covers in canonical order,
-    so the arcs come out sorted with no sort.  Faces that are not simple
-    cycles never alternate.
+    The walk tests each cover once, from its upper end, and certifies the
+    arcs acyclic: its walk order is a linear extension.  It lists each
+    matching's lower covers in canonical order, so the arcs come out
+    sorted with no sort.  Faces that are not simple cycles never
+    alternate.
     """
-    matchings = enumerate_perfect_matchings(G)
-    if not matchings:
+    Z = _flip_walk(G)
+    if not Z.masks:
         raise NoPerfectMatching("graph has no perfect matching")
-    return ZDigraph(matchings=matchings, arc_table=_flip_walk(G)[1])
+    return Z
 
 
 @per_object
 def matching_poset(G: PlaneBipartiteGraph) -> FinitePoset:
     """Order matchings by reachability (M' below M when the digraph walks
-    from M down to M'), labelled by ``build_z_digraph(G).matchings``;
-    FinitePoset certifies the arcs as its covers."""
+    from M down to M'), labelled by ``enumerate_perfect_matchings(G)``,
+    the tuple that ``build_z_digraph(G).matchings`` is too; FinitePoset
+    certifies the arcs as its covers."""
     Z = build_z_digraph(G)
     # the walk records each cover once, so no set is needed; a repeated
     # pair would make FinitePoset refuse, which becomes HasseMismatch.  No
@@ -123,7 +96,7 @@ def matching_poset(G: PlaneBipartiteGraph) -> FinitePoset:
     t = Z.arc_table
     covers = tuple(zip(t[1::3], t[0::3]))
     try:
-        return FinitePoset(Z.matchings, covers)
+        return FinitePoset(enumerate_perfect_matchings(G), covers)
     except ParseError as exc:
         raise HasseMismatch(f"flip digraph is not a Hasse diagram: {exc}") from exc
 

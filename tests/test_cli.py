@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -469,6 +470,27 @@ class TestDumpJson:
                 ({"t": table, "n": [table]}, {"t": rows, "n": [rows]}),
             ):
                 assert _dump_json(value) == reference_json(same)
+
+    # widths 8 and 64 fill whole bytes, 61 (fence-20) leaves 3 pad bits
+    # and 80 is the 16-leaf in-star's; from 101 edges on, ids have 3 digits
+    @pytest.mark.parametrize("piece", [1, 2, 4096])
+    @pytest.mark.parametrize("n_edges", sorted({*range(1, 131, 7), 8, 61, 64, 80, 130}))
+    def test_mask_rows_match_indented_json_dumps(self, piece, n_edges):
+        rng = random.Random(n_edges)
+        masks = [0, 1, (1 << n_edges) - 1, 1 << n_edges - 1]
+        masks += [rng.getrandbits(n_edges) for _ in range(6)]
+        # canonical masks: edge e at bit n_edges - 1 - e
+        rows = [[e for e in range(n_edges) if m >> n_edges - 1 - e & 1] for m in masks]
+        table = cli.MaskRows(masks, n_edges)
+        with patch.object(cli, "ROWS_PER_PIECE", piece):
+            for value, same in (
+                (table, rows),
+                ({"m": table, "n": [table]}, {"m": rows, "n": [rows]}),
+            ):
+                assert _dump_json(value) == reference_json(same)
+
+    def test_empty_mask_rows(self):
+        assert _dump_json(cli.MaskRows((), 61)) == "[]\n"
 
     def test_empty_int_table(self, tmp_path, capsys):
         assert _dump_json(cli.IntTable((), 3)) == "[]\n"

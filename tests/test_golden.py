@@ -221,6 +221,18 @@ def test_golden_output(case, host_paths):
     assert run_case(case, host_paths) == GOLDEN[case]
 
 
+def test_fence_20_zdig_json_builds_no_matching(host_paths, monkeypatch):
+    # the flip digraph's JSON is written from the walk's edge masks
+    from matchlat import matching
+
+    def refuse(*args):
+        raise AssertionError("a Matching was built")
+
+    monkeypatch.setattr(matching, "_edge_ids", refuse)
+    case = f"analyze {FENCE_20} zdig --format json"
+    assert run_case(case, host_paths) == GOLDEN[case]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path

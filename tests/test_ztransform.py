@@ -60,6 +60,7 @@ from matchlat.matching import (
     PROPER,
     AlternatingCycleReport,
     Matching,
+    _matching_masks,
     classify_alternating_faces,
     matching_index,
     symmetric_difference_cycles,
@@ -116,6 +117,19 @@ class TestZDigraph:
         Z = build_z_digraph(pendant)
         assert Z.n == 2
         assert Z.arcs == ()
+
+    @pytest.mark.parametrize("spec", ["P(2,2)", "T(3)", "tree:1>2,3>2,3>4"])
+    def test_one_matchings_tuple_per_graph(self, spec):
+        G = parse_spec(spec).graph
+        Z = build_z_digraph(G)
+        assert enumerate_perfect_matchings(G) is Z.matchings
+        assert Z.n == len(Z.masks) == len(Z.matchings)
+        # the walk's masks, edge e at bit n_edges - 1 - e, are the matchings
+        top = G.n_edges - 1
+        assert Z.masks == tuple(sum(1 << top - e for e in M.edge_ids) for M in Z.matchings)
+        assert _matching_masks(G) == tuple(
+            sum(1 << e for e in M.edge_ids) for M in Z.matchings
+        )
 
     def test_arc_set_complete_over_all_pairs(self, t2, pyrene):
         # independent route: scan all matching pairs for single-face
