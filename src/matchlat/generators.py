@@ -53,6 +53,7 @@ from .plane_graph import (
     _build_graph,
     _faces_inside,
     edge_ends,
+    edge_mask,
     incident_edge_masks,
     is_elementary,
     oriented_dual,
@@ -335,7 +336,7 @@ def _geometry(
         path = frozenset(lb)
     else:
         # a difference of two perfect matchings is 2-regular as it stands
-        mask = sum(map((1).__lshift__, diff))
+        mask = edge_mask(G.n_edges, diff)
         steps = walk_cycle(G, mask)
         if len(steps) != len(diff):
             raise NotAMatching(
@@ -372,7 +373,7 @@ def _check_alternating_path(
     must then cover every path edge, or the set is a path plus cycles.
     """
     G = H.graph
-    ends, inc = edge_ends(G), incident_edge_masks(G)
+    ends, inc, n_edges = edge_ends(G), incident_edge_masks(G), G.n_edges
     once = twice = thrice = 0  # vertices met at least 1, 2 and 3 times
     for eid in path:
         x = ends[eid]
@@ -382,12 +383,12 @@ def _check_alternating_path(
     leaves = once ^ twice
     if thrice or leaves.bit_count() != 2:
         raise IsoFailure("path edge set is not a simple path")
-    rest = sum(map((1).__lshift__, path))
+    rest = edge_mask(n_edges, path)
     v = (leaves & -leaves).bit_length() - 1
     state = None
     while bit := inc[v] & rest:
         rest ^= bit  # a walked edge is never taken again
-        eid = bit.bit_length() - 1
+        eid = n_edges - bit.bit_length()
         inm = eid in in_m
         if state is None and not inm:
             raise IsoFailure("path end edge is not in the matching")

@@ -32,7 +32,7 @@ smallest edge, giving its mask and canonical edge sequence.
 they are: Jordan parity on the mask gives the interior and each edge's
 clockwise step.  A difference of two enumerated matchings is 2-regular
 as it stands: ``all_alternating_cycles`` walks it straight from the
-masks of ``_matching_masks``, with no second check.
+walk's own masks, ``ZDigraph.masks``, with no second check.
 ``oracles.faces_inside_cycle_by_flood`` is the independent route to the
 interiors.
 """
@@ -45,7 +45,7 @@ from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .derive import per_object
-from .errors import CycleDetected, NoPerfectMatching, NotAMatching, SizeCapExceeded
+from .errors import CycleDetected, NoPerfectMatching, NotACycle, NotAMatching, SizeCapExceeded
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
@@ -55,6 +55,7 @@ from .plane_graph import (
     _split_cycles,
     dual_tree,
     edge_ends,
+    edge_mask,
     walk_cycle,
 )
 
@@ -203,17 +204,16 @@ def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
     a shared matched edge has a white tail in one face's walk only, and a
     shared unmatched edge forces a shared matched one.
     """
-    top = G.n_edges - 1
     keyed = []
     for fid in G.inner_face_ids:
         walk = G.faces[fid]
         if walk.is_simple_cycle:
             low, low_tail, _ = min(walk.steps)  # the step along the lowest edge
             loses = G.colors[low_tail] == WHITE
+            white = (eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE)
             keyed.append((
                 (loses, -low if loses else low), fid,
-                sum(1 << top - eid for eid, _, _ in walk.steps),
-                sum(1 << top - eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE),
+                edge_mask(G.n_edges, walk.edge_ids), edge_mask(G.n_edges, white),
             ))
     return tuple(f[1:] for f in sorted(keyed))
 
@@ -232,6 +232,8 @@ class ZDigraph:
     tuple per arc; and ``face_of``, mapping each ``(upper, lower)`` pair
     to its face.  The JSON writer reads the masks and the table, the text
     writer the table, and the DOT writer the matchings and the table.
+    Other readers AND and XOR against ``masks``; hot loops (``_climb``,
+    ``_edge_ids``, ``walk_cycle``, ``cli._mask_rows``) spell the order inline.
     """
 
     masks: tuple[int, ...]
@@ -257,12 +259,6 @@ class ZDigraph:
     def face_of(self) -> dict[tuple[int, int], int]:
         t = self.arc_table
         return dict(zip(zip(t[0::3], t[1::3]), t[2::3]))
-
-
-def _reverse_bits(mask: int, width: str) -> int:
-    """mask with its n_edges binary digits (the format spec ``width``)
-    reversed: a plain mask, edge e at bit e, becomes canonical, and back."""
-    return int(format(mask, width)[::-1], 2)
 
 
 @per_object
@@ -293,8 +289,6 @@ def _flip_walk(G: PlaneBipartiteGraph) -> ZDigraph:
         raise SizeCapExceeded(f"more than {cap} matchings")
     if count == 0:
         return ZDigraph((), G.n_edges, ())
-    ends = edge_ends(G)
-    width = f"0{G.n_edges}b"
     faces = [(fid, face, white, face ^ white) for fid, face, white in flip_faces(G)]
     index: dict[int, int] = {}  # canonical matching mask -> walk index
     start: list[int] = []  # walk index -> its block's first position in lows
@@ -305,12 +299,11 @@ def _flip_walk(G: PlaneBipartiteGraph) -> ZDigraph:
         leaf = next(_search_tree(G.n_vertices, G.edges), None)
         if leaf is None:
             raise AssertionError("no perfect matching, but a nonzero Kasteleyn count")
-        m = _reverse_bits(_matching_mask(G, Matching(leaf), ends), width)
-        _climb(m, *walk, count)
+        _climb(_matching_mask(G, Matching(leaf)), *walk, count)
     if len(index) != count:
         leaves = _enumerate_on_edges(G.n_vertices, G.edges, cap)
         for leaf in leaves:
-            m = _reverse_bits(_matching_mask(G, Matching(leaf), ends), width)
+            m = _matching_mask(G, Matching(leaf))
             if m not in index:
                 _climb(m, *walk, len(leaves))
     start.append(len(lows))
@@ -513,28 +506,26 @@ def matching_index(G: PlaneBipartiteGraph) -> dict[Matching, int]:
 
 
 def check_matching(G: PlaneBipartiteGraph, M: Matching) -> None:
-    _matching_mask(G, M, edge_ends(G))
+    _matching_mask(G, M)
 
 
-def _matching_mask(
-    G: PlaneBipartiteGraph, M: Matching, ends: Sequence[int]
-) -> int:
-    """M's edges as a mask; refuses M unless it is a perfect matching of G.
+def _matching_mask(G: PlaneBipartiteGraph, M: Matching) -> int:
+    """M's edges as a canonical mask; refuses M unless it is a perfect matching.
 
-    ``ends[e]`` is the vertex mask of edge e.  OR-ing them refuses an
-    unknown edge id, two edges sharing a vertex and an uncovered vertex.
+    OR-ing the edges' vertex masks refuses an unknown edge id, two edges
+    sharing a vertex and an uncovered vertex.
     """
-    mask = covered = 0
+    ends = edge_ends(G)
+    covered = 0
     for eid in M.edge_ids:
         if not 0 <= eid < len(ends):
             raise NotAMatching(f"unknown edge id {eid}")
         if covered & ends[eid]:
             raise NotAMatching(f"edges share vertex at edge {eid}")
         covered |= ends[eid]
-        mask |= 1 << eid
     if covered != (1 << G.n_vertices) - 1:
         raise NotAMatching("not all vertices are covered")
-    return mask
+    return edge_mask(len(ends), M.edge_ids)
 
 
 def classify_alternating_faces(
@@ -580,10 +571,14 @@ def classify_cycle(
 ) -> AlternatingCycleReport:
     """Classify one M-alternating cycle as proper/improper w.r.t. M.
 
-    One walk checks the cycle and gives its canonical edge sequence; Jordan
-    parity gives its interior, and with it each edge's clockwise step.
+    One walk checks the cycle and gives its canonical edge sequence; the
+    perfect matching M alternates on it exactly when it holds half its
+    edges.  Jordan parity gives the interior and each edge's clockwise step.
     """
-    return _classified(G, M.edge_set, *_checked_walk(G, cycle_edges))
+    mask, steps = _checked_walk(G, cycle_edges)
+    if (mask & _matching_mask(G, M)).bit_count() * 2 != len(steps):
+        raise NotACycle("cycle is not M-alternating")
+    return _classified(G, M.edge_set, mask, steps)
 
 
 def _classified(
@@ -651,10 +646,10 @@ def all_alternating_cycles(
     stands, and only its cycle through its lowest edge is walked: the
     difference is one cycle exactly when that walk covers it.
     """
-    m = _matching_mask(G, M, edge_ends(G))
+    m = _matching_mask(G, M)
     mset = M.edge_set
     reports: list[AlternatingCycleReport] = []
-    for m2 in _matching_masks(G):
+    for m2 in _flip_walk(G).masks:
         diff = m ^ m2
         if not diff:
             continue
@@ -663,10 +658,3 @@ def all_alternating_cycles(
             reports.append(_classified(G, mset, diff, steps))
     reports.sort(key=lambda r: r.cycle)
     return reports
-
-
-@per_object
-def _matching_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
-    """Each enumerated matching's edges as a plain mask, edge e at bit e,
-    in enumeration order: the walk's canonical masks, bit-reversed."""
-    return tuple(map(_reverse_bits, _flip_walk(G).masks, repeat(f"0{G.n_edges}b")))

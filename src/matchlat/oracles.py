@@ -24,7 +24,7 @@ from .lattice import (
     order_ideal_lattice,
 )
 from .matching import Matching
-from .plane_graph import PlaneBipartiteGraph
+from .plane_graph import PlaneBipartiteGraph, mask_edge_ids
 
 
 def count_matchings_bruteforce(G: PlaneBipartiteGraph) -> int:
@@ -130,7 +130,7 @@ def faces_inside_cycle_by_flood(
 
 
 def e_cuts_by_definition(G: PlaneBipartiteGraph) -> set[int]:
-    """All e-cuts as edge masks, straight from the definition.
+    """All e-cuts as canonical edge masks, straight from the definition.
 
     An edge subset qualifies when removing it leaves exactly two components, no
     proper subset disconnects, and every cut edge touches a white vertex
@@ -141,7 +141,7 @@ def e_cuts_by_definition(G: PlaneBipartiteGraph) -> set[int]:
         raise AssertionError("definition oracle is limited to 20 edges")
 
     def components(removed: int) -> list[int]:
-        kept = (uv for eid, uv in enumerate(G.edges) if not removed >> eid & 1)
+        kept = (uv for eid, uv in enumerate(G.edges) if not removed >> E - 1 - eid & 1)
         return component_labels(G.n_vertices, kept)
 
     out: set[int] = set()
@@ -150,7 +150,7 @@ def e_cuts_by_definition(G: PlaneBipartiteGraph) -> set[int]:
         # two components, and putting back any one edge reconnects them
         if max(comp) != 1 or any(max(components(mask ^ 1 << b)) for b in _bits(mask)):
             continue
-        banks = {comp[G.white_end(eid)] for eid in _bits(mask)}
+        banks = {comp[G.white_end(eid)] for eid in mask_edge_ids(E, mask)}
         if len(banks) == 1:
             out.add(mask)
     return out

@@ -12,14 +12,17 @@ its black end to its white end.
 
 Cycles are integer edge masks, read through two tables kept per graph:
 each vertex's incident-edge mask, and each face's path in a BFS tree of
-the dual rooted at the outer face.  ``walk_cycle`` is the one cycle
-walk: from a 2-regular mask's lowest edge, round its cycle.  Every edge
-set that is not already known 2-regular is checked and split into
-cycles by ``_split_cycles`` alone: a degree test, then one walk per
-cycle, from its smallest edge, and internal callers keep those walks.
-A face lies inside a cycle when its path crosses the cycle an odd number
-of times (Jordan parity), and the inside face of each cycle edge gives
-that edge's clockwise step.  All of it is O(|C| + F) per cycle.
+the dual rooted at the outer face.  Every edge mask of the package is
+canonical, edge e at bit ``n_edges - 1 - e`` (``edge_mask``, read back
+by ``mask_edge_ids``), so descending masks are in canonical order.
+``walk_cycle`` is the one cycle walk: from a 2-regular mask's lowest
+edge, its highest bit, round its cycle.  Every edge set that is not
+already known 2-regular is checked and split into cycles by
+``_split_cycles`` alone: a degree test, then one walk per cycle, from
+its smallest edge, and internal callers keep those walks.  A face lies
+inside a cycle when its path crosses the cycle an odd number of times
+(Jordan parity), and the inside face of each cycle edge gives that
+edge's clockwise step.  All of it is O(|C| + F) per cycle.
 ``oracles.faces_inside_cycle_by_flood`` finds the same interiors by
 flooding the dual.
 """
@@ -480,6 +483,16 @@ def oriented_dual(
 # --- cycles and interiors ---------------------------------------------------
 
 
+def edge_mask(n_edges: int, edge_ids: Iterable[int]) -> int:
+    """The canonical mask of distinct edge ids: edge e at bit ``n_edges - 1 - e``."""
+    return sum([1 << n_edges - 1 - eid for eid in edge_ids])
+
+
+def mask_edge_ids(n_edges: int, mask: int) -> list[int]:
+    """The edge ids of a canonical mask, ascending."""
+    return [eid for eid, bit in enumerate(format(mask, f"0{n_edges}b")) if bit == "1"]
+
+
 @per_object
 def edge_ends(G: PlaneBipartiteGraph) -> tuple[int, ...]:
     """Each edge's two ends, as a vertex mask."""
@@ -489,11 +502,7 @@ def edge_ends(G: PlaneBipartiteGraph) -> tuple[int, ...]:
 @per_object
 def incident_edge_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
     """Each vertex's incident edges, as an edge mask."""
-    masks = [0] * G.n_vertices
-    for eid, (u, v) in enumerate(G.edges):
-        masks[u] |= 1 << eid
-        masks[v] |= 1 << eid
-    return tuple(masks)
+    return tuple(edge_mask(G.n_edges, ids) for ids in G.incident_edges)
 
 
 @per_object
@@ -526,22 +535,23 @@ def dual_tree_paths(G: PlaneBipartiteGraph) -> tuple[int, ...]:
     paths = [0] * len(G.faces)
     for g in order[1:]:
         eid = parent[g]
-        paths[g] = paths[sum(G.edge_faces(eid)) - g] | 1 << eid
+        paths[g] = paths[sum(G.edge_faces(eid)) - g] | 1 << G.n_edges - 1 - eid
     return tuple(paths)
 
 
 def walk_cycle(G: PlaneBipartiteGraph, mask: int) -> list[Step]:
-    """The cycle of a 2-regular edge mask through its lowest edge, walked in
-    canonical order: from that edge toward its smaller-id neighbour edge."""
+    """The cycle of a 2-regular edge mask through its lowest edge (highest
+    bit), walked in canonical order: toward its smaller-id neighbour edge."""
     inc = incident_edge_masks(G)
-    first = mask & -mask
-    start = first.bit_length() - 1
+    n_edges = G.n_edges
+    first = 1 << mask.bit_length() - 1
+    start = n_edges - mask.bit_length()
     a, b = G.edges[start]
-    tail, head = (b, a) if inc[a] & mask ^ first < inc[b] & mask ^ first else (a, b)
+    tail, head = (b, a) if inc[a] & mask ^ first > inc[b] & mask ^ first else (a, b)
     steps = [(start, tail, head)]
     bit = first
     while (bit := inc[head] & mask ^ bit) != first:
-        eid = bit.bit_length() - 1
+        eid = n_edges - bit.bit_length()
         u, v = G.edges[eid]
         tail, head = head, v if u == head else u
         steps.append((eid, tail, head))
@@ -554,16 +564,16 @@ def _split_cycles(
     """Check an edge set and split it into its vertex-disjoint cycles.
 
     An unknown edge id or a set that is not 2-regular raises NotACycle.
-    Each cycle comes as (mask, canonical walk), ordered by smallest edge:
-    each walk starts at the smallest edge of the cycles not yet taken.
-    An empty set has no cycles.
+    Each cycle comes as (canonical mask, canonical walk), ordered by
+    smallest edge: each walk starts at the smallest edge of the cycles not
+    yet taken, the highest bit left.  An empty set has no cycles.
     """
     n_edges, ends = G.n_edges, edge_ends(G)
     rest = once = twice = thrice = 0  # vertices met at least 1, 2 and 3 times
     for eid in frozenset(edge_ids):
         if not 0 <= eid < n_edges:
             raise NotACycle(f"unknown edge id {eid}")
-        rest |= 1 << eid
+        rest |= 1 << n_edges - 1 - eid
         x = ends[eid]
         thrice |= twice & x
         twice |= once & x
@@ -574,9 +584,8 @@ def _split_cycles(
     while rest:
         steps = walk_cycle(G, rest)
         # the last cycle is all that is left, as is every one-cycle set
-        mask = rest if len(steps) == rest.bit_count() else sum(
-            1 << eid for eid, _, _ in steps
-        )
+        ids = (eid for eid, _, _ in steps)
+        mask = rest if len(steps) == rest.bit_count() else edge_mask(n_edges, ids)
         cycles.append((mask, steps))
         rest ^= mask
     return cycles
@@ -757,7 +766,7 @@ def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
     sub_edges = [
         eid
         for eid in range(G.n_edges)
-        if mask >> eid & 1 or all(f in inside for f in G.edge_faces(eid))
+        if mask >> G.n_edges - 1 - eid & 1 or all(f in inside for f in G.edge_faces(eid))
     ]
     verts = sorted({v for eid in sub_edges for v in G.edges[eid]})
     index = {v: i for i, v in enumerate(verts)}
@@ -775,10 +784,10 @@ def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
 
 
 def find_e_cuts(G: PlaneBipartiteGraph) -> list[int]:
-    """The e-cuts of a 2-connected outerplane host, as ascending edge masks.
+    """The e-cuts of a 2-connected outerplane host, as canonical masks, descending.
 
     An e-cut is a minimal edge cut whose edges all touch white vertices of
-    one of the two banks it leaves; bit e of a mask is edge e.  Walks every
+    one of the two banks it leaves.  Walks every
     simple directed cycle of the full oriented dual through the outer-face
     node (length >= 2), depth first over an explicit stack of arc
     iterators, and maps each to its primal minimal edge cut.  On a
@@ -825,7 +834,7 @@ def find_e_cuts(G: PlaneBipartiteGraph) -> list[int]:
             path_edges.append(arc.edge_id)
             on_path |= 1 << arc.dst
             todo.append(iter(arcs_from[arc.dst]))
-    cuts.sort()
+    cuts.sort(reverse=True)
     return cuts
 
 
@@ -842,7 +851,7 @@ def _e_cut_mask(at: dict[int, int], white_at: Sequence[int], edge_ids: list[int]
     white_in_run = [i < white_at[eid] <= j for eid in edge_ids]
     if (not white_in_run[0]) in white_in_run:
         raise AssertionError("cut edges touch white vertices of both banks (bug)")
-    return sum(map((1).__lshift__, edge_ids))
+    return edge_mask(len(white_at), edge_ids)
 
 
 def is_outerplane_2connected(G: PlaneBipartiteGraph) -> bool:

@@ -29,7 +29,6 @@ from .generators import (
 )
 from .lattice import (
     FiniteLattice,
-    _bits,
     central_elements,
     chain_poset,
     complements,
@@ -47,7 +46,7 @@ from .lattice import (
 from .matching import (
     IMPROPER,
     PROPER,
-    _matching_masks,
+    _flip_walk,
     all_alternating_cycles,
     enumerate_perfect_matchings,
 )
@@ -57,7 +56,7 @@ from .oracles import (
     distributive_by_birkhoff,
     ideals_bruteforce,
 )
-from .plane_graph import PlaneBipartiteGraph, find_e_cuts
+from .plane_graph import PlaneBipartiteGraph, find_e_cuts, mask_edge_ids
 from .ztransform import (
     _delta_counts,
     _path_face_counts,
@@ -392,14 +391,14 @@ def check_outerplane(report: VerificationReport, caps: SizeCaps) -> None:
 
 
 def _outerplane_case(G: PlaneBipartiteGraph) -> Optional[str]:
-    masks = _matching_masks(G)
+    masks = _flip_walk(G).masks
     for cut in find_e_cuts(G):
         # the first hit count other than 1, found by map and filter at C
         # speed: the suite tests some 110,000 (cut, matching) pairs
         meets = map(int.bit_count, map(cut.__and__, masks))
         hits = next(filter((1).__ne__, meets), 1)
         if hits != 1:
-            return f"e-cut {list(_bits(cut))} meets a matching {hits} times"
+            return f"e-cut {mask_edge_ids(G.n_edges, cut)} meets a matching {hits} times"
     ext = extremal_matchings(G)
     # the extremes' certificate: the source has no improper alternating
     # cycle and the root no proper one

@@ -54,7 +54,6 @@ from .matching import (
     ZDigraph,
     _difference_cycles,
     _flip_walk,
-    _matching_masks,
     enumerate_perfect_matchings,
     matching_index,
 )
@@ -208,12 +207,15 @@ def directed_paths(
 ) -> list[tuple[int, ...]]:
     """All directed paths from start to end; more than cap raise SizeCapExceeded.
 
-    Depth-first over an explicit stack of successor iterators, one more
-    than the nodes on the path, entering only matchings above end, so the
-    work is that of the paths found.  A recursive closure would be a
-    reference cycle holding every path found until the cyclic collector ran.
+    An index outside 0..n-1 raises :class:`NotAPath`.  Depth-first over
+    an explicit stack of successor iterators, one more than the nodes on
+    the path, entering only matchings above end, so the work is that of
+    the paths found.  A recursive closure would be a reference cycle
+    holding every path found until the cyclic collector ran.
     """
     P = matching_poset(G)
+    if not (0 <= start < P.n and 0 <= end < P.n):
+        raise NotAPath(f"unknown matching in {start} -> {end}: the indices are 0..{P.n - 1}")
     above = P.up_masks[end]
     down = P.down_covers
     out: list[tuple[int, ...]] = []
@@ -278,7 +280,7 @@ def sigma(G: PlaneBipartiteGraph, M: Matching) -> frozenset[int]:
     i = matching_index(G).get(M)
     if i is None:  # the enumerated matchings were checked
         raise NotAMatching(f"{M!r} is not a perfect matching of the graph")
-    masks = _matching_masks(G)
+    masks = _flip_walk(G).masks
     return _faces_inside(G, masks[i] ^ masks[ext.root_index])
 
 

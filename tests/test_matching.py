@@ -287,7 +287,10 @@ class TestSymmetricDifference:
                 diff = M1.edge_set ^ M2.edge_set
                 split = list(_split_cycles(G, diff))
                 cycles = [frozenset(eid for eid, _, _ in steps) for _, steps in split]
-                assert [mask for mask, _ in split] == [sum(1 << e for e in c) for c in cycles]
+                top = G.n_edges - 1
+                assert [mask for mask, _ in split] == [
+                    sum(1 << top - e for e in c) for c in cycles
+                ]
                 assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
                 assert sum(len(c) for c in cycles) == len(diff)
                 assert frozenset().union(*cycles) == diff
@@ -299,12 +302,33 @@ class TestSymmetricDifference:
             ms = enumerate_perfect_matchings(G)
             for M1, M2 in itertools.combinations(ms, 2):
                 for mask, steps in _split_cycles(G, M1.edge_set ^ M2.edge_set):
-                    assert steps[0][0] == (mask & -mask).bit_length() - 1
+                    # the lowest edge is the highest bit
+                    assert steps[0][0] == G.n_edges - mask.bit_length()
 
     def test_cycles_of_edge_set_refuses_a_path(self, c6):
         with pytest.raises(NotACycle, match="edge set is not 2-regular"):
             _split_cycles(c6, frozenset(range(5)))
         assert list(_split_cycles(c6, frozenset())) == []
+
+    def test_classify_cycle_refuses_what_is_no_alternating_cycle(self):
+        G = parse_spec("P(1,1)").graph
+        with pytest.raises(NotAMatching):
+            classify_cycle(G, Matching((0,)), G.faces[G.inner_face_ids[0]].edge_ids)
+        # every inner face of P(2,2) against every matching: the faces
+        # classify_alternating_faces tags classify alike, the rest are refused
+        G = parse_spec("P(2,2)").graph
+        refused = 0
+        for M in enumerate_perfect_matchings(G):
+            tags = dict(classify_alternating_faces(G, M))
+            for fid in G.inner_face_ids:
+                cycle = G.faces[fid].edge_ids
+                if fid in tags:
+                    assert classify_cycle(G, M, cycle).orientation_class == tags[fid]
+                else:
+                    refused += 1
+                    with pytest.raises(NotACycle, match="not M-alternating"):
+                        classify_cycle(G, M, cycle)
+        assert refused
 
 
 def cycle_sets(G, edge_ids):

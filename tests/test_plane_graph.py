@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from matchlat import (
@@ -12,7 +14,7 @@ from matchlat import (
     tree_to_outerplane,
     truncated_parallelogram,
 )
-from matchlat.caps import SizeCaps
+from matchlat.caps import DEFAULT_CAPS, SizeCaps
 from matchlat.derive import component_labels
 from matchlat.errors import (
     Disconnected,
@@ -27,11 +29,26 @@ from matchlat.errors import (
     SizeCapExceeded,
 )
 from matchlat.generators import TruncatedParallelogramSpec
-from matchlat.lattice import _bits
-from matchlat.matching import classify_cycle
+from matchlat.matching import (
+    Matching,
+    _enumerate_on_edges,
+    _flip_walk,
+    _matching_mask,
+    classify_cycle,
+)
 from matchlat.oracles import e_cuts_by_definition, faces_inside_cycle_by_flood
-from matchlat.plane_graph import _e_cut_mask, clockwise_cycle
-from matchlat.verify import _outerplane_case
+from matchlat.plane_graph import (
+    _e_cut_mask,
+    _split_cycles,
+    clockwise_cycle,
+    dual_tree,
+    dual_tree_paths,
+    edge_mask,
+    incident_edge_masks,
+    is_outerplane_2connected,
+    mask_edge_ids,
+)
+from matchlat.verify import _outerplane_case, _small_fixtures
 
 from conftest import c6_description, cycle_oracle_hosts, outerplane_suite_hosts
 
@@ -363,13 +380,13 @@ class TestECuts:
         for cut in cuts:
             assert cut.bit_count() == 2
             for M in matchings:
-                assert sum(cut >> eid & 1 for eid in M.edge_ids) == 1
+                assert len(set(mask_edge_ids(c6.n_edges, cut)) & M.edge_set) == 1
 
-    def test_masks_ascend(self, c6, ladder, t2):
+    def test_masks_descend(self, c6, ladder, t2):
         for G in (c6, ladder, t2.graph):
             cuts = find_e_cuts(G)
             assert all(type(cut) is int for cut in cuts)
-            assert cuts == sorted(set(cuts))
+            assert cuts == sorted(set(cuts), reverse=True)
 
     def test_matches_definition_oracle(self, c6, ladder, naphthalene):
         for G in (c6, ladder, naphthalene.graph):
@@ -395,12 +412,13 @@ class TestECuts:
         # has its white end in the same one
         for G in outerplane_suite_hosts():
             for cut in find_e_cuts(G):
+                ids = mask_edge_ids(G.n_edges, cut)
                 comp = component_labels(
                     G.n_vertices,
-                    (e for eid, e in enumerate(G.edges) if not cut >> eid & 1),
+                    (e for eid, e in enumerate(G.edges) if eid not in ids),
                 )
                 assert max(comp) == 1
-                assert len({comp[G.white_end(eid)] for eid in _bits(cut)}) == 1
+                assert len({comp[G.white_end(eid)] for eid in ids}) == 1
 
     def test_cut_sets_match_definition_on_small_suite_trees(self):
         small = [G for G in outerplane_suite_hosts() if G.n_edges <= 13]
@@ -415,13 +433,15 @@ class TestECuts:
             assert cuts
             for cut in cuts:
                 for M in matchings:
-                    assert sum(cut >> eid & 1 for eid in M.edge_ids) == 1
+                    assert (cut & edge_mask(G.n_edges, M.edge_ids)).bit_count() == 1
 
     def test_outerplane_check_reports_a_cut_hit_twice(self, monkeypatch, t2):
         G = t2.graph
         M = enumerate_perfect_matchings(G)[0]
         e1, e2 = sorted(M.edge_ids)[:2]
-        monkeypatch.setattr("matchlat.verify.find_e_cuts", lambda G: [1 << e2 | 1 << e1])
+        monkeypatch.setattr(
+            "matchlat.verify.find_e_cuts", lambda G: [edge_mask(G.n_edges, (e2, e1))]
+        )
         assert _outerplane_case(G) == f"e-cut [{e1}, {e2}] meets a matching 2 times"
 
     def test_white_ends_in_both_banks_are_refused(self, c6):
@@ -433,6 +453,53 @@ class TestECuts:
         # other at 0 or 3
         with pytest.raises(AssertionError, match="both banks"):
             _e_cut_mask(at, white_at, [steps[0], steps[2]])
+        top = c6.n_edges - 1
         assert _e_cut_mask(at, white_at, [steps[0], steps[1]]) == (
-            1 << steps[0] | 1 << steps[1]
+            1 << top - steps[0] | 1 << top - steps[1]
         )
+
+
+class TestBitOrder:
+    @staticmethod
+    def hosts():
+        small = [G for G in outerplane_suite_hosts() if G.n_edges <= 13]
+        assert len(small) == 21
+        return [G for _, G in _small_fixtures(DEFAULT_CAPS)] + small
+
+    def test_edge_mask_puts_edge_e_at_bit_n_edges_minus_1_minus_e(self):
+        assert [edge_mask(5, (e,)) for e in range(5)] == [16, 8, 4, 2, 1]
+        assert edge_mask(5, (3, 0)) == 0b10010
+        assert mask_edge_ids(5, 0b10010) == [0, 3]
+        assert edge_mask(5, ()) == 0 and mask_edge_ids(5, 0) == []
+
+    def test_every_producer_makes_canonical_masks(self):
+        for G in self.hosts():
+            n = G.n_edges
+            assert incident_edge_masks(G) == tuple(
+                edge_mask(n, G.incident_edges[v]) for v in range(G.n_vertices)
+            )
+            # each face's path: the edges up the dual tree to the outer face
+            order, parent = dual_tree(G)
+            paths = dual_tree_paths(G)
+            for f in order:
+                ids, g = [], f
+                while parent[g] != -1:
+                    ids.append(parent[g])
+                    g = sum(G.edge_faces(parent[g])) - g
+                assert paths[f] == edge_mask(n, ids)
+            # the walk's masks against the branch search's matchings
+            leaves = _enumerate_on_edges(G.n_vertices, G.edges, DEFAULT_CAPS.max_matchings)
+            masks = [edge_mask(n, leaf) for leaf in leaves]
+            assert [_matching_mask(G, Matching(leaf)) for leaf in leaves] == masks
+            assert _flip_walk(G).masks == tuple(sorted(masks, reverse=True))
+            for M1, M2 in itertools.combinations(_flip_walk(G).matchings, 2):
+                for mask, steps in _split_cycles(G, M1.edge_set ^ M2.edge_set):
+                    assert mask == edge_mask(n, (eid for eid, _, _ in steps))
+            if is_outerplane_2connected(G):
+                for cut in find_e_cuts(G):
+                    # the ids a cut is read as leave two banks, and every
+                    # matching has exactly one of them
+                    ids = mask_edge_ids(n, cut)
+                    kept = (e for eid, e in enumerate(G.edges) if eid not in ids)
+                    assert max(component_labels(G.n_vertices, kept)) == 1
+                    assert all((cut & m).bit_count() == 1 for m in masks)

@@ -60,7 +60,6 @@ from matchlat.matching import (
     PROPER,
     AlternatingCycleReport,
     Matching,
-    _matching_masks,
     classify_alternating_faces,
     matching_index,
     symmetric_difference_cycles,
@@ -127,9 +126,6 @@ class TestZDigraph:
         # the walk's masks, edge e at bit n_edges - 1 - e, are the matchings
         top = G.n_edges - 1
         assert Z.masks == tuple(sum(1 << top - e for e in M.edge_ids) for M in Z.matchings)
-        assert _matching_masks(G) == tuple(
-            sum(1 << e for e in M.edge_ids) for M in Z.matchings
-        )
 
     def test_arc_set_complete_over_all_pairs(self, t2, pyrene):
         # independent route: scan all matching pairs for single-face
@@ -563,6 +559,13 @@ class TestDeltaAndPaths:
         assert directed_paths(G, s, r, cap=2) == directed_paths(G, s, r)
         with pytest.raises(SizeCapExceeded, match="more than 1 directed paths"):
             directed_paths(G, s, r, cap=1)
+
+    @pytest.mark.parametrize("start, end", [(-1, 0), (0, 99), (99, 0), (0, -1), (6, 0), (0, 6)])
+    def test_directed_paths_refuse_unknown_indices(self, start, end):
+        G = parse_spec("P(2,2)").graph
+        assert len(enumerate_perfect_matchings(G)) == 6
+        with pytest.raises(NotAPath, match="unknown matching"):
+            directed_paths(G, start, end)
 
     def test_directed_paths_leave_no_cyclic_garbage(self, t2):
         """The paths are freed by reference counting alone, not by a later
