@@ -50,15 +50,21 @@ def _caps_from_args(args) -> SizeCaps:
 
 def _cap(text: str) -> int:
     """A size cap from the command line: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # so that a full disk shows here, not at exit
+        except OSError as exc:
+            raise ParseError(f"cannot write standard output: {exc}") from exc
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:

@@ -4,17 +4,19 @@ of oriented trees, and exterior-edge linking of components.
 Hexagonal systems use a brick-wall combinatorial layout with exact
 integer coordinates that exist only inside this module: row 1 is the
 longest row, rows stack upward shifted half a cell to the left, every
-hexagon keeps two vertical edges, and each valley vertex is white.  Under
-that convention the canonical root matching consists of the left-perimeter
-verticals, the rising slants of the bottom perimeter, and falling slants
-everywhere else; construction validates this against the flip orientation
-and fails loudly on any mismatch.
+hexagon keeps two vertical edges, and each valley vertex is white.  Each
+colour's three edge directions, clockwise in ``LAYOUT_DIRECTIONS``, give
+every rotation and each edge's kind; the outer face is the walk that takes
+the left perimeter's first vertical downward.  Under that convention the
+canonical root matching consists of the left-perimeter verticals, the
+rising slants of the bottom perimeter, and falling slants everywhere else;
+construction validates this against the flip orientation and fails loudly
+on any mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -65,6 +67,13 @@ VERTICAL = "vertical"
 RISING = "rising"  # left-low to right-up
 FALLING = "falling"  # left-up to right-low
 
+# each colour's three layout directions, clockwise from the (-1, 0) ray
+# with y growing upward: a vertex's rotation lists its edges in this order
+LAYOUT_DIRECTIONS = {
+    WHITE: ((-1, 1), (1, 1), (0, -2)),
+    BLACK: ((0, 2), (1, -1), (-1, -1)),
+}
+
 
 @dataclass(frozen=True)
 class TruncatedParallelogramSpec:
@@ -114,47 +123,6 @@ class TruncatedParallelogram:
 
     def root_matching(self) -> Matching:
         return Matching(tuple(sorted(self.root_edges)))
-
-
-def _clockwise_before(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Negative when direction a comes before b, turning clockwise from
-    (-1, 0) with y growing upward; exact on integer vectors.
-
-    The upper half-plane with the ray (-1, 0) comes first, the lower one
-    with the ray (1, 0) second; inside one half, b is clockwise of a when
-    their cross product is negative.
-    """
-    ha = a[1] < 0 or (a[1] == 0 and a[0] > 0)
-    hb = b[1] < 0 or (b[1] == 0 and b[0] > 0)
-    if ha != hb:
-        return ha - hb
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _clockwise_rotation(coords: Sequence[tuple[int, int]],
-                        edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Per-vertex incident edges sorted clockwise as drawn (y grows upward).
-
-    The few distinct edge directions are ranked once by
-    :func:`_clockwise_before`; each vertex then sorts by rank.
-    """
-    steps = [(coords[v][0] - coords[u][0], coords[v][1] - coords[u][1]) for u, v in edges]
-    directions = set(steps) | {(-dx, -dy) for dx, dy in steps}
-    ordered = sorted(directions, key=cmp_to_key(_clockwise_before))
-    rank = {d: k for k, d in enumerate(ordered)}
-    incident: list[list[tuple[int, int]]] = [[] for _ in coords]
-    for eid, ((u, v), (dx, dy)) in enumerate(zip(edges, steps)):
-        incident[u].append((rank[dx, dy], eid))
-        incident[v].append((rank[-dx, -dy], eid))
-    return [tuple([eid for _, eid in sorted(inc)]) for inc in incident]
-
-
-def _signed_area(steps, coords) -> int:
-    total = 0
-    for _, tail, head in steps:
-        (x1, y1), (x2, y2) = coords[tail], coords[head]
-        total += x1 * y2 - x2 * y1
-    return total
 
 
 def truncated_parallelogram(
@@ -209,15 +177,24 @@ def truncated_parallelogram(
                 edge_pairs.add((min(a, b), max(a, b)))
 
     edges = sorted(edge_pairs)
-    edge_id = {pair: k for k, pair in enumerate(edges)}
     colors = tuple(WHITE if y % 3 == 1 else BLACK for _, y in coords)
-    rotation = _clockwise_rotation(coords, edges)
+    edge_at: dict[tuple[int, tuple[int, int]], int] = {}  # (vertex, direction)
+    kinds: list[str] = []
+    for eid, (u, v) in enumerate(edges):
+        dx, dy = coords[v][0] - coords[u][0], coords[v][1] - coords[u][1]
+        edge_at[u, (dx, dy)] = edge_at[v, (-dx, -dy)] = eid
+        kinds.append(VERTICAL if dx == 0 else RISING if dx * dy > 0 else FALLING)
+    rotation = [
+        [edge_at[v, d] for d in LAYOUT_DIRECTIONS[c] if (v, d) in edge_at]
+        for v, c in enumerate(colors)
+    ]
+
+    # hexagon (1, 1) walks the left perimeter's first vertical upward, the
+    # outer face downward, and each step lies on exactly one traced walk
+    down = (vid_at[U(1, 0)], vid_at[D(1, 0)])
 
     def outer_of(walks: list[list[Step]]) -> int:
-        candidates = [k for k, w in enumerate(walks) if _signed_area(w, coords) > 0]
-        if len(candidates) != 1:
-            raise EmbeddingConflict("hexagon layout produced no unique outer face")
-        return candidates[0]
+        return next(k for k, w in enumerate(walks) if any(s[1:] == down for s in w))
 
     G = _build_graph(colors, edges, rotation, outer_of, caps)
 
@@ -233,8 +210,7 @@ def truncated_parallelogram(
     hexagon_face = {hx: fid for fid, hx in face_hexagon.items()}
 
     def eid_of(p: tuple[int, int], q: tuple[int, int]) -> int:
-        a, b = vid_at[p], vid_at[q]
-        return edge_id[(min(a, b), max(a, b))]
+        return edge_at[vid_at[p], (q[0] - p[0], q[1] - p[1])]
 
     root = set()
     for i in range(1, m + 1):
@@ -251,17 +227,6 @@ def truncated_parallelogram(
         bottom.add(eid_of(D(1, j - 1), valley(1, j)))
         bottom.add(eid_of(valley(1, j), D(1, j)))
 
-    def kind(eid: int) -> str:
-        u, v = edges[eid]
-        (x1, y1), (x2, y2) = coords[u], coords[v]
-        if x1 == x2:
-            return VERTICAL
-        if x1 > x2:
-            (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
-        return RISING if y2 > y1 else FALLING
-
-    kinds = tuple(kind(e) for e in range(len(edges)))
-
     H = TruncatedParallelogram(
         spec=spec,
         graph=G,
@@ -271,7 +236,7 @@ def truncated_parallelogram(
         forcing_edge=eid_of(U(1, 0), D(1, 0)),
         left_perimeter=frozenset(left),
         bottom_perimeter=frozenset(bottom),
-        edge_kind=kinds,
+        edge_kind=tuple(kinds),
     )
 
     # the root is the bottom of the lattice: it has an up-flip, so an

@@ -669,15 +669,23 @@ def is_elementary(G: PlaneBipartiteGraph, matching: Iterable[int]) -> bool:
     vertex 0 reaches every vertex both along the arcs and against them.
     ``elementary_structure`` decides the same by enumeration.
     """
-    chosen = frozenset(matching)
-    along = [0] * G.n_vertices  # vertex masks of each vertex's out-neighbours
-    against = [0] * G.n_vertices
-    for eid, (u, v) in enumerate(G.edges):
-        white, black = (u, v) if G.colors[u] == WHITE else (v, u)
+    return _strongly_connected(G.colors, G.edges, frozenset(matching))
+
+
+def _strongly_connected(
+    colors: Sequence[int], edges: Sequence[tuple[int, int]], chosen: frozenset[int]
+) -> bool:
+    """Whether vertex 0 reaches every vertex along and against the arcs of
+    the connected graph's edges, chosen ones white to black and the rest
+    black to white: :func:`is_elementary` on plain vertex and edge lists."""
+    along = [0] * len(colors)  # vertex masks of each vertex's out-neighbours
+    against = [0] * len(colors)
+    for eid, (u, v) in enumerate(edges):
+        white, black = (u, v) if colors[u] == WHITE else (v, u)
         tail, head = (white, black) if eid in chosen else (black, white)
         along[tail] |= 1 << head
         against[head] |= 1 << tail
-    everyone = (1 << G.n_vertices) - 1
+    everyone = (1 << len(colors)) - 1
     for adj in (along, against):
         seen = frontier = 1
         while frontier:
@@ -759,8 +767,9 @@ def elementary_structure(
 
 def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
     """Whether the cycle mask with the edges strictly inside it, those whose
-    two faces both lie inside, is an elementary graph."""
-    from .matching import _enumerate_on_edges
+    two faces both lie inside, is an elementary graph: the reachability
+    test of :func:`is_elementary` from its first search leaf, if any."""
+    from .matching import _search_tree
 
     inside = _faces_inside(G, mask)
     sub_edges = [
@@ -771,13 +780,10 @@ def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
     verts = sorted({v for eid in sub_edges for v in G.edges[eid]})
     index = {v: i for i, v in enumerate(verts)}
     pairs = [(index[G.edges[eid][0]], index[G.edges[eid][1]]) for eid in sub_edges]
-    sub_matchings = _enumerate_on_edges(len(verts), pairs, G.caps.max_matchings)
-    if not sub_matchings:
+    leaf = next(_search_tree(len(verts), pairs), None)
+    if leaf is None:
         return False
-    used: set[int] = set()
-    for m in sub_matchings:
-        used.update(m)
-    return len(used) == len(pairs)
+    return _strongly_connected([G.colors[v] for v in verts], pairs, frozenset(leaf))
 
 
 # --- e-cuts -----------------------------------------------------------------

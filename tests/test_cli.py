@@ -292,10 +292,28 @@ class TestAnalyze:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["gen", "P(2,2)"], ["verify", "core"]])
+    def test_failed_stdout_write_exit_2(self, argv, capsys):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+
+        with patch.object(sys, "stdout", FullStdout()):
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: ParseError: cannot write standard output: "
+            "[Errno 28] No space left on device\n"
+        )
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--cap-matchings", "-1"), ("--cap-vertices", "0"),
-         ("--cap-inner-faces", "-3")],
+         ("--cap-inner-faces", "-3"), ("--cap-vertices", "abc")],
     )
     def test_cap_below_one_is_usage_error(self, flag, value, hexagon_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -38,6 +38,7 @@ from matchlat.matching import (
 )
 from matchlat.oracles import e_cuts_by_definition, faces_inside_cycle_by_flood
 from matchlat.plane_graph import (
+    _cycle_plus_interior_elementary,
     _e_cut_mask,
     _split_cycles,
     clockwise_cycle,
@@ -50,7 +51,13 @@ from matchlat.plane_graph import (
 )
 from matchlat.verify import _outerplane_case, _small_fixtures
 
-from conftest import c6_description, cycle_oracle_hosts, outerplane_suite_hosts
+from conftest import (
+    c6_description,
+    cycle_oracle_hosts,
+    edited_hosts,
+    outerplane_suite_hosts,
+    without_edges,
+)
 
 
 class TestLoadGraph:
@@ -370,6 +377,45 @@ class TestElementaryStructure:
         assert not es.is_elementary
         assert not es.is_weakly_elementary
         assert 2 in es.forbidden_edges  # the edge into the pendant
+
+    def test_cycle_plus_interior_is_the_enumeration_definition(self):
+        """One search leaf and a reachability test decide what enumerating
+        every perfect matching of the cycle plus its interior decides: that
+        some matching exists and together they use every edge."""
+
+        def by_enumeration(G, mask):
+            cycle = mask_edge_ids(G.n_edges, mask)
+            inside = faces_inside_cycle_by_flood(G, cycle)
+            sub = [
+                G.edges[e] for e in range(G.n_edges)
+                if e in cycle or set(G.edge_faces(e)) <= inside
+            ]
+            index = {v: i for i, v in enumerate(sorted({v for p in sub for v in p}))}
+            pairs = [(index[u], index[v]) for u, v in sub]
+            ms = _enumerate_on_edges(len(index), pairs, 10**9)
+            return bool(ms) and len(set().union(*ms)) == len(pairs)
+
+        hosts = []
+        for G in edited_hosts():
+            hosts.append(G)
+            for e in range(G.n_edges):
+                try:
+                    hosts.append(without_edges(G, {e}))
+                except (Disconnected, StopIteration):
+                    pass
+        verdicts = []
+        for G in hosts:
+            ms = [M.edge_set for M in enumerate_perfect_matchings(G)]
+            masks = {
+                mask
+                for a, b in itertools.combinations(ms, 2)
+                for mask, _ in _split_cycles(G, a ^ b)
+            }
+            for mask in sorted(masks):
+                got = _cycle_plus_interior_elementary(G, mask)
+                assert got == by_enumeration(G, mask), (G.edges, mask)
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
 
 
 class TestECuts:
