@@ -36,9 +36,9 @@ from matchlat.errors import (
 )
 from matchlat.generators import (
     FALLING,
+    LAYOUT_DIRECTIONS,
     PROPER,
     RISING,
-    LAYOUT_DIRECTIONS,
     VERTICAL,
     parallelogram_spec,
     prolate_triangle_spec,
