@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -64,6 +65,12 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()  # so that a full disk shows here, not at exit
         except OSError as exc:
+            # A failed flush keeps the text buffered, and the interpreter's
+            # own flush at exit would fail on it again (exit 120): point the
+            # descriptor at the null device so that flush succeeds.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             raise ParseError(f"cannot write standard output: {exc}") from exc
     else:
         try:

@@ -5,7 +5,7 @@ Hexagonal systems use a brick-wall combinatorial layout with exact
 integer coordinates that exist only inside this module: row 1 is the
 longest row, rows stack upward shifted half a cell to the left, every
 hexagon keeps two vertical edges, and each valley vertex is white.  Each
-colour's three edge directions, clockwise in ``LAYOUT_DIRECTIONS``, give
+colour's three edge directions, clockwise in ``_LAYOUT_DIRECTIONS``, give
 every rotation and each edge's kind; the outer face is the walk that takes
 the left perimeter's first vertical downward.  Under that convention the
 canonical root matching consists of the left-perimeter verticals, the
@@ -69,7 +69,7 @@ FALLING = "falling"  # left-up to right-low
 
 # each colour's three layout directions, clockwise from the (-1, 0) ray
 # with y growing upward: a vertex's rotation lists its edges in this order
-LAYOUT_DIRECTIONS = {
+_LAYOUT_DIRECTIONS = {
     WHITE: ((-1, 1), (1, 1), (0, -2)),
     BLACK: ((0, 2), (1, -1), (-1, -1)),
 }
@@ -185,7 +185,7 @@ def truncated_parallelogram(
         edge_at[u, (dx, dy)] = edge_at[v, (-dx, -dy)] = eid
         kinds.append(VERTICAL if dx == 0 else RISING if dx * dy > 0 else FALLING)
     rotation = [
-        [edge_at[v, d] for d in LAYOUT_DIRECTIONS[c] if (v, d) in edge_at]
+        [edge_at[v, d] for d in _LAYOUT_DIRECTIONS[c] if (v, d) in edge_at]
         for v, c in enumerate(colors)
     ]
 

@@ -90,21 +90,22 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_python(*argv):
+def run_python(*argv, stdout=subprocess.PIPE):
     """Run a fresh interpreter with this test run's copy of the package."""
     src = str(Path(matchlat.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
 
 
-def run_module(args):
+def run_module(args, stdout=subprocess.PIPE):
     """Run ``python -m matchlat`` with this test run's copy of the package."""
-    return run_python("-m", "matchlat", *args)
+    return run_python("-m", "matchlat", *args, stdout=stdout)
 
 
 class TestGenerate:
@@ -292,20 +293,48 @@ class TestAnalyze:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("fails", ["write", "flush"])
     @pytest.mark.parametrize("argv", [["gen", "P(2,2)"], ["verify", "core"]])
-    def test_failed_stdout_write_exit_2(self, argv, capsys):
+    def test_failed_stdout_write_exit_2(self, argv, fails, tmp_path, capsys):
         class FullStdout:
+            def __init__(self, fd):
+                self.fd = fd
+
             def write(self, text):
-                raise OSError(28, "No space left on device")
+                if fails == "write":
+                    raise OSError(28, "No space left on device")
 
             def flush(self):
-                pass
+                if fails == "flush":
+                    raise OSError(28, "No space left on device")
 
-        with patch.object(sys, "stdout", FullStdout()):
-            code = main(argv)
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            with patch.object(sys, "stdout", FullStdout(fh.fileno())):
+                code = main(argv)
+            now = os.fstat(fh.fileno())
         err = capsys.readouterr().err
         assert code == 2
         assert err == (
+            "error: ParseError: cannot write standard output: "
+            "[Errno 28] No space left on device\n"
+        )
+        # what is still buffered goes to the null device at exit
+        null = os.stat(os.devnull)
+        assert (now.st_dev, now.st_ino) == (null.st_dev, null.st_ino)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["gen", "P(2,2)"], ["verify", "core"]])
+    def test_stdout_on_full_device_exit_2(self, argv):
+        # a buffered real process: the small output fails only at flush,
+        # and the interpreter flushes again at exit
+        with open("/dev/full", "w") as full, patch.dict(os.environ):
+            os.environ.pop("PYTHONUNBUFFERED", None)
+            proc = run_module(argv, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == (
             "error: ParseError: cannot write standard output: "
             "[Errno 28] No space left on device\n"
         )

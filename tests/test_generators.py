@@ -36,10 +36,10 @@ from matchlat.errors import (
 )
 from matchlat.generators import (
     FALLING,
-    LAYOUT_DIRECTIONS,
     PROPER,
     RISING,
     VERTICAL,
+    _LAYOUT_DIRECTIONS,
     parallelogram_spec,
     prolate_triangle_spec,
 )
@@ -92,7 +92,7 @@ class TestTruncatedParallelogram:
     def test_layout_directions_are_the_atan2_order(self):
         """Each colour's directions turn clockwise from the (-1, 0) ray:
         the float key -atan2(dy, dx), kept here as the reference, ascends."""
-        for directions in LAYOUT_DIRECTIONS.values():
+        for directions in _LAYOUT_DIRECTIONS.values():
             keys = [-math.atan2(dy, dx) for dx, dy in directions]
             assert keys == sorted(keys) and len(set(keys)) == 3
 
