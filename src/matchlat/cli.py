@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3 size cap
 exceeded, 4 internal error (any other exception; its traceback goes to
 stderr).  All output is deterministic; repeated runs produce identical
 bytes.
+
+``analyze decompose`` reads the factors off the elementary components
+(``ztransform.decomposition_by_components``) on every host whose
+components certify the product, an elementary host among them, and builds
+no lattice there; any other host (a face that is no simple cycle, a
+component face that is no face of the host, no perfect matching) takes
+the lattice route, with the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -32,7 +39,12 @@ from .lattice import central_elements, irreducible_decomposition, lattice_to_jso
 from .matching import enumerate_perfect_matchings
 from .plane_graph import load_graph_file, oriented_dual
 from .verify import run_suite
-from .ztransform import build_z_digraph, face_poset_outerplane, matching_lattice
+from .ztransform import (
+    build_z_digraph,
+    decomposition_by_components,
+    face_poset_outerplane,
+    matching_lattice,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -292,24 +304,31 @@ def cmd_analyze(args) -> int:
         else:
             _emit(_dump_json(lattice_to_json(L)), args.out)
     elif target == "decompose":
-        L = matching_lattice(G)
-        dec = irreducible_decomposition(L)
-        payload = {
-            "lattice_size": L.n,
-            "factors": [F.n for F in dec.factors] or [1],
-            "central_elements": [
-                list(map(int, dec.product_iso[x])) for x in central_elements(L)
-            ],
-        }
+        # the theorem route; the lattice route where its certificate fails
+        answer = decomposition_by_components(G)
+        if answer is None:
+            L = matching_lattice(G)
+            dec = irreducible_decomposition(L)
+            answer = (
+                L.n,
+                [F.n for F in dec.factors] or [1],
+                [list(map(int, dec.product_iso[x])) for x in central_elements(L)],
+            )
+        size, factors, central = answer
         if fmt == "text":
             lines = [
-                f"{len(dec.factors) or 1} irreducible factor(s) of sizes "
-                + ", ".join(str(F.n) for F in dec.factors or [L]),
-                f"central elements: {len(payload['central_elements'])}",
+                f"{len(factors)} irreducible factor(s) of sizes "
+                + ", ".join(map(str, factors)),
+                f"central elements: {len(central)}",
             ]
             _emit("\n".join(lines) + "\n", args.out)
         else:
-            _emit(_dump_json(payload), args.out)
+            _emit(
+                _dump_json(
+                    {"lattice_size": size, "factors": factors, "central_elements": central}
+                ),
+                args.out,
+            )
     elif target == "faceposet":
         F = face_poset_outerplane(G)
         if fmt == "dot":

@@ -280,15 +280,10 @@ def _flip_walk(G: PlaneBipartiteGraph) -> ZDigraph:
     canonical order (see :func:`flip_faces`), so the table is the blocks
     joined in the canonical order of their upper ends, with no sort.
     """
-    G.caps.check_vertices(G.n_vertices)
-    if sum(G.colors) * 2 != G.n_vertices:
-        return ZDigraph((), G.n_edges, ())
-    cap = G.caps.max_matchings
-    count = kasteleyn_count(G)
-    if count is not None and count > cap:
-        raise SizeCapExceeded(f"more than {cap} matchings")
+    count = _capped_count(G)
     if count == 0:
         return ZDigraph((), G.n_edges, ())
+    cap = G.caps.max_matchings
     faces = [(fid, face, white, face ^ white) for fid, face, white in flip_faces(G)]
     index: dict[int, int] = {}  # canonical matching mask -> walk index
     start: list[int] = []  # walk index -> its block's first position in lows
@@ -326,6 +321,21 @@ def _flip_walk(G: PlaneBipartiteGraph) -> ZDigraph:
     table[1::3] = lower
     table[2::3] = face
     return ZDigraph(tuple(masks), G.n_edges, tuple(table))
+
+
+def _capped_count(G: PlaneBipartiteGraph) -> Optional[int]:
+    """G's perfect matchings counted before any search: 0 when the color
+    classes differ in size, and otherwise :func:`kasteleyn_count`, None
+    without a signing.  More vertices or counted matchings than G's caps
+    allow raise :class:`SizeCapExceeded`."""
+    G.caps.check_vertices(G.n_vertices)
+    if sum(G.colors) * 2 != G.n_vertices:
+        return 0
+    count = kasteleyn_count(G)
+    cap = G.caps.max_matchings
+    if count is not None and count > cap:
+        raise SizeCapExceeded(f"more than {cap} matchings")
+    return count
 
 
 def _climb(

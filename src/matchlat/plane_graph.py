@@ -659,46 +659,84 @@ def _clockwise(
 
 
 def is_elementary(G: PlaneBipartiteGraph, matching: Iterable[int]) -> bool:
-    """Whether every edge of G lies in some perfect matching, given one.
+    """Whether every edge of G lies in some perfect matching, given one:
+    G is a single edge, or one elementary component holds every vertex
+    (:func:`elementary_components`).  ``elementary_structure`` decides the
+    same by enumeration.
+    """
+    everyone = (tuple(range(G.n_vertices)),)
+    return G.n_vertices == 2 or elementary_components(G, matching) == everyone
+
+
+def elementary_components(
+    G: PlaneBipartiteGraph, matching: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The vertex sets of G's elementary components, given one perfect
+    matching: each ascending, in the order of their smallest vertex.
 
     Orient the matching's edges white to black and the others black to
     white.  An edge outside the matching lies in another perfect matching
     exactly when it lies on an alternating cycle, which is a directed
-    cycle.  Every arc lies on a directed cycle exactly when each weakly
-    connected piece is strongly connected, and G is connected, so when
-    vertex 0 reaches every vertex both along the arcs and against them.
-    ``elementary_structure`` decides the same by enumeration.
+    cycle, so when its ends share a strong component (Dulmage-Mendelsohn).
+    The strong components of more than one vertex are the elementary
+    components, and each lone vertex keeps its matching edge in every
+    perfect matching.  ``elementary_structure`` finds the same components
+    by enumeration.
     """
-    return _strongly_connected(G.colors, G.edges, frozenset(matching))
+    return _strong_components(G.colors, G.edges, frozenset(matching))
 
 
-def _strongly_connected(
+def _strong_components(
     colors: Sequence[int], edges: Sequence[tuple[int, int]], chosen: frozenset[int]
-) -> bool:
-    """Whether vertex 0 reaches every vertex along and against the arcs of
-    the connected graph's edges, chosen ones white to black and the rest
-    black to white: :func:`is_elementary` on plain vertex and edge lists."""
-    along = [0] * len(colors)  # vertex masks of each vertex's out-neighbours
-    against = [0] * len(colors)
+) -> tuple[tuple[int, ...], ...]:
+    """:func:`elementary_components` on plain vertex and edge lists: the
+    strong components of more than one vertex when the chosen edges run
+    white to black and the rest black to white.  Tarjan's algorithm, over
+    an explicit stack of successor iterators, crosses each arc once."""
+    succ: list[list[int]] = [[] for _ in colors]
     for eid, (u, v) in enumerate(edges):
         white, black = (u, v) if colors[u] == WHITE else (v, u)
-        tail, head = (white, black) if eid in chosen else (black, white)
-        along[tail] |= 1 << head
-        against[head] |= 1 << tail
-    everyone = (1 << len(colors)) - 1
-    for adj in (along, against):
-        seen = frontier = 1
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= reach
-        if seen != everyone:
-            return False
-    return True
+        if eid in chosen:
+            succ[white].append(black)
+        else:
+            succ[black].append(white)
+    order = [0] * len(succ)  # discovery number from 1; 0 before the visit
+    low = [0] * len(succ)
+    done = [False] * len(succ)  # its strong component is complete
+    stack: list[int] = []
+    found: list[tuple[int, ...]] = []
+    count = 0
+    for root in range(len(succ)):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        todo = [(root, iter(succ[root]))]
+        while todo:
+            v, arcs = todo[-1]
+            for w in arcs:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    todo.append((w, iter(succ[w])))
+                    break
+                if not done[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                todo.pop()
+                if todo and low[v] < low[todo[-1][0]]:
+                    low[todo[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    while not done[v]:
+                        w = stack.pop()
+                        done[w] = True
+                        members.append(w)
+                    if len(members) > 1:
+                        found.append(tuple(sorted(members)))
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -767,8 +805,9 @@ def elementary_structure(
 
 def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
     """Whether the cycle mask with the edges strictly inside it, those whose
-    two faces both lie inside, is an elementary graph: the reachability
-    test of :func:`is_elementary` from its first search leaf, if any."""
+    two faces both lie inside, is an elementary graph: one strong
+    component, as in :func:`is_elementary`, from its first search leaf, if
+    any."""
     from .matching import _search_tree
 
     inside = _faces_inside(G, mask)
@@ -783,7 +822,8 @@ def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
     leaf = next(_search_tree(len(verts), pairs), None)
     if leaf is None:
         return False
-    return _strongly_connected([G.colors[v] for v in verts], pairs, frozenset(leaf))
+    comps = _strong_components([G.colors[v] for v in verts], pairs, frozenset(leaf))
+    return comps == (tuple(range(len(verts))),)
 
 
 # --- e-cuts -----------------------------------------------------------------

@@ -20,12 +20,19 @@ proper m-alternating.  The walk makes the test at the arc's upper end
 m, and certifies the arcs acyclic by its order.
 ``matching.classify_alternating_faces`` is the per-matching reference for
 the same test.
+
+:func:`decomposition_by_components` answers ``analyze decompose`` with no
+lattice: on a host whose elementary components certify the product (each
+bounded face of a component is a face of the host), M(G) is the product
+of the components' irreducible lattices.  That covers every elementary
+host; hosts with a face that is no simple cycle, a component face that is
+no face of the host, or no perfect matching take the lattice route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .derive import per_object
 from .errors import (
@@ -52,14 +59,20 @@ from .matching import (
     PROPER,
     Matching,
     ZDigraph,
+    _capped_count,
+    _climb,
     _difference_cycles,
     _flip_walk,
+    _search_tree,
     enumerate_perfect_matchings,
+    flip_faces,
     matching_index,
 )
 from .plane_graph import (
     PlaneBipartiteGraph,
     _faces_inside,
+    edge_mask,
+    elementary_components,
     is_outerplane_2connected,
     oriented_dual,
 )
@@ -104,6 +117,86 @@ def matching_poset(G: PlaneBipartiteGraph) -> FinitePoset:
 def matching_lattice(G: PlaneBipartiteGraph) -> FiniteLattice:
     """The full matching lattice; fails if the host is not weakly elementary."""
     return lattice_from_poset(matching_poset(G))
+
+
+def decomposition_by_components(
+    G: PlaneBipartiteGraph,
+) -> Optional[tuple[int, list[int], list[list[int]]]]:
+    """M(G)'s size, its irreducible factors' sizes and its central
+    elements' coordinates, as ``irreducible_decomposition`` and
+    ``central_elements`` of :func:`matching_lattice` give them, read off
+    G's elementary components; None when the product certificate below
+    does not hold, or G has no perfect matching or no Kasteleyn signing.
+    The caps are those of the enumeration, with its messages.
+
+    M(G) is the product of its elementary components' lattices, each
+    irreducible (the source paper; Zhang & Zhang, Discrete Appl. Math.
+    105, 2000), once every bounded face of each component is a face of
+    G: the certificate is that |E_c| - |V_c| + 1 of the simple-cycle
+    faces (Euler) have their boundary in component c's edges.  With at
+    most one component the Kasteleyn count is the whole answer.  With
+    more, each component's flip walk from the branch search's first leaf
+    gives its size (the sizes must multiply to the count), its top,
+    bottom and join-irreducibles, those with one lower cover.  In M(G)
+    an irreducible of factor c, or the central element of c, is the
+    global bottom with c's part swapped: a larger mask is a smaller
+    lattice index, so the factors go by their largest such irreducible
+    and the central elements by descending mask.
+    """
+    count = _capped_count(G)
+    if not count:
+        return None
+    leaf = next(_search_tree(G.n_vertices, G.edges))
+    comps = elementary_components(G, leaf)
+    label = [-1] * G.n_vertices
+    for c, verts in enumerate(comps):
+        for v in verts:
+            label[v] = c
+    top = G.n_edges - 1
+    edges = [0] * len(comps)  # each component's edges, as a canonical mask
+    for eid, (u, v) in enumerate(G.edges):
+        if label[u] >= 0 and label[u] == label[v]:
+            edges[label[u]] |= 1 << top - eid
+    faces: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
+    for fid, face, white in flip_faces(G):
+        c = label[G.edges[top + 1 - face.bit_length()][0]]  # by its lowest edge
+        if c >= 0 and not face & ~edges[c]:
+            faces[c].append((fid, face, white, face ^ white))
+    if any(
+        len(fs) != mask.bit_count() - len(verts) + 1
+        for fs, mask, verts in zip(faces, edges, comps)
+    ):
+        return None
+    if len(comps) < 2:
+        return count, [count], []
+    m = edge_mask(G.n_edges, leaf)
+    bottom = m
+    walks = []  # per component: size, top, bottom and irreducibles, as masks
+    size = 1
+    for fs in faces:
+        index: dict[int, int] = {}
+        start: list[int] = []
+        lows: list[int] = []
+        _climb(m, fs, index, start, lows, [], count)
+        start.append(len(lows))
+        below = [b - a for a, b in zip(start, start[1:])]
+        masks = list(index)  # in walk order, the top first
+        floor = masks[below.index(0)]
+        walks.append((len(masks), masks[0], floor,
+                      [x for x, k in zip(masks, below) if k == 1]))
+        bottom ^= m ^ floor
+        size *= len(masks)
+    if size != count:
+        return None
+    walks.sort(key=lambda w: max(bottom ^ w[2] ^ j for j in w[3]), reverse=True)
+    sizes = [n for n, _, _, _ in walks]
+    central = sorted(
+        ((bottom ^ floor ^ high, c) for c, (_, high, floor, _) in enumerate(walks)),
+        reverse=True,
+    )
+    return count, sizes, [
+        [n - 1 if k == c else 0 for k, n in enumerate(sizes)] for _, c in central
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import settings
 
@@ -13,6 +16,7 @@ from matchlat import (
     truncated_parallelogram,
 )
 from matchlat.caps import DEFAULT_CAPS
+from matchlat.errors import Disconnected
 from matchlat.matching import (
     PROPER,
     classify_alternating_faces,
@@ -24,6 +28,7 @@ from matchlat.verify import (
     MAX_ORIENTATIONS,
     MAX_TREE_NODES,
     _TREES_UP_TO_6,
+    _all_profiles,
     _orientations,
     _small_fixtures,
 )
@@ -113,6 +118,18 @@ def pendant_description():
             "7": [7],
         },
         "outer_face": 1,
+    }
+
+
+def no_matching_description():
+    """A tree whose two white leaves hang off one black vertex: the color
+    classes have one size, yet no perfect matching covers both leaves."""
+    return {
+        "vertices": [{"id": v, "color": "white" if v in (0, 2, 3) else "black"}
+                     for v in range(6)],
+        "edges": [[1, 2], [1, 3], [1, 0], [0, 4], [0, 5]],
+        "rotation": {"0": [2, 3, 4], "1": [0, 1, 2], "2": [0], "3": [1],
+                     "4": [3], "5": [4]},
     }
 
 
@@ -240,3 +257,52 @@ def edited_hosts():
         link_components([C6, load_graph(pendant_description()), C6]).graph,
         nested_squares(),
     ]
+
+
+def relabelled(G, rng):
+    """G with its vertex and edge ids permuted by rng: the same plane graph
+    under other names, its outer face found again by one of its steps."""
+    vmap = list(range(G.n_vertices))
+    emap = list(range(G.n_edges))
+    rng.shuffle(vmap)
+    rng.shuffle(emap)
+    colors = [0] * G.n_vertices
+    edges = [None] * G.n_edges
+    rotation = [None] * G.n_vertices
+    for v, c in enumerate(G.colors):
+        colors[vmap[v]] = c
+        rotation[vmap[v]] = [emap[e] for e in G.rotation[v]]
+    for e, (u, v) in enumerate(G.edges):
+        edges[emap[e]] = (vmap[u], vmap[v])
+    e, t, h = G.faces[G.outer_face].steps[0]
+    step = (emap[e], vmap[t], vmap[h])
+    outer = next(i for i, w in enumerate(_trace_rotation(edges, rotation)) if step in w)
+    return build_graph(colors, edges, rotation, outer, G.caps)
+
+
+def decomposition_hosts():
+    """Hosts on which ``analyze decompose``'s routes are compared: the
+    cycle-oracle and outerplane-suite hosts, the edited hosts, every row
+    profile of at most 8 hexagons, 2- and 3-part linked products, every
+    one-edge deletion of the edited hosts and the linked products that
+    stays connected, the linked products relabelled by seeded
+    permutations, and a host with no perfect matching."""
+    hosts = cycle_oracle_hosts() + list(outerplane_suite_hosts()) + edited_hosts()
+    hosts += [truncated_parallelogram(TruncatedParallelogramSpec(rows)).graph
+              for rows in _all_profiles(8)]
+    parts = [parse_spec(spec).graph
+             for spec in ("L(1)", "P(2,1)", "P(2,2)", "T(2)", "tree:1>2,3>2")]
+    linked = [link_components([a, b]).graph
+              for a, b in itertools.product(parts, repeat=2)]
+    linked += [link_components(list(trio)).graph
+               for trio in itertools.combinations_with_replacement(parts[:4], 3)]
+    hosts += linked
+    for G in edited_hosts() + linked[:8]:
+        for e in range(G.n_edges):
+            try:
+                hosts.append(without_edges(G, {e}))
+            except (Disconnected, StopIteration):
+                pass
+    rng = random.Random(31)
+    hosts += [relabelled(G, rng) for G in linked for _ in range(2)]
+    return hosts + [load_graph(no_matching_description())]

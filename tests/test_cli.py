@@ -16,7 +16,13 @@ from matchlat import cli
 from matchlat.cli import _dump_json, main
 from matchlat.errors import Disconnected
 
-from conftest import edited_hosts, without_edges
+from conftest import (
+    edited_hosts,
+    nested_squares,
+    no_matching_description,
+    pendant_description,
+    without_edges,
+)
 
 EDITED_HOSTS = edited_hosts()
 ANALYZE_TARGETS = (
@@ -239,6 +245,51 @@ class TestAnalyze:
         data = json.loads(stdout)
         assert sorted(data["factors"]) == [2, 3]
         assert len(data["central_elements"]) == 2
+
+    @pytest.mark.parametrize("host, error", [
+        ("pendant", "NotALattice: elements Matching(edge_ids=(0, 4, 6, 7)), "
+                    "Matching(edge_ids=(1, 3, 5, 7)) have no meet"),
+        ("C6+pendant+C6", "NotALattice: elements Matching(edge_ids=(0, 3, 5, 6, 10, "
+                          "12, 13, 15, 18, 20)), Matching(edge_ids=(0, 3, 5, 7, 9, 11, "
+                          "13, 15, 18, 20)) have no meet"),
+        ("nested squares", "NotALattice: elements Matching(edge_ids=(0, 2, 4, 6)), "
+                           "Matching(edge_ids=(1, 3, 4, 6)) have no meet"),
+    ])
+    def test_decompose_refuses_uncertified_non_lattices(self, host, error, tmp_path,
+                                                        capsys):
+        # a face that is no simple cycle, or a component face that is no
+        # face of the host: the lattice route runs and refuses as before
+        pendant = matchlat.load_graph(pendant_description())
+        C6 = matchlat.parse_spec("L(1)").graph
+        G = {"pendant": pendant,
+             "C6+pendant+C6": matchlat.link_components([C6, pendant, C6]).graph,
+             "nested squares": nested_squares()}[host]
+        path = tmp_path / "host.json"
+        path.write_text(json.dumps(G.to_json()))
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(["analyze", str(path), "decompose",
+                                      "--format", fmt], capsys)
+            assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    def test_decompose_without_a_perfect_matching(self, tmp_path, capsys):
+        path = tmp_path / "host.json"
+        path.write_text(json.dumps(no_matching_description()))
+        code, out, err = run_cli(["analyze", str(path), "decompose"], capsys)
+        assert (code, out, err) == (
+            2, "", "error: NoPerfectMatching: graph has no perfect matching\n"
+        )
+
+    @pytest.mark.parametrize("cap, error", [
+        (["--cap-matchings", "5"], "more than 5 matchings"),
+        (["--cap-vertices", "15"], "16 vertices exceeds cap 15"),
+    ])
+    def test_decompose_over_a_cap_exits_3(self, cap, error, tmp_path, capsys):
+        path = tmp_path / "p22.json"
+        run_cli(["gen", "P(2,2)", "--out", str(path)], capsys)
+        for fmt in ("json", "text"):
+            code, out, err = run_cli([*cap, "analyze", str(path), "decompose",
+                                      "--format", fmt], capsys)
+            assert (code, out, err) == (3, "", f"error: {error}\n")
 
     def test_cap_exceeded_exit_3(self, tmp_path, capsys):
         path = tmp_path / "p33.json"

@@ -6,7 +6,8 @@ degree 3 or more among them), of every `analyze` target and format on
 four small hosts, the JSON of the 12-node fence's matchings, flip
 digraph and lattice, the JSON of the 18-node fence's matchings and flip
 digraph, the JSON of the 20-node fence's matchings, flip digraph, lattice
-and decomposition, and the JSON report of `verify all`, so a refactor that changes any output
+and decomposition, the JSON of the 16-leaf in-star's decomposition, and
+the JSON report of `verify all`, so a refactor that changes any output
 fails here.
 Regenerate the table only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -53,7 +54,7 @@ LARGE_CASES = tuple(
 ) + tuple(
     f"analyze {FENCE_20} {target} --format json"
     for target in ("zdig", "matchings", "lattice", "decompose")
-) + ("verify all --format json",)
+) + (f"analyze {IN_STAR_16} decompose --format json", "verify all --format json")
 
 
 def cases() -> list[str]:
@@ -69,7 +70,7 @@ def cases() -> list[str]:
 
 def write_hosts(directory) -> dict[str, str]:
     paths = {}
-    for host in HOSTS + (FENCE_12, FENCE_18, FENCE_20):
+    for host in HOSTS + (FENCE_12, FENCE_18, FENCE_20, IN_STAR_16):
         if host == "C6+L(2,1)":
             parts = [parse_spec("L(1)").graph, parse_spec("P(2,1)").graph]
             G = link_components(parts).graph
@@ -203,6 +204,7 @@ GOLDEN = {
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 matchings --format json': '0 546b9782e42a1c099b6d159a558381d080b783eaf12e7bd29acc5f513adfac75',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 lattice --format json': '0 0ec4b95ddc74e2040057cff7a517ff21b86e4a539a27b183a8ca2eabad471cd1',
     'analyze tree:1>2,3>2,3>4,5>4,5>6,7>6,7>8,9>8,9>10,11>10,11>12,13>12,13>14,15>14,15>16,17>16,17>18,19>18,19>20 decompose --format json': '0 81b6555d868de73bd145bf4dc3722840a602e8667c6462ff1fb838afcb5fb0a9',
+    'analyze tree:2>1,3>1,4>1,5>1,6>1,7>1,8>1,9>1,10>1,11>1,12>1,13>1,14>1,15>1,16>1,17>1 decompose --format json': '0 ba6619cc54ae66c3b9db2fead37b9ea655256a562993a0f6b449f18921c1bc8b',
     'verify all --format json': '0 39920ecdff122e01e20f322891fc8ad73fa7958a899d3ef069245672379f935d',
 }
 
@@ -230,6 +232,26 @@ def test_fence_20_zdig_json_builds_no_matching(host_paths, monkeypatch):
 
     monkeypatch.setattr(matching, "_edge_ids", refuse)
     case = f"analyze {FENCE_20} zdig --format json"
+    assert run_case(case, host_paths) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", [
+    f"analyze {FENCE_20} decompose --format json",
+    f"analyze {IN_STAR_16} decompose --format json",
+    "analyze C6+L(2,1) decompose --format json",
+    "analyze C6+L(2,1) decompose --format text",
+])
+def test_certified_decompose_builds_no_lattice(case, host_paths, monkeypatch):
+    # hosts whose elementary components certify the product are answered
+    # from the components, with no enumeration and no lattice
+    from matchlat import cli, matching, ztransform
+
+    def refuse(*args):
+        raise AssertionError("a lattice or flip walk was built")
+
+    for module, name in ((cli, "matching_lattice"), (ztransform, "matching_lattice"),
+                         (matching, "_flip_walk"), (ztransform, "_flip_walk")):
+        monkeypatch.setattr(module, name, refuse)
     assert run_case(case, host_paths) == GOLDEN[case]
 
 

@@ -34,6 +34,7 @@ from matchlat.matching import (
     _enumerate_on_edges,
     _flip_walk,
     _matching_mask,
+    _search_tree,
     classify_cycle,
 )
 from matchlat.oracles import e_cuts_by_definition, faces_inside_cycle_by_flood
@@ -45,7 +46,9 @@ from matchlat.plane_graph import (
     dual_tree,
     dual_tree_paths,
     edge_mask,
+    elementary_components,
     incident_edge_masks,
+    is_elementary,
     is_outerplane_2connected,
     mask_edge_ids,
 )
@@ -54,6 +57,7 @@ from matchlat.verify import _outerplane_case, _small_fixtures
 from conftest import (
     c6_description,
     cycle_oracle_hosts,
+    decomposition_hosts,
     edited_hosts,
     outerplane_suite_hosts,
     without_edges,
@@ -349,6 +353,20 @@ class TestElementaryStructure:
             assert not es.forbidden_edges
             assert len(es.elementary_components) == 1
 
+    def test_strong_components_are_the_elementary_components(self):
+        """From the branch search's first leaf, the strong components are
+        the enumeration's elementary components, on every host that has a
+        perfect matching."""
+        checked = 0
+        for G in decomposition_hosts():
+            leaf = next(_search_tree(G.n_vertices, G.edges), None)
+            if leaf is None:
+                continue
+            es = elementary_structure(G, check_weak=False)
+            assert elementary_components(G, leaf) == es.elementary_components
+            checked += 1
+        assert checked > 900
+
     def test_linked_hexagons(self, hexagon_gen):
         linked = link_components([hexagon_gen.graph, hexagon_gen.graph])
         es = elementary_structure(linked.graph)
@@ -370,6 +388,9 @@ class TestElementaryStructure:
         )
         es = elementary_structure(G)
         assert es.is_elementary
+        # one edge is elementary, though no arc of it lies on a cycle
+        assert is_elementary(G, [0])
+        assert elementary_components(G, [0]) == es.elementary_components == ()
         assert es.elementary_components == ()
 
     def test_pendant_not_weakly_elementary(self, pendant):

@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -25,14 +26,17 @@ from matchlat import (
     truncated_parallelogram,
     verify_iso_matchings_ideals,
 )
-from matchlat.caps import DEFAULT_CAPS
+from matchlat.caps import DEFAULT_CAPS, SizeCaps
 from matchlat.errors import (
     CycleDetected,
     DirectedCycleInInnerDual,
     HasseMismatch,
     IsoFailure,
+    MatchlatError,
     MultipleSinks,
     MultipleSources,
+    NoPerfectMatching,
+    NotALattice,
     NotAMatching,
     NotAPath,
     NotComparable,
@@ -76,11 +80,13 @@ from matchlat.ztransform import (
     _delta_counts,
     _path_face_counts,
     certify_ideal_map,
+    decomposition_by_components,
     directed_paths,
 )
 
 from conftest import (
     c6_description,
+    decomposition_hosts,
     outerplane_suite_hosts,
     pendant_description,
     reference_arcs,
@@ -855,6 +861,52 @@ class TestLinkedLattice:
         dec = irreducible_decomposition(L)
         assert sorted(F.n for F in dec.factors) == [2, 2, 3]
         assert len(central_elements(L)) == 3
+
+
+def lattice_route(G):
+    """``analyze decompose``'s answer from the whole lattice, or the
+    error that route raises."""
+    try:
+        L = matching_lattice(G)
+        dec = irreducible_decomposition(L)
+    except MatchlatError as exc:
+        return exc
+    return (
+        L.n,
+        [F.n for F in dec.factors] or [1],
+        [list(map(int, dec.product_iso[x])) for x in central_elements(L)],
+    )
+
+
+class TestDecompositionByComponents:
+    def test_agrees_with_the_lattice_route(self):
+        """On every host it answers, the theorem route gives the lattice
+        route's size, factors and central rows, in the same order; every
+        host it declines is one the lattice route refuses."""
+        answered = multi = unique = 0
+        refusals = set()
+        for G in decomposition_hosts():
+            got, want = decomposition_by_components(G), lattice_route(G)
+            if got is None:
+                assert isinstance(want, MatchlatError), want
+                refusals.add(type(want))
+            else:
+                assert got == want
+                answered += 1
+                multi += len(got[1]) > 1
+                unique += got[1] == [1]
+        assert answered > 800 and multi > 200 and unique > 0
+        assert refusals == {NotALattice, NoPerfectMatching}
+
+    @pytest.mark.parametrize("caps, message", [
+        (SizeCaps(max_matchings=5), "more than 5 matchings"),
+        (SizeCaps(max_vertices=15), "16 vertices exceeds cap 15"),
+    ])
+    def test_caps_bind_as_in_the_enumeration(self, caps, message):
+        G = replace(parse_spec("P(2,2)").graph, caps=caps)
+        for route in (decomposition_by_components, enumerate_perfect_matchings):
+            with pytest.raises(SizeCapExceeded, match=f"^{message}$"):
+                route(G)
 
 
 def test_derived_data_dies_with_its_graph():
