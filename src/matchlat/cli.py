@@ -7,10 +7,10 @@ bytes.
 
 ``analyze decompose`` reads the factors off the elementary components
 (``ztransform.decomposition_by_components``) on every host whose
-components certify the product, an elementary host among them, and builds
-no lattice there; any other host (a face that is no simple cycle, a
-component face that is no face of the host, no perfect matching) takes
-the lattice route, with the same bytes and errors.
+components' bounded faces are faces of the host, an elementary host among
+them, and builds no lattice there; any other host (a face that is no
+simple cycle, a component face that is no face of the host, no perfect
+matching) takes the lattice route, with the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def cmd_analyze(args) -> int:
         else:
             _emit(_dump_json(lattice_to_json(L)), args.out)
     elif target == "decompose":
-        # the theorem route; the lattice route where its certificate fails
+        # the theorem route; the lattice route on the hosts it declines
         answer = decomposition_by_components(G)
         if answer is None:
             L = matching_lattice(G)

@@ -22,11 +22,12 @@ m, and certifies the arcs acyclic by its order.
 the same test.
 
 :func:`decomposition_by_components` answers ``analyze decompose`` with no
-lattice: on a host whose elementary components certify the product (each
-bounded face of a component is a face of the host), M(G) is the product
-of the components' irreducible lattices.  That covers every elementary
-host; hosts with a face that is no simple cycle, a component face that is
-no face of the host, or no perfect matching take the lattice route.
+lattice: when each bounded face of each elementary component is a face
+of the host, M(G) is the product of the components' irreducible
+lattices.  That covers every host with a Kasteleyn count and at most one
+component, an elementary host among them; hosts with a face that is no
+simple cycle, a component face that is no face of the host, or no
+perfect matching take the lattice route.
 """
 
 from __future__ import annotations
@@ -125,20 +126,24 @@ def decomposition_by_components(
     """M(G)'s size, its irreducible factors' sizes and its central
     elements' coordinates, as ``irreducible_decomposition`` and
     ``central_elements`` of :func:`matching_lattice` give them, read off
-    G's elementary components; None when the product certificate below
-    does not hold, or G has no perfect matching or no Kasteleyn signing.
-    The caps are those of the enumeration, with its messages.
+    G's elementary components; None when G has no perfect matching or no
+    Kasteleyn signing, or the component walks below do not multiply to
+    the count.  The caps are those of the enumeration, with its messages.
 
     M(G) is the product of its elementary components' lattices, each
     irreducible (the source paper; Zhang & Zhang, Discrete Appl. Math.
     105, 2000), once every bounded face of each component is a face of
-    G: the certificate is that |E_c| - |V_c| + 1 of the simple-cycle
-    faces (Euler) have their boundary in component c's edges.  With at
-    most one component the Kasteleyn count is the whole answer.  With
-    more, each component's flip walk from the branch search's first leaf
-    gives its size (the sizes must multiply to the count), its top,
-    bottom and join-irreducibles, those with one lower cover.  In M(G)
-    an irreducible of factor c, or the central element of c, is the
+    G.  With at most one component that always holds, and the Kasteleyn
+    count is the whole answer: the singletons of D(leaf) inside a bounded
+    face of the component meet it by arcs all pointing one way (both
+    ways would close a cycle through it), so one of them is a source or
+    sink of D(leaf), a vertex of degree 1, and the inner face around it
+    is no simple cycle, which leaves no signing.  With more, each
+    component's flip walk from the branch search's first leaf gives its
+    size, its top, bottom and join-irreducibles, those with one lower
+    cover.  A component face that is no face of G is never flipped, so
+    its walk falls short and the sizes do not multiply to the count.  In
+    M(G) an irreducible of factor c, or the central element of c, is the
     global bottom with c's part swapped: a larger mask is a smaller
     lattice index, so the factors go by their largest such irreducible
     and the central elements by descending mask.
@@ -148,6 +153,8 @@ def decomposition_by_components(
         return None
     leaf = next(_search_tree(G.n_vertices, G.edges))
     comps = elementary_components(G, leaf)
+    if len(comps) < 2:
+        return count, [count], []
     label = [-1] * G.n_vertices
     for c, verts in enumerate(comps):
         for v in verts:
@@ -162,13 +169,6 @@ def decomposition_by_components(
         c = label[G.edges[top + 1 - face.bit_length()][0]]  # by its lowest edge
         if c >= 0 and not face & ~edges[c]:
             faces[c].append((fid, face, white, face ^ white))
-    if any(
-        len(fs) != mask.bit_count() - len(verts) + 1
-        for fs, mask, verts in zip(faces, edges, comps)
-    ):
-        return None
-    if len(comps) < 2:
-        return count, [count], []
     m = edge_mask(G.n_edges, leaf)
     bottom = m
     walks = []  # per component: size, top, bottom and irreducibles, as masks

@@ -242,7 +242,7 @@ def test_fence_20_zdig_json_builds_no_matching(host_paths, monkeypatch):
     "analyze C6+L(2,1) decompose --format text",
 ])
 def test_certified_decompose_builds_no_lattice(case, host_paths, monkeypatch):
-    # hosts whose elementary components certify the product are answered
+    # hosts whose elementary components' faces are faces of the host are answered
     # from the components, with no enumeration and no lattice
     from matchlat import cli, matching, ztransform
 
