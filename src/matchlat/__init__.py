@@ -35,8 +35,6 @@ from .matching import (
     all_alternating_cycles,
     classify_alternating_faces,
     enumerate_perfect_matchings,
-    forcing_edges,
-    symmetric_difference_cycles,
 )
 from .plane_graph import (
     BLACK,
@@ -44,8 +42,6 @@ from .plane_graph import (
     DualDigraph,
     FaceWalk,
     PlaneBipartiteGraph,
-    elementary_structure,
-    faces_inside_cycle,
     find_e_cuts,
     load_graph,
     load_graph_file,
@@ -56,12 +52,10 @@ from .ztransform import (
     ExtremalMatchings,
     ZDigraph,
     build_z_digraph,
-    delta_cycle_count,
     extremal_matchings,
     face_poset_outerplane,
     matching_lattice,
     matching_poset,
-    path_face_multiplicity,
     sigma,
     verify_iso_matchings_ideals,
 )
@@ -71,7 +65,6 @@ from .generators import (
     TruncatedParallelogramSpec,
     hexagon_poset,
     link_components,
-    matching_geometry,
     parallelogram_spec,
     parse_spec,
     prolate_triangle_spec,

@@ -34,7 +34,7 @@ from .export import (
     poset_to_dot,
     zdigraph_to_dot,
 )
-from .generators import parse_spec
+from .generators import parse_spec, plain_int
 from .lattice import central_elements, irreducible_decomposition, lattice_to_json
 from .matching import enumerate_perfect_matchings
 from .plane_graph import load_graph_file, oriented_dual
@@ -62,9 +62,10 @@ def _caps_from_args(args) -> SizeCaps:
 
 
 def _cap(text: str) -> int:
-    """A size cap from the command line: an integer of at least 1."""
+    """A size cap from the command line: an integer of at least 1, spelt
+    as :func:`~generators.plain_int` reads it."""
     try:
-        if (value := int(text)) >= 1:
+        if (value := plain_int(text)) >= 1:
             return value
     except ValueError:
         pass

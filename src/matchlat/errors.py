@@ -75,10 +75,6 @@ class MultipleSinks(MatchlatError):
     """More than one sink matching; carries the component breakdown."""
 
 
-class NotComparable(MatchlatError):
-    """The two matchings are not comparable in the matching order."""
-
-
 class NotAPath(MatchlatError):
     """A matching sequence is not a directed path of the flip digraph."""
 

@@ -42,7 +42,6 @@ from .matching import (
     PROPER,
     Matching,
     _alternating_faces,
-    check_matching,
     classify_alternating_faces,
     enumerate_perfect_matchings,
     kasteleyn_count,
@@ -258,45 +257,27 @@ def hexagon_poset(spec: TruncatedParallelogramSpec) -> FinitePoset:
     return young_poset(spec.rows)
 
 
-@dataclass(frozen=True, eq=False)
-class SubparallelogramView:
-    """Geometry of one matching: its root cycle, hexagon set, and path."""
-
-    host: TruncatedParallelogram
-    matching: Matching
-    cycle_edges: frozenset[int]  # empty for the root matching
-    hexagons: frozenset  # (row, col) labels bounded by the cycle
-    path_edges: frozenset[int]
-
-
-def matching_geometry(
-    H: TruncatedParallelogram, M: Matching
-) -> SubparallelogramView:
-    """Compute and certify the matching's cycle/hexagon-set/path structure.
-
-    Checks, exhaustively for this matching: the cycle passes through the
-    forcing edge, the path is M-alternating with both end edges in M,
-    every edge of M off the path is a falling slant, and every
-    M-alternating hexagon shares exactly three consecutive edges with the
-    path and is proper exactly when it lies in the hexagon set (an ideal,
-    as :func:`verify_iso_parallelogram` certifies).
-    """
-    check_matching(H.graph, M)
-    return _geometry(H, M)[0]
-
-
 def _geometry(
     H: TruncatedParallelogram, M: Matching
-) -> tuple[SubparallelogramView, list[tuple[int, str]]]:
-    """:func:`matching_geometry` of a matching known to be a perfect
-    matching of H, with its alternating faces as
-    :func:`~matching.classify_alternating_faces` tags them."""
+) -> tuple[frozenset, list[tuple[int, str]]]:
+    """Certify the cycle, hexagon set and path of a matching known to be a
+    perfect matching of H; return the hexagon set, as (row, col) labels,
+    and the matching's alternating faces as
+    :func:`~matching.classify_alternating_faces` tags them.
+
+    Checks, exhaustively for this matching: the difference with the root
+    matching is one cycle through the forcing edge, the path is
+    M-alternating with both end edges in M, every edge of M off the path
+    is a falling slant, and every M-alternating hexagon shares exactly
+    three consecutive edges with the path and is proper exactly when it
+    lies in the hexagon set (an ideal, as :func:`verify_iso_parallelogram`
+    certifies).
+    """
     G = H.graph
     in_m = M.edge_set  # built once: Matching.edge_set makes a new frozenset
     diff = in_m ^ H.root_edges
     lb = H.left_perimeter | H.bottom_perimeter
     if not diff:
-        cycle: frozenset[int] = frozenset()
         hexes: frozenset = frozenset()
         path = frozenset(lb)
     else:
@@ -321,10 +302,7 @@ def _geometry(
             )
     faces = _alternating_faces(G, in_m)
     _check_alternating_hexagons(H, faces, path, hexes)
-    view = SubparallelogramView(
-        host=H, matching=M, cycle_edges=cycle, hexagons=hexes, path_edges=path
-    )
-    return view, faces
+    return hexes, faces
 
 
 def _check_alternating_path(
@@ -423,8 +401,8 @@ def verify_iso_parallelogram(H: TruncatedParallelogram) -> ParallelogramIso:
     images: list[frozenset] = []
     faces: list[list[tuple[int, str]]] = []
     for M in order.labels:
-        view, tags = _geometry(H, M)
-        images.append(view.hexagons)
+        hexes, tags = _geometry(H, M)
+        images.append(hexes)
         faces.append(tags)
     P = hexagon_poset(H.spec)
     certify_ideal_map(order, images, P)
@@ -751,39 +729,52 @@ def _link_pair(
 # --- spec strings -------------------------------------------------------------
 
 
+def plain_int(text: str) -> int:
+    """The integer a command-line word spells as ``-?[0-9]+``.
+
+    ``int`` also takes ``_``, a ``+`` sign, surrounding spaces and every
+    Unicode decimal digit; those raise ValueError here, with ``int``'s own
+    message, so that no other spelling is coerced to a number.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_spec(text: str, caps: SizeCaps = DEFAULT_CAPS):
     """Parse a CLI generator spec into a built object.
 
     Forms: ``L(r1,...,rm)`` rows, ``P(m,n)`` parallelogram, ``T(m)``
     staircase profile, ``tree:u>v,...`` oriented tree (a bare ``tree:n``
-    is the one-node tree).
+    is the one-node tree).  Each number is :func:`plain_int`.
     """
     s = text.strip()
     try:
         if s.startswith("tree:"):
             body = s[len("tree:"):]
             if ">" not in body:
-                node = int(body)
+                node = plain_int(body)
                 return tree_to_outerplane(OrientedTree((node,), ()), caps=caps)
             arcs = []
             for part in body.split(","):
                 u, v = part.split(">")
-                arcs.append((int(u), int(v)))
+                arcs.append((plain_int(u), plain_int(v)))
             nodes = tuple(sorted({x for arc in arcs for x in arc}))
             return tree_to_outerplane(OrientedTree(nodes, tuple(arcs)), caps=caps)
         if s.startswith("L(") and s.endswith(")"):
-            rows = tuple(int(x) for x in s[2:-1].split(","))
+            rows = tuple(plain_int(x) for x in s[2:-1].split(","))
             return truncated_parallelogram(TruncatedParallelogramSpec(rows), caps)
         # P and T check the hexagon count before building their rows
         if s.startswith("P(") and s.endswith(")"):
-            m, n = (int(x) for x in s[2:-1].split(","))
+            m, n = (plain_int(x) for x in s[2:-1].split(","))
             if n < 1:
                 m = min(m, 1)  # one row already shows the bad length
             elif m >= 1:
                 caps.check_inner_faces(m * n)
             return truncated_parallelogram(parallelogram_spec(m, n), caps)
         if s.startswith("T(") and s.endswith(")"):
-            (m,) = (int(x) for x in s[2:-1].split(","))
+            (m,) = (plain_int(x) for x in s[2:-1].split(","))
             if m >= 1:
                 caps.check_inner_faces(m * (m + 1) // 2)
             return truncated_parallelogram(prolate_triangle_spec(m), caps)

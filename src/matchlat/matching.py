@@ -28,11 +28,11 @@ Alternating cycles are checked and split in one place,
 ``plane_graph._split_cycles``: it refuses an edge set that is not
 2-regular and walks each cycle once with ``walk_cycle``, from its
 smallest edge, giving its mask and canonical edge sequence.
-``classify_cycle`` and the difference routes classify those walks as
-they are: Jordan parity on the mask gives the interior and each edge's
-clockwise step.  A difference of two enumerated matchings is 2-regular
-as it stands: ``all_alternating_cycles`` walks it straight from the
-walk's own masks, ``ZDigraph.masks``, with no second check.
+The difference routes classify those walks as they are: Jordan parity
+on the mask gives the interior and each edge's clockwise step.  A
+difference of two enumerated matchings is 2-regular as it stands:
+``all_alternating_cycles`` walks it straight from the walk's own masks,
+``ZDigraph.masks``, with no second check.
 ``oracles.faces_inside_cycle_by_flood`` is the independent route to the
 interiors.
 """
@@ -45,12 +45,11 @@ from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .derive import per_object
-from .errors import CycleDetected, NoPerfectMatching, NotACycle, NotAMatching, SizeCapExceeded
+from .errors import CycleDetected, NotAMatching, SizeCapExceeded
 from .plane_graph import (
     WHITE,
     PlaneBipartiteGraph,
     Step,
-    _checked_walk,
     _clockwise,
     _split_cycles,
     dual_tree,
@@ -576,26 +575,13 @@ def _alternating_faces(
     return out
 
 
-def classify_cycle(
-    G: PlaneBipartiteGraph, M: Matching, cycle_edges: Iterable[int]
-) -> AlternatingCycleReport:
-    """Classify one M-alternating cycle as proper/improper w.r.t. M.
-
-    One walk checks the cycle and gives its canonical edge sequence; the
-    perfect matching M alternates on it exactly when it holds half its
-    edges.  Jordan parity gives the interior and each edge's clockwise step.
-    """
-    mask, steps = _checked_walk(G, cycle_edges)
-    if (mask & _matching_mask(G, M)).bit_count() * 2 != len(steps):
-        raise NotACycle("cycle is not M-alternating")
-    return _classified(G, M.edge_set, mask, steps)
-
-
 def _classified(
     G: PlaneBipartiteGraph, mset: frozenset[int], mask: int, steps: list[Step]
 ) -> AlternatingCycleReport:
-    """:func:`classify_cycle` of a cycle already walked by
-    ``plane_graph._split_cycles``, for the matching with edge set mset."""
+    """Classify one alternating cycle, already walked by
+    ``plane_graph._split_cycles``, as proper or improper with respect to
+    the matching with edge set mset.  Jordan parity gives the interior and
+    each edge's clockwise step."""
     steps, inside = _clockwise(G, mask, steps)
     classes = {
         PROPER if G.colors[tail] == WHITE else IMPROPER
@@ -613,34 +599,14 @@ def _classified(
     )
 
 
-def symmetric_difference_cycles(
-    G: PlaneBipartiteGraph, M1: Matching, M2: Matching
-) -> list[AlternatingCycleReport]:
-    """Decompose M1 xor M2 into disjoint cycles, classified w.r.t. M1."""
-    check_matching(G, M1)
-    check_matching(G, M2)
-    return _difference_cycles(G, M1, M2)
-
-
 def _difference_cycles(G: PlaneBipartiteGraph, M1: Matching, M2: Matching) -> list:
-    """The same, for two matchings known to be perfect matchings of G."""
+    """Decompose M1 xor M2 into disjoint cycles, classified with respect to
+    M1, for two matchings known to be perfect matchings of G."""
     mset = M1.edge_set
     return [
         _classified(G, mset, mask, steps)
         for mask, steps in _split_cycles(G, mset ^ M2.edge_set)
     ]
-
-
-def forcing_edges(G: PlaneBipartiteGraph) -> frozenset[int]:
-    """Edges contained in exactly one perfect matching."""
-    matchings = enumerate_perfect_matchings(G)
-    if not matchings:
-        raise NoPerfectMatching("graph has no perfect matching")
-    count = [0] * G.n_edges
-    for M in matchings:
-        for eid in M.edge_ids:
-            count[eid] += 1
-    return frozenset(eid for eid, c in enumerate(count) if c == 1)
 
 
 def all_alternating_cycles(

@@ -4,17 +4,18 @@ These deliberately re-derive results by a different route than the main
 implementations (edge-subset recursion instead of vertex branching,
 subset filtering instead of extension DFS, cycle DFS instead of
 symmetric differences, definition chasing instead of dual cycles,
-flooding the dual instead of Jordan parity) and exist only to
-cross-check them at small sizes.
+flooding the dual instead of Jordan parity, enumeration instead of
+strong components) and exist only to cross-check them at small sizes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .caps import SizeCaps
 from .derive import component_labels
-from .errors import SizeCapExceeded
+from .errors import NoPerfectMatching, SizeCapExceeded
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -23,8 +24,14 @@ from .lattice import (
     lattice_isomorphic,
     order_ideal_lattice,
 )
-from .matching import Matching
-from .plane_graph import PlaneBipartiteGraph, mask_edge_ids
+from .matching import Matching, _search_tree, enumerate_perfect_matchings
+from .plane_graph import (
+    PlaneBipartiteGraph,
+    _faces_inside,
+    _split_cycles,
+    _strong_components,
+    mask_edge_ids,
+)
 
 
 def count_matchings_bruteforce(G: PlaneBipartiteGraph) -> int:
@@ -167,3 +174,89 @@ def distributive_by_birkhoff(L: FiniteLattice) -> bool:
     if J.n != L.n:
         return False
     return lattice_isomorphic(L, J).isomorphic
+
+
+@dataclass(frozen=True)
+class ElementaryStructure:
+    forbidden_edges: frozenset[int]
+    elementary_components: tuple[tuple[int, ...], ...]
+    is_elementary: bool
+    is_weakly_elementary: bool
+
+
+def elementary_structure(
+    G: PlaneBipartiteGraph, check_weak: bool = True
+) -> ElementaryStructure:
+    """Classify forbidden edges and elementary components by enumeration.
+
+    The weak-elementarity check enumerates, for every perfect matching M
+    and every M-alternating cycle, whether the cycle together with its
+    interior induces an elementary subgraph.  It is an exhaustive oracle
+    gated by the size caps, not a scalable algorithm.  Weak elementarity
+    is what ``ztransform.matching_lattice`` needs: the flip digraph is
+    connected exactly when G is weakly elementary (Zhang & Zhang, Discrete
+    Appl. Math. 105, 2000).
+    """
+    matchings = enumerate_perfect_matchings(G)
+    if not matchings:
+        raise NoPerfectMatching("graph has no perfect matching")
+
+    allowed: set[int] = set()
+    for M in matchings:
+        allowed.update(M.edge_ids)
+    forbidden = frozenset(range(G.n_edges)) - frozenset(allowed)
+
+    # components of G minus forbidden edges
+    members: dict[int, list[int]] = {}
+    for v, label in enumerate(
+        component_labels(G.n_vertices, (G.edges[eid] for eid in allowed))
+    ):
+        members.setdefault(label, []).append(v)
+    elementary_components = tuple(tuple(c) for c in members.values() if len(c) > 2)
+
+    is_elementary = not forbidden
+
+    is_weak = True
+    if check_weak:
+        seen_cycles: set[int] = set()
+        for i in range(len(matchings)):
+            for j in range(i + 1, len(matchings)):
+                diff = matchings[i].edge_set ^ matchings[j].edge_set
+                for mask, _ in _split_cycles(G, diff):
+                    if mask in seen_cycles:
+                        continue
+                    seen_cycles.add(mask)
+                    if not _cycle_plus_interior_elementary(G, mask):
+                        is_weak = False
+        if is_elementary and not is_weak:
+            raise AssertionError(
+                "elementary graph classified as not weakly elementary (bug)"
+            )
+
+    return ElementaryStructure(
+        forbidden_edges=forbidden,
+        elementary_components=elementary_components,
+        is_elementary=is_elementary,
+        is_weakly_elementary=is_weak,
+    )
+
+
+def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
+    """Whether the cycle mask with the edges strictly inside it, those whose
+    two faces both lie inside, is an elementary graph: one strong
+    component, as in ``plane_graph.is_elementary``, from its first search
+    leaf, if any."""
+    inside = _faces_inside(G, mask)
+    sub_edges = [
+        eid
+        for eid in range(G.n_edges)
+        if mask >> G.n_edges - 1 - eid & 1 or all(f in inside for f in G.edge_faces(eid))
+    ]
+    verts = sorted({v for eid in sub_edges for v in G.edges[eid]})
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = [(index[G.edges[eid][0]], index[G.edges[eid][1]]) for eid in sub_edges]
+    leaf = next(_search_tree(len(verts), pairs), None)
+    if leaf is None:
+        return False
+    comps = _strong_components([G.colors[v] for v in verts], pairs, frozenset(leaf))
+    return comps == (tuple(range(len(verts))),)

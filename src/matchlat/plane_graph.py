@@ -42,7 +42,6 @@ from .errors import (
     EulerViolation,
     ImproperColoring,
     InputRequired,
-    NoPerfectMatching,
     NotACycle,
     NotBipartite,
     NotOuterplane,
@@ -159,10 +158,6 @@ class PlaneBipartiteGraph:
     def edge_faces(self, edge_id: int) -> tuple[int, int]:
         (f1, _, _), (f2, _, _) = self.edge_traversals[edge_id]
         return f1, f2
-
-    def is_bridge(self, edge_id: int) -> bool:
-        f1, f2 = self.edge_faces(edge_id)
-        return f1 == f2
 
     def to_json(self) -> dict:
         return {
@@ -591,18 +586,6 @@ def _split_cycles(
     return cycles
 
 
-def _checked_walk(
-    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
-) -> tuple[int, list[Step]]:
-    """The mask and canonical walk of an edge set that must be one simple cycle."""
-    cycles = _split_cycles(G, cycle_edges)
-    if not cycles:
-        raise NotACycle("empty edge set")
-    if len(cycles) > 1:
-        raise NotACycle("edge set is a union of several cycles")
-    return cycles[0]
-
-
 def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
     """Faces whose dual tree path crosses the cycle mask an odd number of times."""
     return frozenset(
@@ -610,31 +593,11 @@ def _faces_inside(G: PlaneBipartiteGraph, mask: int) -> frozenset[int]:
     )
 
 
-def faces_inside_cycle(
-    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
-) -> frozenset[int]:
-    """Inner faces on the interior side of a cycle, by Jordan parity.
-
-    A face is inside when its path in a BFS tree of the dual, rooted at
-    the outer face, crosses the cycle an odd number of times.
-    ``oracles.faces_inside_cycle_by_flood`` finds the same faces by
-    flooding the dual.
-    """
-    return _faces_inside(G, _checked_walk(G, cycle_edges)[0])
-
-
-def clockwise_cycle(
-    G: PlaneBipartiteGraph, cycle_edges: Iterable[int]
-) -> tuple[list[Step], frozenset[int]]:
-    """A checked cycle's canonical walk with each step turned clockwise, and
-    the inner faces inside it."""
-    return _clockwise(G, *_checked_walk(G, cycle_edges))
-
-
 def _clockwise(
     G: PlaneBipartiteGraph, mask: int, steps: list[Step]
 ) -> tuple[list[Step], frozenset[int]]:
-    """:func:`clockwise_cycle` of a cycle already walked by :func:`_split_cycles`.
+    """A cycle already walked by :func:`_split_cycles`, with each step
+    turned clockwise, and the faces inside it.
 
     The clockwise orientation of a cycle is the orientation its interior
     faces use: every cycle edge is traversed by exactly one face inside
@@ -661,8 +624,8 @@ def _clockwise(
 def is_elementary(G: PlaneBipartiteGraph, matching: Iterable[int]) -> bool:
     """Whether every edge of G lies in some perfect matching, given one:
     G is a single edge, or one elementary component holds every vertex
-    (:func:`elementary_components`).  ``elementary_structure`` decides the
-    same by enumeration.
+    (:func:`elementary_components`).  ``oracles.elementary_structure``
+    decides the same by enumeration.
     """
     everyone = (tuple(range(G.n_vertices)),)
     return G.n_vertices == 2 or elementary_components(G, matching) == everyone
@@ -680,8 +643,8 @@ def elementary_components(
     cycle, so when its ends share a strong component (Dulmage-Mendelsohn).
     The strong components of more than one vertex are the elementary
     components, and each lone vertex keeps its matching edge in every
-    perfect matching.  ``elementary_structure`` finds the same components
-    by enumeration.
+    perfect matching.  ``oracles.elementary_structure`` finds the same
+    components by enumeration.
     """
     return _strong_components(G.colors, G.edges, frozenset(matching))
 
@@ -737,93 +700,6 @@ def _strong_components(
                     if len(members) > 1:
                         found.append(tuple(sorted(members)))
     return tuple(sorted(found))
-
-
-@dataclass(frozen=True)
-class ElementaryStructure:
-    forbidden_edges: frozenset[int]
-    elementary_components: tuple[tuple[int, ...], ...]
-    is_elementary: bool
-    is_weakly_elementary: bool
-
-
-def elementary_structure(
-    G: PlaneBipartiteGraph, check_weak: bool = True
-) -> ElementaryStructure:
-    """Classify forbidden edges and elementary components by enumeration.
-
-    The weak-elementarity check enumerates, for every perfect matching M
-    and every M-alternating cycle, whether the cycle together with its
-    interior induces an elementary subgraph.  It is an exhaustive oracle
-    gated by the size caps, not a scalable algorithm.
-    """
-    from .matching import enumerate_perfect_matchings
-
-    matchings = enumerate_perfect_matchings(G)
-    if not matchings:
-        raise NoPerfectMatching("graph has no perfect matching")
-
-    allowed: set[int] = set()
-    for M in matchings:
-        allowed.update(M.edge_ids)
-    forbidden = frozenset(range(G.n_edges)) - frozenset(allowed)
-
-    # components of G minus forbidden edges
-    members: dict[int, list[int]] = {}
-    for v, label in enumerate(
-        component_labels(G.n_vertices, (G.edges[eid] for eid in allowed))
-    ):
-        members.setdefault(label, []).append(v)
-    elementary_components = tuple(tuple(c) for c in members.values() if len(c) > 2)
-
-    is_elementary = not forbidden
-
-    is_weak = True
-    if check_weak:
-        seen_cycles: set[int] = set()
-        for i in range(len(matchings)):
-            for j in range(i + 1, len(matchings)):
-                diff = matchings[i].edge_set ^ matchings[j].edge_set
-                for mask, _ in _split_cycles(G, diff):
-                    if mask in seen_cycles:
-                        continue
-                    seen_cycles.add(mask)
-                    if not _cycle_plus_interior_elementary(G, mask):
-                        is_weak = False
-        if is_elementary and not is_weak:
-            raise AssertionError(
-                "elementary graph classified as not weakly elementary (bug)"
-            )
-
-    return ElementaryStructure(
-        forbidden_edges=forbidden,
-        elementary_components=elementary_components,
-        is_elementary=is_elementary,
-        is_weakly_elementary=is_weak,
-    )
-
-
-def _cycle_plus_interior_elementary(G: PlaneBipartiteGraph, mask: int) -> bool:
-    """Whether the cycle mask with the edges strictly inside it, those whose
-    two faces both lie inside, is an elementary graph: one strong
-    component, as in :func:`is_elementary`, from its first search leaf, if
-    any."""
-    from .matching import _search_tree
-
-    inside = _faces_inside(G, mask)
-    sub_edges = [
-        eid
-        for eid in range(G.n_edges)
-        if mask >> G.n_edges - 1 - eid & 1 or all(f in inside for f in G.edge_faces(eid))
-    ]
-    verts = sorted({v for eid in sub_edges for v in G.edges[eid]})
-    index = {v: i for i, v in enumerate(verts)}
-    pairs = [(index[G.edges[eid][0]], index[G.edges[eid][1]]) for eid in sub_edges]
-    leaf = next(_search_tree(len(verts), pairs), None)
-    if leaf is None:
-        return False
-    comps = _strong_components([G.colors[v] for v in verts], pairs, frozenset(leaf))
-    return comps == (tuple(range(len(verts))),)
 
 
 # --- e-cuts -----------------------------------------------------------------

@@ -45,7 +45,6 @@ from .errors import (
     NoPerfectMatching,
     NotAMatching,
     NotAPath,
-    NotComparable,
     NotOuterplane,
     ParseError,
     SizeCapExceeded,
@@ -237,28 +236,12 @@ def extremal_matchings(G: PlaneBipartiteGraph) -> ExtremalMatchings:
 # --- signed cycle counts and face multiplicities -----------------------------
 
 
-def delta_cycle_count(
-    G: PlaneBipartiteGraph, M: Matching, M2: Matching, face_id: int
-) -> int:
-    """Signed count of alternating cycles of M xor M2 enclosing a face.
-
-    Cycles proper with respect to M count +1, improper ones -1; requires
-    M2 below M in the matching order, which forces the count to be >= 0.
-    """
-    idx = matching_index(G)
-    try:
-        i, j = idx[M], idx[M2]
-    except KeyError as exc:
-        raise NotAMatching(f"{exc} is not a perfect matching of the graph") from None
-    if not matching_poset(G).leq(j, i):
-        raise NotComparable("second matching is not below the first")
-    return _delta_counts(G, M, M2).get(face_id, 0)
-
-
 def _delta_counts(G: PlaneBipartiteGraph, M: Matching, M2: Matching) -> dict[int, int]:
-    """:func:`delta_cycle_count` of every face at once, by face id (faces no
-    cycle encloses are absent), for enumerated matchings M2 below M: one
-    decomposition of M xor M2."""
+    """The signed count of the alternating cycles of M xor M2 that enclose
+    each face, by face id (faces no cycle encloses are absent): cycles
+    proper with respect to M count +1, improper ones -1.  For enumerated
+    matchings M2 below M, which forces every count to be >= 0; one
+    decomposition of M xor M2 gives them all."""
     counts: dict[int, int] = {}
     for rep in _difference_cycles(G, M, M2):
         sign = 1 if rep.orientation_class == PROPER else -1
@@ -269,21 +252,9 @@ def _delta_counts(G: PlaneBipartiteGraph, M: Matching, M2: Matching) -> dict[int
     return counts
 
 
-def path_face_multiplicity(
-    G: PlaneBipartiteGraph, path: Sequence[Matching], face_id: int
-) -> int:
-    """Multiplicity of a face among the arc labels of a directed flip path."""
-    idx = matching_index(G)
-    try:
-        nodes = [idx[M] for M in path]
-    except KeyError as exc:
-        raise NotAPath(f"unknown matching {exc}") from exc
-    return _path_face_counts(G, nodes).get(face_id, 0)
-
-
 def _path_face_counts(G: PlaneBipartiteGraph, nodes: Sequence[int]) -> dict[int, int]:
-    """:func:`path_face_multiplicity` of every face at once, by face id (faces
-    never flipped are absent), for a path given as matching indices: one
+    """How often each face labels an arc of a directed flip path, given as
+    matching indices, by face id (faces never flipped are absent): one
     walk along it."""
     face_of = build_z_digraph(G).face_of
     counts: dict[int, int] = {}

@@ -19,11 +19,12 @@ from matchlat.caps import DEFAULT_CAPS
 from matchlat.errors import Disconnected
 from matchlat.matching import (
     PROPER,
+    _classified,
     classify_alternating_faces,
     enumerate_perfect_matchings,
     matching_index,
 )
-from matchlat.plane_graph import WHITE, _trace_rotation, build_graph
+from matchlat.plane_graph import WHITE, _split_cycles, _trace_rotation, build_graph
 from matchlat.verify import (
     MAX_ORIENTATIONS,
     MAX_TREE_NODES,
@@ -182,6 +183,13 @@ def cycle_oracle_hosts():
                 hosts.append(tree_to_outerplane(tree).graph)
     hosts.append(load_graph(pendant_description()))
     return hosts
+
+
+def cycle_report(G, M, cycle_edges):
+    """One M-alternating cycle's report, as the difference routes make it:
+    the one walk ``_split_cycles`` gives, classified by ``_classified``."""
+    ((mask, steps),) = _split_cycles(G, cycle_edges)
+    return _classified(G, M.edge_set, mask, steps)
 
 
 def outerplane_suite_hosts():

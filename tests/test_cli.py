@@ -168,6 +168,19 @@ class TestGenerate:
         assert code == 2
         assert err.startswith("error: InvalidRowLengths: ")
 
+    @pytest.mark.parametrize("spec", [
+        "P(2_0,1)", "P(\uff12,2)", "P(+2,2)", "P( 2,2)", "T(\u0663)", "L(3,_2)",
+        "tree:1>2_0", "tree:+7",
+    ])
+    def test_spec_numbers_are_plain_integers(self, spec, capsys):
+        """Only ``-?[0-9]+`` is a number: ``int`` would read each of these
+        as some size, from a digit separator, a sign, a space or a
+        non-ASCII digit."""
+        code, stdout, err = run_cli(["gen", spec], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.count("error:") == 1
+        assert err.startswith(f"error: ParseError: cannot parse generator spec {spec!r}: ")
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(["gen", "L(3,2,1)"], capsys)
         _, out2, _ = run_cli(["gen", "L(3,2,1)"], capsys)
@@ -393,13 +406,18 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flag, value",
         [("--cap-matchings", "-1"), ("--cap-vertices", "0"),
-         ("--cap-inner-faces", "-3"), ("--cap-vertices", "abc")],
+         ("--cap-inner-faces", "-3"), ("--cap-vertices", "abc"),
+         # int() would read these as 1000, 10, 64 and 5
+         ("--cap-matchings", "1_000"), ("--cap-matchings", "\u0661\u0660"),
+         ("--cap-vertices", "+64"), ("--cap-inner-faces", " 5")],
     )
     def test_cap_below_one_is_usage_error(self, flag, value, hexagon_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main([flag, value, "analyze", hexagon_file, "matchings"])
         assert exc.value.code == 2
-        assert "expected an integer >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "expected an integer >= 1" in err
 
     def test_graph_dot(self, hexagon_file, capsys):
         code, stdout, _ = run_cli(

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import itertools
 import math
@@ -9,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from matchlat import generators, matching
 from matchlat import (
-    Matching,
     OrientedTree,
     TruncatedParallelogramSpec,
     enumerate_perfect_matchings,
     hexagon_poset,
     link_components,
     load_graph,
-    matching_geometry,
     matching_lattice,
     parse_spec,
     tree_to_outerplane,
@@ -29,7 +28,6 @@ from matchlat.errors import (
     InvalidRowLengths,
     IsoFailure,
     NoPerfectMatching,
-    NotAMatching,
     NotATree,
     ParseError,
     SizeCapExceeded,
@@ -40,6 +38,7 @@ from matchlat.generators import (
     RISING,
     VERTICAL,
     _LAYOUT_DIRECTIONS,
+    _geometry,
     parallelogram_spec,
     prolate_triangle_spec,
 )
@@ -174,37 +173,36 @@ class TestHexagonPoset:
 
 class TestMatchingGeometry:
     def test_root_has_empty_cycle(self, pyrene):
-        view = matching_geometry(pyrene, pyrene.root_matching())
-        assert view.cycle_edges == frozenset()
-        assert view.hexagons == frozenset()
-        assert view.path_edges == pyrene.left_perimeter | pyrene.bottom_perimeter
+        hexes, tags = _geometry(pyrene, pyrene.root_matching())
+        assert hexes == frozenset()
+        assert all(cls != PROPER for _, cls in tags)
 
     def test_source_bounds_everything(self, pyrene):
         from matchlat import extremal_matchings
 
         ext = extremal_matchings(pyrene.graph)
-        view = matching_geometry(pyrene, ext.source)
-        assert view.hexagons == frozenset(pyrene.hexagon_face)
+        hexes, _ = _geometry(pyrene, ext.source)
+        assert hexes == frozenset(pyrene.hexagon_face)
 
     def test_order_equals_inclusion(self, pyrene):
         P = matching_poset(pyrene.graph)
-        views = [matching_geometry(pyrene, M) for M in P.labels]
-        n = len(views)
+        images = [_geometry(pyrene, M)[0] for M in P.labels]
+        n = len(images)
         for a in range(n):
             for b in range(n):
-                assert P.leq(a, b) == (views[a].hexagons <= views[b].hexagons)
+                assert P.leq(a, b) == (images[a] <= images[b])
 
     def test_every_matching_validates(self, t2):
-        for M in enumerate_perfect_matchings(t2.graph):
-            view = matching_geometry(t2, M)
-            if view.cycle_edges:
-                assert t2.forcing_edge in view.cycle_edges
-
-    def test_non_matching_is_refused(self, pyrene):
-        root = pyrene.root_matching()
-        for edge_ids in ((0,), root.edge_ids[1:], root.edge_ids + (pyrene.graph.n_edges,)):
-            with pytest.raises(NotAMatching):
-                matching_geometry(pyrene, Matching(edge_ids))
+        """Every root difference is one cycle through the forcing edge: a
+        difference that missed it would be refused."""
+        ms = enumerate_perfect_matchings(t2.graph)
+        for M in ms:
+            _geometry(t2, M)
+        elsewhere = dataclasses.replace(t2, forcing_edge=-1)
+        for M in ms:
+            if M != t2.root_matching():
+                with pytest.raises(IsoFailure, match="misses the forcing edge"):
+                    _geometry(elsewhere, M)
 
     def test_path_check_refusals(self):
         """The root's path passes.  A path plus a disjoint hexagon, which
@@ -262,8 +260,7 @@ class TestParallelogramIso:
             classified.append(mset)
             return classify(G, mset)
 
-        for module in (generators, matching):
-            monkeypatch.setattr(module, "check_matching", lambda G, M: checked.append(M))
+        monkeypatch.setattr(matching, "check_matching", lambda G, M: checked.append(M))
         monkeypatch.setattr(generators, "_alternating_faces", counted)
         verify_iso_parallelogram(pyrene)
         assert checked == []
@@ -272,11 +269,10 @@ class TestParallelogramIso:
         assert len(classified) == len(ms)
 
     def test_only_minimum_left_vertical_is_forcing_everywhere(self):
-        from matchlat import forcing_edges
-
         for rows in [(1,), (2, 1), (2, 2), (3, 2, 1), (4, 2)]:
             H = truncated_parallelogram(TruncatedParallelogramSpec(rows))
-            assert H.forcing_edge in forcing_edges(H.graph)
+            ms = enumerate_perfect_matchings(H.graph)
+            assert sum(H.forcing_edge in M.edge_ids for M in ms) == 1
 
 
 class TestTreeToOuterplane:

@@ -10,10 +10,8 @@ from matchlat import (
     all_alternating_cycles,
     classify_alternating_faces,
     enumerate_perfect_matchings,
-    forcing_edges,
     link_components,
     parse_spec,
-    symmetric_difference_cycles,
     truncated_parallelogram,
 )
 from matchlat import generators, matching, plane_graph
@@ -30,23 +28,24 @@ from matchlat.matching import (
     PROPER,
     AlternatingCycleReport,
     _abs_det,
+    _difference_cycles,
     _enumerate_on_edges,
     _search_tree,
-    classify_cycle,
     kasteleyn_count,
     matching_index,
 )
 from matchlat.oracles import (
     alternating_cycles_dfs,
     count_matchings_bruteforce,
+    elementary_structure,
     faces_inside_cycle_by_flood,
 )
 from matchlat.plane_graph import (
     WHITE,
+    _clockwise,
+    _faces_inside,
     _split_cycles,
-    clockwise_cycle,
-    elementary_structure,
-    faces_inside_cycle,
+    edge_mask,
     is_elementary,
 )
 from matchlat.verify import _all_profiles, _saturated_chains, _small_fixtures
@@ -54,6 +53,7 @@ from matchlat.ztransform import build_z_digraph, extremal_matchings, matching_po
 
 from conftest import (
     cycle_oracle_hosts,
+    cycle_report,
     edited_hosts,
     fence,
     nested_squares,
@@ -240,11 +240,11 @@ class TestAlternatingFaces:
 class TestSymmetricDifference:
     def test_identity_empty(self, c6):
         m1, _ = enumerate_perfect_matchings(c6)
-        assert symmetric_difference_cycles(c6, m1, m1) == []
+        assert _difference_cycles(c6, m1, m1) == []
 
     def test_c6_single_cycle(self, c6):
         m1, m2 = enumerate_perfect_matchings(c6)
-        reports = symmetric_difference_cycles(c6, m1, m2)
+        reports = _difference_cycles(c6, m1, m2)
         assert len(reports) == 1
         assert reports[0].edge_set == frozenset(range(6))
         assert reports[0].enclosed_faces == frozenset(c6.inner_face_ids)
@@ -252,7 +252,7 @@ class TestSymmetricDifference:
     def test_pyrene_extremes_give_boundary(self, pyrene):
         G = pyrene.graph
         ext = extremal_matchings(G)
-        reports = symmetric_difference_cycles(G, ext.source, ext.root)
+        reports = _difference_cycles(G, ext.source, ext.root)
         assert len(reports) == 1
         assert reports[0].orientation_class == PROPER
         assert reports[0].enclosed_faces == frozenset(G.inner_face_ids)
@@ -262,7 +262,7 @@ class TestSymmetricDifference:
         ms = enumerate_perfect_matchings(G)
         for M1 in ms:
             for M2 in ms:
-                for rep in symmetric_difference_cycles(G, M1, M2):
+                for rep in _difference_cycles(G, M1, M2):
                     assert M1.flip(rep.edge_set).flip(rep.edge_set) == M1
 
     def test_cycle_is_canonical_sequence(self, t2, pyrene):
@@ -270,14 +270,14 @@ class TestSymmetricDifference:
             ms = enumerate_perfect_matchings(G)
             for M1 in ms:
                 for M2 in ms:
-                    for rep in symmetric_difference_cycles(G, M1, M2):
+                    for rep in _difference_cycles(G, M1, M2):
                         cyc = rep.cycle
                         assert cyc[0] == min(rep.edge_set)
                         assert cyc[1] < cyc[-1]
                         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                             assert set(G.edges[a]) & set(G.edges[b])
                         assert sorted(cyc) == sorted(rep.edge_set)
-                        assert classify_cycle(G, M1, reversed(cyc)) == rep
+                        assert cycle_report(G, M1, reversed(cyc)) == rep
 
 
     def test_cycles_of_edge_set_split(self, t2, pyrene):
@@ -294,7 +294,7 @@ class TestSymmetricDifference:
                 assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
                 assert sum(len(c) for c in cycles) == len(diff)
                 assert frozenset().union(*cycles) == diff
-                reps = symmetric_difference_cycles(G, M1, M2)
+                reps = _difference_cycles(G, M1, M2)
                 assert cycles == [rep.edge_set for rep in reps]
 
     def test_each_walk_starts_at_its_lowest_edge(self):
@@ -310,34 +310,14 @@ class TestSymmetricDifference:
             _split_cycles(c6, frozenset(range(5)))
         assert list(_split_cycles(c6, frozenset())) == []
 
-    def test_classify_cycle_refuses_what_is_no_alternating_cycle(self):
-        G = parse_spec("P(1,1)").graph
-        with pytest.raises(NotAMatching):
-            classify_cycle(G, Matching((0,)), G.faces[G.inner_face_ids[0]].edge_ids)
-        # every inner face of P(2,2) against every matching: the faces
-        # classify_alternating_faces tags classify alike, the rest are refused
-        G = parse_spec("P(2,2)").graph
-        refused = 0
-        for M in enumerate_perfect_matchings(G):
-            tags = dict(classify_alternating_faces(G, M))
-            for fid in G.inner_face_ids:
-                cycle = G.faces[fid].edge_ids
-                if fid in tags:
-                    assert classify_cycle(G, M, cycle).orientation_class == tags[fid]
-                else:
-                    refused += 1
-                    with pytest.raises(NotACycle, match="not M-alternating"):
-                        classify_cycle(G, M, cycle)
-        assert refused
-
 
 def cycle_sets(G, edge_ids):
     """The cycles of a 2-regular edge set, as edge-id sets."""
     return [frozenset(eid for eid, _, _ in steps) for _, steps in _split_cycles(G, edge_ids)]
 
 
-def classify_cycle_by_flood(G, M, cycle):
-    """Reference for ``classify_cycle``: each edge's clockwise step is that
+def cycle_report_by_flood(G, M, cycle):
+    """Reference for ``cycle_report``: each edge's clockwise step is that
     of the one face walk inside the flooded interior, and the sequence is
     chained along those steps from the smallest edge toward its smaller-id
     neighbour."""
@@ -372,9 +352,9 @@ class TestCycleRoutesAgainstFlood:
             for M1, M2 in itertools.permutations(ms, 2):
                 for cyc in cycle_sets(G, M1.edge_set ^ M2.edge_set):
                     inside = faces_inside_cycle_by_flood(G, cyc)
-                    assert faces_inside_cycle(G, cyc) == inside
-                    rep = classify_cycle(G, M1, cyc)
-                    assert rep == classify_cycle_by_flood(G, M1, cyc)
+                    assert _faces_inside(G, edge_mask(G.n_edges, cyc)) == inside
+                    rep = cycle_report(G, M1, cyc)
+                    assert rep == cycle_report_by_flood(G, M1, cyc)
                     assert rep.enclosed_faces == inside
 
     def test_split_orders_several_cycles_by_smallest_edge(self):
@@ -390,8 +370,8 @@ class TestCycleRoutesAgainstFlood:
                 assert [min(c) for c in cycles] == sorted(min(c) for c in cycles)
                 assert frozenset().union(*cycles) == diff
                 assert sum(map(len, cycles)) == len(diff)
-                for c in cycles:
-                    steps, _ = clockwise_cycle(G, c)
+                for c, (mask, steps) in zip(cycles, _split_cycles(G, diff)):
+                    steps, _ = _clockwise(G, mask, steps)
                     assert {eid for eid, _, _ in steps} == c
         assert several > 0
 
@@ -414,12 +394,12 @@ class TestOneWalkPerCycle:
                 monkeypatch.setattr(module, "walk_cycle", counted)
         return calls
 
-    def test_symmetric_difference_cycles(self, walks, t2, pyrene):
+    def test_difference_cycles(self, walks, t2, pyrene):
         for G in (t2.graph, pyrene.graph):
             ms = enumerate_perfect_matchings(G)
             for M1, M2 in itertools.permutations(ms, 2):
                 walks.clear()
-                reports = symmetric_difference_cycles(G, M1, M2)
+                reports = _difference_cycles(G, M1, M2)
                 assert len(walks) == len(reports) > 0
 
     def test_all_alternating_cycles(self, walks, t2, pyrene):
@@ -431,26 +411,35 @@ class TestOneWalkPerCycle:
                 assert all_alternating_cycles(G, M)
                 assert len(walks) == len(ms) - 1
 
-    def test_matching_geometry(self, walks, pyrene):
+    def test_parallelogram_geometry(self, walks, pyrene):
         root = pyrene.root_matching()
         for M in enumerate_perfect_matchings(pyrene.graph):
             walks.clear()
-            generators.matching_geometry(pyrene, M)
+            generators._geometry(pyrene, M)
             assert len(walks) == (M != root)
+
+
+def forcing(G):
+    """The edges that lie in exactly one perfect matching of G."""
+    count = [0] * G.n_edges
+    for M in enumerate_perfect_matchings(G):
+        for eid in M.edge_ids:
+            count[eid] += 1
+    return frozenset(eid for eid, c in enumerate(count) if c == 1)
 
 
 class TestForcingEdges:
     def test_c6_all_forcing(self, c6):
-        assert forcing_edges(c6) == frozenset(range(6))
+        assert forcing(c6) == frozenset(range(6))
 
     def test_pyrene_nonempty_and_designated(self, pyrene):
-        fe = forcing_edges(pyrene.graph)
+        fe = forcing(pyrene.graph)
         assert fe
         assert pyrene.forcing_edge in fe
 
     def test_link_edge_not_forcing(self, hexagon_gen):
         linked = link_components([hexagon_gen.graph, hexagon_gen.graph])
-        fe = forcing_edges(linked.graph)
+        fe = forcing(linked.graph)
         assert not (fe & frozenset(linked.new_edges))
 
 

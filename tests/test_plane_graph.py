@@ -4,12 +4,11 @@ import pytest
 
 from matchlat import (
     OrientedTree,
-    elementary_structure,
     enumerate_perfect_matchings,
-    faces_inside_cycle,
     find_e_cuts,
     link_components,
     load_graph,
+    matching_lattice,
     oriented_dual,
     tree_to_outerplane,
     truncated_parallelogram,
@@ -23,6 +22,7 @@ from matchlat.errors import (
     ImproperColoring,
     InputRequired,
     NotACycle,
+    NotALattice,
     NotBipartite,
     NotOuterplane,
     ParseError,
@@ -35,14 +35,18 @@ from matchlat.matching import (
     _flip_walk,
     _matching_mask,
     _search_tree,
-    classify_cycle,
 )
-from matchlat.oracles import e_cuts_by_definition, faces_inside_cycle_by_flood
-from matchlat.plane_graph import (
+from matchlat.oracles import (
     _cycle_plus_interior_elementary,
+    e_cuts_by_definition,
+    elementary_structure,
+    faces_inside_cycle_by_flood,
+)
+from matchlat.plane_graph import (
+    _clockwise,
     _e_cut_mask,
+    _faces_inside,
     _split_cycles,
-    clockwise_cycle,
     dual_tree,
     dual_tree_paths,
     edge_mask,
@@ -252,18 +256,23 @@ class TestOrientedDual:
         )
 
 
+def inside(G, edge_ids):
+    """The faces inside a cycle given by its edge ids, by Jordan parity."""
+    return _faces_inside(G, edge_mask(G.n_edges, edge_ids))
+
+
 class TestFacesInsideCycle:
     def test_boundary_encloses_all(self, pyrene):
         G = pyrene.graph
         boundary = frozenset(
             eid for eid in range(G.n_edges) if G.outer_face in G.edge_faces(eid)
         )
-        assert faces_inside_cycle(G, boundary) == frozenset(G.inner_face_ids)
+        assert inside(G, boundary) == frozenset(G.inner_face_ids)
 
     def test_single_face_boundary(self, pyrene):
         G = pyrene.graph
         f = G.inner_face_ids[0]
-        assert faces_inside_cycle(G, G.faces[f].edge_set) == frozenset({f})
+        assert inside(G, G.faces[f].edge_set) == frozenset({f})
 
     def test_left_column_of_pyrene(self, pyrene):
         G = pyrene.graph
@@ -271,49 +280,21 @@ class TestFacesInsideCycle:
         cyc = frozenset(G.faces[col[0]].edge_set) ^ frozenset(
             G.faces[col[1]].edge_set
         )
-        assert faces_inside_cycle(G, cyc) == frozenset(col)
+        assert inside(G, cyc) == frozenset(col)
 
     def test_not_a_cycle(self, c6):
-        with pytest.raises(NotACycle):
-            faces_inside_cycle(c6, [0, 2])
+        with pytest.raises(NotACycle, match="edge set is not 2-regular"):
+            _split_cycles(c6, [0, 2])
 
-    @pytest.mark.parametrize("route", ["check", "inside", "classify"])
     @pytest.mark.parametrize("bad", ["negative", "too large"])
-    def test_unknown_edge_id(self, hexagon_gen, route, bad):
+    def test_unknown_edge_id(self, hexagon_gen, bad):
         """-1 would alias the last edge, n_edges would index past the list."""
         G = hexagon_gen.graph
         hexagon = list(G.faces[G.inner_face_ids[0]].edge_ids)
         eid = -1 if bad == "negative" else G.n_edges
         hexagon[2] = eid
-        M = enumerate_perfect_matchings(G)[0]
-        fn = {
-            "check": lambda: clockwise_cycle(G, hexagon),
-            "inside": lambda: faces_inside_cycle(G, hexagon),
-            "classify": lambda: classify_cycle(G, M, hexagon),
-        }[route]
         with pytest.raises(NotACycle, match=f"unknown edge id {eid}$"):
-            fn()
-
-    @pytest.mark.parametrize("route", ["check", "inside", "classify"])
-    def test_refusals(self, route):
-        H = truncated_parallelogram(TruncatedParallelogramSpec((3,)))
-        G = H.graph
-        M = enumerate_perfect_matchings(G)[0]
-        fn = {
-            "check": clockwise_cycle,
-            "inside": faces_inside_cycle,
-            "classify": lambda G, edges: classify_cycle(G, M, edges),
-        }[route]
-        # the two end hexagons of a row of three share no vertex
-        left, right = (G.faces[H.hexagon_face[(1, c)]] for c in (1, 3))
-        assert not left.vertex_set & right.vertex_set
-        left, right = left.edge_set, right.edge_set
-        with pytest.raises(NotACycle, match="empty edge set"):
-            fn(G, [])
-        with pytest.raises(NotACycle, match="not 2-regular"):
-            fn(G, sorted(left)[:-1])
-        with pytest.raises(NotACycle, match="union of several cycles"):
-            fn(G, left | right)
+            _split_cycles(G, hexagon)
 
     def test_face_boundaries_match_flood(self):
         checked = 0
@@ -322,7 +303,7 @@ class TestFacesInsideCycle:
             for walk in G.faces:
                 if not walk.is_simple_cycle:
                     continue
-                got = faces_inside_cycle(G, walk.edge_set)
+                got = inside(G, walk.edge_set)
                 assert got == faces_inside_cycle_by_flood(G, walk.edge_set)
                 assert got == (inner if walk.is_outer else {walk.face_id})
                 checked += walk.is_outer
@@ -332,16 +313,19 @@ class TestFacesInsideCycle:
         outer = pendant.faces[pendant.outer_face]
         (inner,) = pendant.inner_face_ids
         assert not pendant.faces[inner].is_simple_cycle
-        assert any(pendant.is_bridge(eid) for eid in range(pendant.n_edges))
-        assert faces_inside_cycle(pendant, outer.edge_set) == {inner}
+        # a bridge has the same face on both sides
+        faces = [pendant.edge_faces(eid) for eid in range(pendant.n_edges)]
+        assert any(f1 == f2 for f1, f2 in faces)
+        assert inside(pendant, outer.edge_set) == {inner}
         assert faces_inside_cycle_by_flood(pendant, outer.edge_set) == {inner}
 
     def test_clockwise_steps_coherent(self, pyrene):
         G = pyrene.graph
         f = pyrene.hexagon_face[(1, 1)]
-        steps, inside = clockwise_cycle(G, G.faces[f].edge_set)
+        ((mask, walk),) = _split_cycles(G, G.faces[f].edge_set)
+        steps, faces = _clockwise(G, mask, walk)
         assert sorted(steps) == sorted(G.faces[f].steps)
-        assert inside == {f}
+        assert faces == {f}
 
 
 class TestElementaryStructure:
@@ -398,6 +382,30 @@ class TestElementaryStructure:
         assert not es.is_elementary
         assert not es.is_weakly_elementary
         assert 2 in es.forbidden_edges  # the edge into the pendant
+
+    def test_weakly_elementary_exactly_when_the_flips_give_a_lattice(self):
+        """The oracle's weak elementarity is the condition under which the
+        production route certifies M(G) as a lattice (Zhang & Zhang, Discrete
+        Appl. Math. 105, 2000): on every cycle-oracle host, every edited
+        host and every connected one-edge deletion of an edited host."""
+        hosts = cycle_oracle_hosts()
+        for G in edited_hosts():
+            hosts.append(G)
+            for e in range(G.n_edges):
+                try:
+                    hosts.append(without_edges(G, {e}))
+                except Disconnected:
+                    pass
+        verdicts = []
+        for G in hosts:
+            try:
+                matching_lattice(G)
+                lattice = True
+            except NotALattice:
+                lattice = False
+            assert elementary_structure(G).is_weakly_elementary == lattice, G.edges
+            verdicts.append(lattice)
+        assert (len(verdicts), verdicts.count(False)) == (309, 21)
 
     def test_cycle_plus_interior_is_the_enumeration_definition(self):
         """One search leaf and a reachability test decide what enumerating

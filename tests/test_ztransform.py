@@ -9,7 +9,6 @@ import pytest
 from matchlat import (
     all_alternating_cycles,
     build_z_digraph,
-    delta_cycle_count,
     enumerate_perfect_matchings,
     extremal_matchings,
     face_poset_outerplane,
@@ -21,7 +20,6 @@ from matchlat import (
     matching_poset,
     oriented_dual,
     parse_spec,
-    path_face_multiplicity,
     sigma,
     truncated_parallelogram,
     verify_iso_matchings_ideals,
@@ -39,7 +37,6 @@ from matchlat.errors import (
     NotALattice,
     NotAMatching,
     NotAPath,
-    NotComparable,
     NotOuterplane,
     SizeCapExceeded,
 )
@@ -64,15 +61,14 @@ from matchlat.matching import (
     PROPER,
     AlternatingCycleReport,
     Matching,
+    _difference_cycles,
     classify_alternating_faces,
     matching_index,
-    symmetric_difference_cycles,
 )
 from matchlat.verify import (
     MAX_FLIP_PATHS,
     VerificationReport,
     _outerplane_case,
-    _small_fixtures,
     check_delta_path_invariance,
     check_outerplane,
 )
@@ -85,6 +81,7 @@ from matchlat.ztransform import (
 )
 
 from conftest import (
+    cycle_report,
     c6_description,
     decomposition_hosts,
     outerplane_suite_hosts,
@@ -152,12 +149,10 @@ class TestZDigraph:
     def test_face_classification_agrees_with_generic_cycle_rule(self, pyrene):
         # the face-walk shortcut and the interior-orientation rule must
         # classify facial alternating cycles identically
-        from matchlat.matching import classify_cycle
-
         G = pyrene.graph
         for M in enumerate_perfect_matchings(G):
             for fid, cls in classify_alternating_faces(G, M):
-                rep = classify_cycle(G, M, G.faces[fid].edge_set)
+                rep = cycle_report(G, M, G.faces[fid].edge_set)
                 assert rep.orientation_class == cls
                 assert rep.enclosed_faces == frozenset({fid})
 
@@ -428,15 +423,13 @@ class TestExtremalMatchings:
 
     def test_boundary_alternating_for_elementary(self, pyrene):
         # the outer boundary is proper for the source, improper for the root
-        from matchlat.matching import classify_cycle
-
         G = pyrene.graph
         ext = extremal_matchings(G)
         boundary = frozenset(
             eid for eid in range(G.n_edges) if G.outer_face in G.edge_faces(eid)
         )
-        assert classify_cycle(G, ext.source, boundary).orientation_class == PROPER
-        assert classify_cycle(G, ext.root, boundary).orientation_class == IMPROPER
+        assert cycle_report(G, ext.source, boundary).orientation_class == PROPER
+        assert cycle_report(G, ext.root, boundary).orientation_class == IMPROPER
 
     def test_pendant_multiple_extremes(self, pendant):
         with pytest.raises((MultipleSources, MultipleSinks)):
@@ -446,43 +439,19 @@ class TestExtremalMatchings:
 class TestDeltaAndPaths:
     def test_delta_zero_on_equal(self, c6):
         m1, _ = enumerate_perfect_matchings(c6)
-        for f in c6.inner_face_ids:
-            assert delta_cycle_count(c6, m1, m1, f) == 0
+        assert _delta_counts(c6, m1, m1) == {}
 
     def test_c6_delta_one(self, c6):
         ext = extremal_matchings(c6)
         f = c6.inner_face_ids[0]
-        assert delta_cycle_count(c6, ext.source, ext.root, f) == 1
+        assert _delta_counts(c6, ext.source, ext.root) == {f: 1}
 
     def test_extremes_enclose_every_face(self, pyrene):
         G = pyrene.graph
         ext = extremal_matchings(G)
-        for f in G.inner_face_ids:
-            assert delta_cycle_count(G, ext.source, ext.root, f) >= 1
-
-    def test_not_comparable(self, pyrene):
-        G = pyrene.graph
-        P = matching_poset(G)
-        incomparable = [
-            (i, j)
-            for i in range(P.n)
-            for j in range(P.n)
-            if i != j and not P.leq(i, j) and not P.leq(j, i)
-        ]
-        i, j = incomparable[0]
-        with pytest.raises(NotComparable):
-            delta_cycle_count(
-                G, P.labels[i], P.labels[j], G.inner_face_ids[0]
-            )
-
-    def test_non_matching_is_refused(self, pyrene):
-        G = pyrene.graph
-        M = extremal_matchings(G).root
-        f = G.inner_face_ids[0]
-        with pytest.raises(NotAMatching, match=r"\(0,\)\) is not a perfect matching"):
-            delta_cycle_count(G, Matching((0,)), M, f)
-        with pytest.raises(NotAMatching):
-            delta_cycle_count(G, M, Matching(tuple(reversed(M.edge_ids))), f)
+        deltas = _delta_counts(G, ext.source, ext.root)
+        assert set(deltas) == set(G.inner_face_ids)
+        assert min(deltas.values()) >= 1
 
     def test_path_multiplicity_matches_delta(self, pyrene):
         G = pyrene.graph
@@ -490,12 +459,10 @@ class TestDeltaAndPaths:
         ext = extremal_matchings(G)
         paths = directed_paths(G, ext.source_index, ext.root_index)
         assert paths
+        every_face_once = dict.fromkeys(G.inner_face_ids, 1)
         for path in paths:
-            ms = [P.labels[k] for k in path]
-            for f in G.inner_face_ids:
-                assert path_face_multiplicity(G, ms, f) == delta_cycle_count(
-                    G, ext.source, ext.root, f
-                ) == 1
+            assert _path_face_counts(G, path) == every_face_once
+        assert _delta_counts(G, ext.source, ext.root) == every_face_once
 
     def test_negative_count_is_a_bug(self, c6, monkeypatch):
         from matchlat import ztransform
@@ -507,31 +474,7 @@ class TestDeltaAndPaths:
         with pytest.raises(
             AssertionError, match="signed enclosure count went negative under the order"
         ):
-            delta_cycle_count(c6, ext.source, ext.root, f)
-
-    def test_all_face_counts_equal_the_per_face_functions(self):
-        """One decomposition per pair and one walk per path give every
-        face's count, on every comparable pair and flip path of the
-        core suite's fixtures."""
-        pairs = paths = 0
-        for _, G in _small_fixtures(DEFAULT_CAPS):
-            P = matching_poset(G)
-            for i in range(P.n):
-                for j in range(P.n):
-                    if i == j or not P.leq(j, i):
-                        continue
-                    pairs += 1
-                    Mi, Mj = P.labels[i], P.labels[j]
-                    deltas = _delta_counts(G, Mi, Mj)
-                    for f in range(len(G.faces)):
-                        assert deltas.get(f, 0) == delta_cycle_count(G, Mi, Mj, f)
-                    for path in directed_paths(G, i, j, cap=MAX_FLIP_PATHS):
-                        paths += 1
-                        flips = _path_face_counts(G, path)
-                        ms = [P.labels[k] for k in path]
-                        for f in range(len(G.faces)):
-                            assert flips.get(f, 0) == path_face_multiplicity(G, ms, f)
-        assert (pairs, paths) == (313, 1074)
+            _delta_counts(c6, ext.source, ext.root)
 
     def test_invariance_check_decomposes_each_pair_once(self, monkeypatch):
         from matchlat import verify, ztransform
@@ -601,14 +544,12 @@ class TestDeltaAndPaths:
             gc.enable()
 
     def test_empty_path(self, c6):
-        m1, _ = enumerate_perfect_matchings(c6)
-        assert path_face_multiplicity(c6, [m1], c6.inner_face_ids[0]) == 0
+        assert _path_face_counts(c6, [0]) == {}
 
     def test_not_a_path(self, c6):
-        ms = enumerate_perfect_matchings(c6)
         ext = extremal_matchings(c6)
-        with pytest.raises(NotAPath):
-            path_face_multiplicity(c6, [ext.root, ext.source], c6.inner_face_ids[0])
+        with pytest.raises(NotAPath, match="no arc between consecutive matchings"):
+            _path_face_counts(c6, [ext.root_index, ext.source_index])
 
 
 class TestFacePoset:
@@ -741,7 +682,7 @@ class TestSigma:
 
         monkeypatch.setattr(matching, "check_matching", refuse)
         with pytest.raises(AssertionError, match="check_matching called"):
-            matching.symmetric_difference_cycles(G, ext.source, ext.root)
+            matching.classify_alternating_faces(G, ext.source)
         ideals = {sigma(G, M) for M in enumerate_perfect_matchings(G)}
         assert len(ideals) == 5
 
@@ -767,7 +708,7 @@ class TestSigma:
             ms = enumerate_perfect_matchings(G)
             want = [
                 frozenset().union(
-                    *(r.enclosed_faces for r in symmetric_difference_cycles(G, M, root))
+                    *(r.enclosed_faces for r in _difference_cycles(G, M, root))
                 )
                 for M in ms
             ]
