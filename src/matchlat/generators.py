@@ -76,12 +76,16 @@ _LAYOUT_DIRECTIONS = {
 
 @dataclass(frozen=True)
 class TruncatedParallelogramSpec:
-    """Row lengths r_1 >= r_2 >= ... >= r_m > 0, hexagons per row."""
+    """Row lengths r_1 >= r_2 >= ... >= r_m > 0, hexagons per row.  Each
+    row must be an ``int`` already, not a ``bool``: nothing is coerced."""
 
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for r in self.rows:
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise InvalidRowLengths(f"row lengths must be integers, got {r!r}")
         if not self.rows:
             raise InvalidRowLengths("at least one row is required")
         if any(r <= 0 for r in self.rows):

@@ -194,7 +194,9 @@ def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
     face, on canonical masks (edge e at bit ``n_edges - 1 - e``): ``white``
     holds the steps of its clockwise walk whose tail is white.  A matching
     m alternates around the face exactly when ``m & face`` is ``white`` or
-    ``face ^ white``.
+    ``face ^ white``.  One loop over each face's steps reads both masks
+    and the steps' tails; the walk is a simple cycle when its distinct
+    tails, its steps and its distinct edges are as many.
 
     The faces come in the order that lists a matching's lower covers in
     canonical order: first those whose lowest edge has a black tail, so
@@ -203,17 +205,22 @@ def flip_faces(G: PlaneBipartiteGraph) -> tuple[tuple[int, int, int], ...]:
     a shared matched edge has a white tail in one face's walk only, and a
     shared unmatched edge forces a shared matched one.
     """
+    colors, top = G.colors, G.n_edges - 1
     keyed = []
     for fid in G.inner_face_ids:
-        walk = G.faces[fid]
-        if walk.is_simple_cycle:
-            low, low_tail, _ = min(walk.steps)  # the step along the lowest edge
-            loses = G.colors[low_tail] == WHITE
-            white = (eid for eid, tail, _ in walk.steps if G.colors[tail] == WHITE)
-            keyed.append((
-                (loses, -low if loses else low), fid,
-                edge_mask(G.n_edges, walk.edge_ids), edge_mask(G.n_edges, white),
-            ))
+        steps = G.faces[fid].steps
+        face = white = 0
+        tails = set()
+        for eid, tail, _ in steps:
+            bit = 1 << top - eid
+            face |= bit
+            if colors[tail] == WHITE:
+                white |= bit
+            tails.add(tail)
+        if len(tails) == len(steps) == face.bit_count():
+            low = top + 1 - face.bit_length()  # the lowest edge
+            loses = white.bit_length() == face.bit_length()  # its tail is white
+            keyed.append(((loses, -low if loses else low), fid, face, white))
     return tuple(f[1:] for f in sorted(keyed))
 
 
@@ -454,9 +461,12 @@ def _abs_det(rows: dict[int, dict[int, int]], columns: Sequence[int]) -> int:
     by fraction-free (Bareiss) elimination over the columns in order.
 
     Each step pivots on the row with the fewest entries among those that
-    hold the column, and clears the column from the others.  Bareiss
-    multiplies every row a step leaves alone by p_k / p_(k-1), p_k the
-    step's pivot and p_(-1) = 1; those factors telescope, so such a row is
+    hold the column, and clears the column from the others: at step k, a
+    row with a in the column has its entry x become
+    (x p_k - a y) / p_(k-1), y the pivot row's entry there, so only the
+    pivot row's columns can turn to zero.  Bareiss multiplies every row a
+    step leaves alone by p_k / p_(k-1), p_k the step's pivot and
+    p_(-1) = 1; those factors telescope, so such a row is
     rescaled once, by p_(k-1) / p_(s-1), when step k next touches it and
     s is the first step it missed.  Every entry stays an integer minor of
     the matrix, so each division is exact.  The rows are consumed.
@@ -480,7 +490,7 @@ def _abs_det(rows: dict[int, dict[int, int]], columns: Sequence[int]) -> int:
                 for j in row:
                     row[j] = row[j] * scale // div
             fresh[r] = k + 1
-        pr = min(candidates, key=lambda r: (len(rows[r]), r))
+        _, pr = min([(len(rows[r]), r) for r in candidates])
         candidates.discard(pr)
         prow = rows.pop(pr)
         p = prow.pop(c)
@@ -490,19 +500,15 @@ def _abs_det(rows: dict[int, dict[int, int]], columns: Sequence[int]) -> int:
             row = rows[r]
             a = row.pop(c)
             for j, x in row.items():
-                row[j] = x * p
+                if j not in prow:
+                    row[j] = x * p // prev
             for j, y in prow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -a * y
-                    holding[j].add(r)
-                else:
-                    row[j] = x - a * y
-            for j in list(row):
-                x = row[j] // prev
+                x = row.get(j, 0) * p - a * y
                 if x:
-                    row[j] = x
-                else:
+                    if j not in row:
+                        holding[j].add(r)
+                    row[j] = x // prev
+                elif j in row:
                     del row[j]
                     holding[j].discard(r)
         pivots.append(p)

@@ -55,6 +55,10 @@ COLOR_NAMES = ("white", "black")
 # A directed traversal of an edge: (edge id, tail vertex, head vertex).
 Step = tuple[int, int, int]
 
+# The one id type ``load_graph`` passes without a look at each value, as
+# every id parsed from JSON is; any other goes through ``_int``.
+_JUST_INT = frozenset([int])
+
 
 @dataclass(frozen=True)
 class FaceWalk:
@@ -181,38 +185,39 @@ def _trace_rotation(
     outer face counterclockwise; every generated hexagonal system checks
     this choice on its root matching (see the root check in
     ``generators.truncated_parallelogram``) and fails loudly if broken.
+
+    The directed edges are numbered as darts: dart 2e is edge e leaving
+    its first end, dart 2e + 1 edge e leaving its second end.  One list
+    gives each dart's successor on its face, and the walks start at the
+    lowest unused dart, so they come in the order of their first dart.
     """
-    pos: dict[tuple[int, int], int] = {}
-    for v, rot in enumerate(rotation):
-        for i, eid in enumerate(rot):
-            pos[(v, eid)] = i
-
-    def other(eid: int, v: int) -> int:
-        u, w = edges[eid]
-        return w if v == u else u
-
-    unused: set[tuple[int, int]] = set()
+    steps: list[Step] = []
     for eid, (u, v) in enumerate(edges):
-        unused.add((eid, u))
-        unused.add((eid, v))
-
+        steps.append((eid, u, v))
+        steps.append((eid, v, u))
+    succ = [0] * len(steps)
+    for v, rot in enumerate(rotation):
+        if not rot:  # a vertex left with no edge: no dart arrives there
+            continue
+        prev = rot[-1]
+        for eid in rot:
+            # the dart into v along eid is followed by the dart out along prev
+            succ[2 * eid + (edges[eid][0] == v)] = 2 * prev + (edges[prev][0] != v)
+            prev = eid
+    unused = bytearray(b"\x01") * len(steps)
     walks: list[list[Step]] = []
-    for eid0 in range(len(edges)):
-        for tail0 in edges[eid0]:
-            if (eid0, tail0) not in unused:
-                continue
-            steps: list[Step] = []
-            eid, tail = eid0, tail0
-            while (eid, tail) in unused:
-                unused.remove((eid, tail))
-                head = other(eid, tail)
-                steps.append((eid, tail, head))
-                idx = pos[(head, eid)]
-                rot = rotation[head]
-                eid, tail = rot[(idx - 1) % len(rot)], head
-            if (eid, tail) != (eid0, tail0):
-                raise EulerViolation("face walk did not close on its start")
-            walks.append(steps)
+    for start in range(len(steps)):
+        if not unused[start]:
+            continue
+        walk: list[Step] = []
+        dart = start
+        while unused[dart]:
+            unused[dart] = 0
+            walk.append(steps[dart])
+            dart = succ[dart]
+        if dart != start:
+            raise EulerViolation("face walk did not close on its start")
+        walks.append(walk)
     return walks
 
 
@@ -237,7 +242,10 @@ def load_graph(
     colors_by_id: dict[int, int] = {}
     for item in vertex_items:
         try:
-            vid, color = _int(item["id"], "vertex id"), item["color"]
+            vid = item["id"]
+            if type(vid) is not int:
+                vid = _int(vid, "vertex id")
+            color = item["color"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed vertex entry {item!r}") from exc
         if color not in COLOR_NAMES:
@@ -255,7 +263,9 @@ def load_graph(
             u, v = item
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed edge entry {item!r}") from exc
-        edges.append((_int(u, "edge end"), _int(v, "edge end")))
+        if type(u) is not int or type(v) is not int:
+            u, v = _int(u, "edge end"), _int(v, "edge end")
+        edges.append((u, v))
 
     rotation: list[tuple[int, ...]] = []
     for v in range(n):
@@ -263,9 +273,12 @@ def load_graph(
         if raw is None:
             raise ParseError(f"rotation missing for vertex {v}")
         try:
-            rotation.append(tuple(_int(e, f"rotation entry at vertex {v}") for e in raw))
+            rot = tuple(raw)
         except TypeError as exc:
             raise ParseError(f"rotation at vertex {v} is not a list") from exc
+        if not _JUST_INT.issuperset(map(type, rot)):
+            rot = tuple(_int(e, f"rotation entry at vertex {v}") for e in rot)
+        rotation.append(rot)
 
     outer = description.get("outer_face")
     if outer is not None:
@@ -321,7 +334,7 @@ def _build_graph(
             raise ParseError(f"edge ({u}, {v}) references unknown vertex")
         if u == v:
             raise NotBipartite(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen_pairs:
             raise DuplicateEdge(f"edge {key} listed twice")
         seen_pairs.add(key)
@@ -329,13 +342,15 @@ def _build_graph(
     if not pairs:
         raise ParseError("graph must have at least one edge")
 
-    _check_bipartite(n, pairs)
     for u, v in pairs:
         if colors[u] == colors[v]:
+            # a proper coloring shows the graph bipartite, so the search
+            # for an odd cycle, whose error comes first, runs only here
+            _check_bipartite(n, pairs)
             raise ImproperColoring(
                 f"edge ({u},{v}) joins two {COLOR_NAMES[colors[u]]} vertices"
             )
-    unreachable = sum(1 for label in component_labels(n, pairs) if label)
+    unreachable = n - component_labels(n, pairs).count(0)
     if unreachable:
         raise Disconnected(f"graph has {unreachable} unreachable vertices")
 
@@ -504,13 +519,21 @@ def incident_edge_masks(G: PlaneBipartiteGraph) -> tuple[int, ...]:
 def dual_tree(G: PlaneBipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A BFS tree of the dual rooted at the outer face: the faces in BFS
     order, and per face the edge it crosses to its parent (-1 at the root).
+
+    One pass over the walks sums each edge's two face ids, so the face
+    across edge e from f is that sum less f.  Each face's edges are
+    crossed in walk order.
     """
+    both = [0] * G.n_edges  # per edge, the sum of its two faces' ids
+    for walk in G.faces:
+        for eid, _, _ in walk.steps:
+            both[eid] += walk.face_id
     parent: list[Optional[int]] = [None] * len(G.faces)
     parent[G.outer_face] = -1
     order = [G.outer_face]
     for f in order:
-        for eid in G.faces[f].edge_ids:
-            g = sum(G.edge_faces(eid)) - f
+        for eid, _, _ in G.faces[f].steps:
+            g = both[eid] - f
             if parent[g] is None:
                 parent[g] = eid
                 order.append(g)

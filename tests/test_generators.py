@@ -79,6 +79,20 @@ class TestTruncatedParallelogram:
         with pytest.raises(InvalidRowLengths):
             TruncatedParallelogramSpec(())
 
+    @pytest.mark.parametrize(
+        "rows, bad", [((2.7, "1"), "2.7"), ((True,), "True"), ((1.9,), "1.9")]
+    )
+    def test_rows_are_never_coerced(self, rows, bad):
+        with pytest.raises(
+            InvalidRowLengths, match=rf"^row lengths must be integers, got {bad}$"
+        ):
+            TruncatedParallelogramSpec(rows)
+
+    def test_integer_rows_build(self):
+        H = truncated_parallelogram(TruncatedParallelogramSpec((2, 1)))
+        assert H.spec.rows == (2, 1)
+        assert len(H.graph.inner_face_ids) == 3
+
     def test_face_cap_checked_before_building(self, monkeypatch):
         built = []
         monkeypatch.setattr(

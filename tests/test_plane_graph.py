@@ -185,6 +185,63 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(desc)
 
+    @pytest.mark.parametrize(
+        "edges, rotation, colors, error, message",
+        [
+            # a triangle with the odd cycle's improper edge, and a black-black
+            # edge apart from it
+            ([[0, 1], [1, 2], [0, 2], [3, 4]],
+             {"0": [0, 2], "1": [0, 1], "2": [1, 2], "3": [3], "4": [3]},
+             "wbwbb", NotBipartite, "graph contains an odd cycle"),
+            ([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5]],
+             {"0": [0, 3], "1": [0, 1], "2": [1, 2], "3": [2, 3], "4": [4], "5": [4]},
+             "wbwwwb", ImproperColoring, "edge (2,3) joins two white vertices"),
+            ([[0, 1], [2, 3]], {"0": [1], "1": [0], "2": [1], "3": [1]},
+             "wbwb", Disconnected, "graph has 2 unreachable vertices"),
+            ([[0, 1], [1, 2], [2, 3]], {"0": [0], "1": [0, "1"], "2": [1, 2]},
+             "wbwb", ParseError, "rotation entry at vertex 1 must be an integer, got '1'"),
+            ([[0, 1]], {"0": [True], "1": [0]},
+             "wb", ParseError, "rotation entry at vertex 0 must be an integer, got True"),
+            ([[0, 1]], {"0": [0.0], "1": 5},
+             "wb", ParseError, "rotation entry at vertex 0 must be an integer, got 0.0"),
+            ([[0, 1]], {"0": "0", "1": [0]},
+             "wb", ParseError, "rotation entry at vertex 0 must be an integer, got '0'"),
+            ([[0, 1.0], [1, 2, 3]], {"0": [0], "1": [0, 1], "2": [1]},
+             "wbw", ParseError, "edge end must be an integer, got 1.0"),
+            ([[0, False]], {"0": [0], "1": [0]},
+             "wb", ParseError, "edge end must be an integer, got False"),
+            ([[0, 1], [1, 2], [2, 3], [3, 0]],
+             {"0": [0, 3], "1": [0, 0], "2": [1, 2], "3": [2, 3]}, "wbwb", ParseError,
+             "rotation at vertex 1 is not a permutation of its incident edges"),
+        ],
+        ids=["odd-cycle", "coloring", "connectivity", "entry-before-missing",
+             "bool-entry", "entry-before-not-a-list", "string-rotation",
+             "end-before-malformed-edge", "second-end", "not-a-permutation"],
+    )
+    def test_the_first_fault_wins(self, edges, rotation, colors, error, message):
+        vertices = [{"id": v, "color": "white" if c == "w" else "black"}
+                    for v, c in enumerate(colors)]
+        desc = {"vertices": vertices, "edges": edges, "rotation": rotation}
+        with pytest.raises(error) as info:
+            load_graph(desc)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_vertex_id_is_checked_before_its_color(self):
+        desc = c6_description()
+        desc["vertices"][0] = {"id": "0"}
+        with pytest.raises(ParseError, match="^vertex id must be an integer, got '0'$"):
+            load_graph(desc)
+
+    def test_int_subclass_ids_load_as_ints(self, c6):
+        class Id(int):
+            pass
+
+        desc = c6_description()
+        desc["vertices"] = [{**item, "id": Id(item["id"])} for item in desc["vertices"]]
+        desc["edges"] = [[Id(u), Id(v)] for u, v in desc["edges"]]
+        desc["rotation"] = {k: [Id(e) for e in rot] for k, rot in desc["rotation"].items()}
+        assert load_graph(desc).to_json() == c6.to_json()
+
     def test_json_round_trip(self, c6):
         assert load_graph(c6.to_json()).to_json() == c6.to_json()
 
